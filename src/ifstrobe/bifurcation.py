@@ -38,7 +38,7 @@ from .model import (
     time_to_threshold,
     Region,
 )
-from .strobe import _contraction_margin
+from .strobe import _contraction_margin, boundary_sigma
 
 __all__ = [
     "Side",
@@ -264,7 +264,7 @@ def contraction_margin(model: Model, forcing: Forcing) -> float:
     """Interval length lost by the right branch of the map; > 0 certifies
     contraction there.  Without a boundary the single branch is measured,
     which is always contracting under the standing hypotheses."""
-    return _contraction_margin(model, forcing)
+    return _contraction_margin(model, forcing, boundary_sigma(model, forcing))
 
 
 def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -> RateLimits:

@@ -9,12 +9,15 @@ scan          attractor period / firing-number over a (d, 1/A) grid
 bif           one border-collision solve (--solve A|T, --side R|L|zero)
 adding-check  period-adding/Farey report for a previously swept CSV
 
-Model parameters may come from a flat ``key=value`` config file (``--config``,
-'#' comments); explicit command-line flags override file values.  Exact
-rationals are serialized as integer numerator/denominator column pairs so
-that re-reading a CSV reproduces them bit-exactly; reals are written with 12
-significant digits.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure.
+Every parameter is declared once, in ``PARAMS``: its type (or choices), its
+help text and its domain rule.  The parser, the config reader and the
+validation all derive from that table.  A parameter ``name`` is the flag
+``--name`` (underscores written as dashes) and the key ``name`` of a flat
+``key=value`` config file (``--config``, '#' comments); explicit command-line
+flags override file values.  Exact rationals are serialized as integer
+numerator/denominator column pairs so that re-reading a CSV reproduces them
+bit-exactly; reals are written with 12 significant digits.  Exit codes: 0
+success, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .bifurcation import BifurcationNotFound, Side, bif_A, bif_T, rate_limits
 from .model import IntegrationError, LinearModel, classify_region, validate_hypotheses
@@ -38,7 +41,7 @@ from .sweep import (
     verify_adding,
 )
 
-__all__ = ["main", "run", "parse_config", "ExperimentConfig", "ConfigError", "read_staircase_csv"]
+__all__ = ["main", "run", "parse_config", "ConfigError", "read_staircase_csv"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,48 +67,77 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter combination."""
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat bag of experiment parameters; None means "not provided"."""
+class Param(NamedTuple):
+    """One parameter: the flag ``--name`` and the config key ``name``."""
 
-    a: float | None = None
-    b: float | None = None
-    theta: float | None = None
-    A: float | None = None
-    d: float | None = None
-    T: float | None = None
-    Q: float | None = None
-    delta: float | None = None
-    tmin: float | None = None
-    tmax: float | None = None
-    n: int | None = None
-    mode: str | None = None
-    side: str | None = None
-    solve: str | None = None
-    spikes: int | None = None
-    cap: int | None = None
-    workers: int | None = None
-    out: str | None = None
-    refine: bool | None = None
-    transient: int | None = None
-    max_period: int | None = None
-    tol_time: float | None = None
-    tol_state: float | None = None
+    kind: type | tuple[str, ...]  # float, int, str, bool (a bare flag) or the choices
+    help: str
+    check: tuple[Callable[[Any], bool], str] | None = None  # domain test and its rule
 
 
-_INT_KEYS = {"n", "spikes", "cap", "workers", "transient", "max_period"}
-_STR_KEYS = {"mode", "side", "solve", "out"}
-_BOOL_KEYS = {"refine"}
+_POSITIVE = (lambda v: v > 0.0, "must be strictly positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+_SIDES = {side.value.lower(): side for side in Side}
+
+PARAMS: dict[str, Param] = {
+    "workers": Param(int, "parallel workers for grids"),
+    "tol_state": Param(float, "attractor state-recurrence tolerance"),
+    "transient": Param(int, "attractor burn-in budget"),
+    "max_period": Param(int, "attractor period cap", _AT_LEAST_ONE),
+    "out": Param(str, "output CSV path"),
+    "a": Param(float, "linear decay rate (a < 0)"),
+    "b": Param(float, "linear bias (b > 0)"),
+    "theta": Param(float, "threshold (> 0)", _POSITIVE),
+    "A": Param(float, "pulse amplitude"),
+    "d": Param(
+        float, "duty cycle", (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0, 1)")
+    ),
+    "T": Param(float, "forcing period", _POSITIVE),
+    "mode": Param(("width", "amplitude"), "dose conservation: fixed (A, d) or fixed pulse duration"),
+    "delta": Param(float, "pulse duration (amplitude mode)"),
+    "Q": Param(float, "dose (amplitude mode)"),
+    "tmin": Param(float, "smallest period of the sweep"),
+    "tmax": Param(float, "largest period of the sweep"),
+    "n": Param(int, "grid resolution"),
+    "refine": Param(bool, "bisect between samples of different firing number"),
+    "dmin": Param(float, "smallest duty cycle of the scan"),
+    "dmax": Param(float, "largest duty cycle of the scan"),
+    "dn": Param(int, "duty-cycle nodes of the scan", _AT_LEAST_ONE),
+    "iamin": Param(float, "smallest 1/A of the scan"),
+    "iamax": Param(float, "largest 1/A of the scan"),
+    "ian": Param(int, "1/A nodes of the scan", _AT_LEAST_ONE),
+    "cap": Param(int, "period cap (default 20)", _AT_LEAST_ONE),
+    "solve": Param(("A", "T"), "variable of the collision solve"),
+    "side": Param(str, "R, L or zero", (lambda v: v.lower() in _SIDES, "must be R, L or zero")),
+    "spikes": Param(int, "spike count n"),
+    "tol_time": Param(float, "root tolerance of the collision solve (default 1e-14)"),
+    "input": Param(str, "CSV produced by the sweep subcommand"),
+}
+_SHORT = {"out": "-o", "input": "-i"}
+GLOBAL = ("workers", "tol_state", "transient", "max_period", "out")
+MODEL = ("a", "b", "theta")
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def _convert(kind: type | tuple[str, ...], text: str) -> object:
+    if kind is bool:
+        if text.lower() not in {"true", "false", "0", "1"}:
+            raise ValueError(text)
+        return text.lower() in {"true", "1"}
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(text)
+        return text
+    return kind(text)
+
+
+def parse_config(path: str | Path) -> argparse.Namespace:
     """Read a flat key=value config file ('#' starts a comment).
 
-    Unknown keys, malformed values and out-of-domain parameters raise
-    :class:`ConfigError` with the offending line number.
+    Keys are the names in :data:`PARAMS`; the result has one attribute per
+    key, None when unset.  Unknown keys, malformed values and out-of-domain
+    parameters raise :class:`ConfigError` naming the file (and line).
     """
-    known = {f.name for f in fields(ExperimentConfig)}
-    cfg = ExperimentConfig()
+    cfg = argparse.Namespace(**dict.fromkeys(PARAMS))
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,38 +146,26 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in PARAMS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _STR_KEYS:
-                parsed: object = value
-            elif key in _BOOL_KEYS:
-                if value.lower() not in {"true", "false", "0", "1"}:
-                    raise ValueError(value)
-                parsed = value.lower() in {"true", "1"}
-            elif key in _INT_KEYS:
-                parsed = int(value)
-            else:
-                parsed = float(value)
+            setattr(cfg, key, _convert(PARAMS[key].kind, value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed value for {key}: {value!r}") from exc
-        setattr(cfg, key, parsed)
-    _validate_config(cfg, str(path))
+    _validate(cfg, f"{path}: ")
     return cfg
 
 
-def _validate_config(cfg: ExperimentConfig, origin: str) -> None:
-    if cfg.d is not None and not (0.0 < cfg.d < 1.0):
-        raise ConfigError(f"{origin}: d must lie in the open interval (0, 1), got {cfg.d}")
-    if cfg.theta is not None and cfg.theta <= 0.0:
-        raise ConfigError(f"{origin}: theta must be strictly positive, got {cfg.theta}")
-    if cfg.T is not None and cfg.T <= 0.0:
-        raise ConfigError(f"{origin}: T must be strictly positive, got {cfg.T}")
-    if cfg.a is not None and cfg.b is not None and cfg.theta is not None:
-        report = validate_hypotheses(LinearModel(a=cfg.a, b=cfg.b, theta=cfg.theta))
+def _validate(ns: argparse.Namespace, prefix: str = "") -> None:
+    """Check every set parameter against its domain, then the model hypotheses."""
+    for name, param in PARAMS.items():
+        value = getattr(ns, name, None)
+        if value is not None and param.check is not None and not param.check[0](value):
+            raise ConfigError(f"{prefix}{name} {param.check[1]}, got {value!r}")
+    if all(getattr(ns, name, None) is not None for name in MODEL):
+        report = validate_hypotheses(LinearModel(a=ns.a, b=ns.b, theta=ns.theta))
         if not report.passed:
-            first = report.failures[0]
-            raise ConfigError(f"{origin}: model hypothesis violated: {first.detail}")
+            raise ConfigError(f"{prefix}model hypothesis violated: {report.failures[0].detail}")
 
 
 def _fmt(x: float) -> str:
@@ -153,14 +173,8 @@ def _fmt(x: float) -> str:
 
 
 def _model_from(args: argparse.Namespace) -> LinearModel:
-    missing = [name for name in ("a", "b", "theta") if getattr(args, name) is None]
-    if missing:
-        raise ConfigError(f"missing model parameter(s): {', '.join(missing)}")
-    model = LinearModel(a=args.a, b=args.b, theta=args.theta)
-    report = validate_hypotheses(model)
-    if not report.passed:
-        raise ConfigError(f"model hypothesis violated: {report.failures[0].detail}")
-    return model
+    _require(args, *MODEL)
+    return LinearModel(a=args.a, b=args.b, theta=args.theta)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -274,11 +288,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.mode == "width":
         _require(args, "A", "d")
         mode = WidthCorrection(A=args.A, d=args.d)
-    elif args.mode == "amplitude":
+    else:
         _require(args, "delta", "Q")
         mode = AmplitudeCorrection(delta=args.delta, Q=args.Q)
-    else:
-        raise ConfigError(f"unknown sweep mode {args.mode!r}")
     samples = sweep_T(
         model,
         mode,
@@ -301,9 +313,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     model = _model_from(args)
-    _require(args, "T")
-    d_grid = _linspace(args.dmin, args.dmax, args.dn, "d")
-    a_grid = _linspace(args.iamin, args.iamax, args.ian, "invA")
+    _require(args, "T", "dmin", "dmax", "dn", "iamin", "iamax", "ian")
+    d_grid = _linspace(args.dmin, args.dmax, args.dn)
+    a_grid = _linspace(args.iamin, args.iamax, args.ian)
     scan = scan_plane(
         model,
         args.T,
@@ -336,11 +348,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _linspace(lo: float | None, hi: float | None, n: int | None, name: str) -> list[float]:
-    if lo is None or hi is None or n is None:
-        raise ConfigError(f"missing {name} grid bounds/count")
-    if n < 1:
-        raise ConfigError(f"{name} grid needs at least one node")
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -350,18 +358,14 @@ def _linspace(lo: float | None, hi: float | None, n: int | None, name: str) -> l
 def _cmd_bif(args: argparse.Namespace) -> int:
     model = _model_from(args)
     _require(args, "solve", "side", "spikes", "d")
-    side = {"r": Side.R, "l": Side.L, "zero": Side.ZERO}.get(args.side.lower())
-    if side is None:
-        raise ConfigError(f"side must be R, L or zero, got {args.side!r}")
+    side = _SIDES[args.side.lower()]
     time_tol = args.tol_time if args.tol_time is not None else 1e-14
     if args.solve == "A":
         _require(args, "T")
         point = bif_A(model, args.spikes, side, args.d, args.T, time_tol=time_tol)
-    elif args.solve == "T":
+    else:
         _require(args, "A")
         point = bif_T(model, args.spikes, side, args.A, args.d, time_tol=time_tol)
-    else:
-        raise ConfigError(f"--solve must be A or T, got {args.solve!r}")
     print(
         f"n={point.n} side={point.side.value} d={_fmt(point.d)} T={_fmt(point.T)} "
         f"A={_fmt(point.A)} residual={point.residual:.3e}"
@@ -387,6 +391,7 @@ def _cmd_bif(args: argparse.Namespace) -> int:
 
 
 def _cmd_adding_check(args: argparse.Namespace) -> int:
+    _require(args, "input")
     samples = read_staircase_csv(args.input)
     report = verify_adding(samples)
     print(
@@ -401,29 +406,47 @@ def _cmd_adding_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=float, default=None, help="linear decay rate (a < 0)")
-    sub.add_argument("--b", type=float, default=None, help="linear bias (b > 0)")
-    sub.add_argument("--theta", type=float, default=None, help="threshold (> 0)")
+COMMANDS = {
+    "limits": (_cmd_limits, "firing-rate limits for one (A, d)", (*MODEL, "A", "d")),
+    "classify": (_cmd_classify, "spiking-region label for one (A, d)", (*MODEL, "A", "d")),
+    "sweep": (
+        _cmd_sweep,
+        "firing-rate staircase over T",
+        (*MODEL, "mode", "A", "d", "delta", "Q", "tmin", "tmax", "n", "refine"),
+    ),
+    "scan": (
+        _cmd_scan,
+        "period/firing-number over a (d, 1/A) grid",
+        (*MODEL, "T", "dmin", "dmax", "dn", "iamin", "iamax", "ian", "cap"),
+    ),
+    "bif": (
+        _cmd_bif,
+        "one border-collision solve",
+        (*MODEL, "solve", "side", "spikes", "A", "d", "T", "tol_time"),
+    ),
+    "adding-check": (_cmd_adding_check, "period-adding report for a swept CSV", ("input",)),
+}
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
+def _add_params(parser: argparse.ArgumentParser, names: tuple[str, ...], default: object) -> None:
+    for name in names:
+        kind, help_text, _ = PARAMS[name]
+        flags = [_SHORT[name]] if name in _SHORT else []
+        flags.append("--" + name.replace("_", "-"))
+        if kind is bool:
+            how: dict[str, object] = {"action": "store_const", "const": True}
+        elif isinstance(kind, tuple):
+            how = {"choices": kind}
+        else:
+            how = {"type": kind}
+        parser.add_argument(*flags, dest=name, default=default, help=help_text, **how)
+
+
+def _add_global(parser: argparse.ArgumentParser, default: object) -> None:
     # the same flags are accepted before or after the subcommand; the
     # subparser copies use SUPPRESS so they only override when given
-    default = None if top_level else argparse.SUPPRESS
     parser.add_argument("--config", default=default, help="key=value config file")
-    parser.add_argument(
-        "--workers", type=int, default=default, help="parallel workers for grids"
-    )
-    parser.add_argument("--tol-time", dest="tol_time", type=float, default=default)
-    parser.add_argument("--tol-state", dest="tol_state", type=float, default=default)
-    parser.add_argument(
-        "--transient", type=int, default=default, help="attractor burn-in budget"
-    )
-    parser.add_argument(
-        "--max-period", dest="max_period", type=int, default=default, help="attractor period cap"
-    )
-    parser.add_argument("-o", "--out", default=default, help="output CSV path")
+    _add_params(parser, GLOBAL, default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,91 +454,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ifstrobe",
         description="Analyses of periodically pulsed integrate-and-fire models",
     )
-    _add_global_flags(parser, top_level=True)
+    _add_global(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("limits", help="firing-rate limits for one (A, d)")
-    _add_global_flags(p, top_level=False)
-    _add_model_flags(p)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.set_defaults(handler=_cmd_limits)
-
-    p = sub.add_parser("classify", help="spiking-region label for one (A, d)")
-    _add_global_flags(p, top_level=False)
-    _add_model_flags(p)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("sweep", help="firing-rate staircase over T")
-    _add_global_flags(p, top_level=False)
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=("width", "amplitude"), default=None)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None, help="pulse duration (amplitude mode)")
-    p.add_argument("--Q", type=float, default=None, help="dose (amplitude mode)")
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="grid resolution")
-    p.add_argument("--refine", action="store_const", const=True, default=None)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("scan", help="period/firing-number over a (d, 1/A) grid")
-    _add_global_flags(p, top_level=False)
-    _add_model_flags(p)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--dmin", type=float, default=None)
-    p.add_argument("--dmax", type=float, default=None)
-    p.add_argument("--dn", type=int, default=None)
-    p.add_argument("--iamin", type=float, default=None)
-    p.add_argument("--iamax", type=float, default=None)
-    p.add_argument("--ian", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="period cap (default 20)")
-    p.set_defaults(handler=_cmd_scan)
-
-    p = sub.add_parser("bif", help="one border-collision solve")
-    _add_global_flags(p, top_level=False)
-    _add_model_flags(p)
-    p.add_argument("--solve", choices=("A", "T"), default=None)
-    p.add_argument("--side", default=None, help="R, L or zero")
-    p.add_argument("--spikes", type=int, default=None, help="spike count n")
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.set_defaults(handler=_cmd_bif)
-
-    p = sub.add_parser("adding-check", help="period-adding report for a swept CSV")
-    _add_global_flags(p, top_level=False)
-    p.add_argument("-i", "--input", required=True, help="CSV produced by the sweep subcommand")
-    p.set_defaults(handler=_cmd_adding_check)
-
+    for command, (handler, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_global(p, argparse.SUPPRESS)
+        _add_params(p, names, None)
+        p.set_defaults(handler=handler)
     return parser
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    cfg = parse_config(args.config)
-    for f in fields(cfg):
-        if hasattr(args, f.name) and getattr(args, f.name) is None:
-            setattr(args, f.name, getattr(cfg, f.name))
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute one subcommand, return the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _apply_config(args)
-        if getattr(args, "d", None) is not None and not (0.0 < args.d < 1.0):
-            raise ConfigError(f"d must lie in the open interval (0, 1), got {args.d}")
+        if args.config:
+            for name, value in vars(parse_config(args.config)).items():
+                if hasattr(args, name) and getattr(args, name) is None:
+                    setattr(args, name, value)
+        _validate(args)
         return args.handler(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BifurcationNotFound, IntegrationError, SpikeRunawayError) as exc:
@@ -523,9 +482,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
-
+main = run
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -312,7 +312,11 @@ def _best_candidate(states: list[float], counts: list[int], max_period: int) -> 
 
 
 def _contraction_margin(
-    model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP, grid: int = 33
+    model: Model,
+    forcing: Forcing,
+    info: BoundaryInfo | None,
+    spike_cap: int = SPIKE_CAP,
+    grid: int = 33,
 ) -> float:
     """Length lost by the right branch under one map application.
 
@@ -321,10 +325,10 @@ def _contraction_margin(
     For a linear field the branch is affine with slope exp(a*(T - n*delta)),
     so the margin is (theta - sigma) * (1 - slope).  Generic fields use a
     sampled sup of the central-difference derivative, a heuristic bound.
-    Without a boundary the single branch is measured the same way.
+    Without a boundary (``info`` is None, as returned by
+    :func:`boundary_sigma`) the single branch is measured the same way.
     """
     theta = model.theta
-    info = boundary_sigma(model, forcing, spike_cap=spike_cap)
     if info is None:
         lo = 0.0
         n = _spike_count(model, forcing, 0.0, spike_cap)
@@ -424,7 +428,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     word = _least_rotation(word)
 
     margin = (
-        _contraction_margin(model, forcing, spike_cap=opts.spike_cap)
+        _contraction_margin(model, forcing, info, spike_cap=opts.spike_cap)
         if opts.compute_margin
         else math.nan
     )

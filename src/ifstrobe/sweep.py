@@ -16,8 +16,9 @@ results merged by index; output is identical for any worker count.
 from __future__ import annotations
 
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -100,7 +101,8 @@ class PlaneScan:
 
     Matrices are indexed [i_d, i_invA].  Nodes where no period at or below
     the cap was confirmed are flagged in ``capped`` (period 0, eta NaN);
-    nodes whose evaluation raised are flagged in ``failed``.
+    nodes whose attractor search hit a numeric failure (spike runaway or an
+    integration error) are flagged in ``failed``.
     """
 
     T: float
@@ -137,6 +139,14 @@ def _eval_sweep_node(task: tuple[Model, DoseMode, float, OrbitOptions]) -> Stair
 def _pmap(fn, tasks: Sequence, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    try:
+        pickle.dumps(tasks[0])
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise TypeError(
+            f"workers > 1 sends each node to a worker process, which needs a picklable model: "
+            f"define a GenericModel's f and f_deriv at module level, not as lambdas or "
+            f"nested functions, or use workers=1 ({exc})"
+        ) from exc
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -193,7 +203,7 @@ def _eval_plane_node(
     try:
         forcing = Forcing(A=1.0 / invA, T=T, d=d)
         orbit = attractor(model, forcing, opts)
-    except Exception:
+    except (SpikeRunawayError, IntegrationError):
         return 0, math.nan, False, True
     if orbit.converged and orbit.period_p <= cap:
         return orbit.period_p, float(orbit.eta), False, False
@@ -212,7 +222,8 @@ def scan_plane(
     """Attractor period (capped) and firing-number over a (d, 1/A) grid.
 
     Node order is row-major over d then 1/A, so results are deterministic.
-    Per-node failures are recorded and the scan continues.
+    Numeric per-node failures are recorded and the scan continues; invalid
+    input, such as a non-positive period, raises.
     """
     d_vals = np.asarray(list(d_grid), dtype=float)
     a_vals = np.asarray(list(invA_grid), dtype=float)
@@ -222,17 +233,7 @@ def scan_plane(
         raise ValueError("duty-cycle grid must lie inside (0, 1)")
     if np.any(a_vals <= 0.0):
         raise ValueError("1/A grid must be strictly positive")
-    if opts is None:
-        opts = OrbitOptions(max_period=max(period_cap, 2))
-    else:
-        opts = OrbitOptions(
-            transient=opts.transient,
-            max_period=max(period_cap, 2),
-            seed=opts.seed,
-            state_tol=opts.state_tol,
-            spike_cap=opts.spike_cap,
-            compute_margin=False,
-        )
+    opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
     results = _pmap(_eval_plane_node, tasks, workers)
     shape = (d_vals.size, a_vals.size)

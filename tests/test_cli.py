@@ -7,6 +7,7 @@ from ifstrobe.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    _build_parser,
     main,
     parse_config,
     read_staircase_csv,
@@ -263,8 +264,45 @@ def test_sweep_deterministic_across_worker_flag(tmp_path):
         "--refine",
     ]
     files = []
-    for workers in ("1", "4"):
-        out = tmp_path / f"w{workers}.csv"
-        assert main([*args, "--workers", workers, "-o", str(out)]) == EXIT_OK
+    for name, argv in (
+        ("w1", [*args, "--workers", "1"]),
+        ("w4", [*args, "--workers", "4"]),
+        ("w2-first", ["--workers", "2", *args]),
+    ):
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
         files.append(out.read_bytes())
-    assert files[0] == files[1]
+    assert files[0] == files[1] == files[2]
+    # a flag before the subcommand reaches the same attribute as one after it
+    assert _build_parser().parse_args(["--workers", "2", *args]).workers == 2
+    assert _build_parser().parse_args([*args, "--workers", "2"]).workers == 2
+
+
+SCAN_GRID = ["--dmin", "0.2", "--dmax", "0.8", "--dn", "3", "--iamin", "0.5", "--iamax", "4", "--ian", "3"]
+
+
+@pytest.mark.parametrize("bad", [("--T", "-1"), ("--T", "1", "--cap", "0")])
+def test_scan_rejects_out_of_domain_flags(bad, capsys):
+    assert main(["scan", *MODEL, *bad, *SCAN_GRID]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_file_drives_scan(tmp_path):
+    by_flags = tmp_path / "flags.csv"
+    assert main(["scan", *MODEL, "--T", "1", *SCAN_GRID, "-o", str(by_flags)]) == EXIT_OK
+    path = tmp_path / "scan.cfg"
+    path.write_text(
+        "a=-0.5\nb=0.2\ntheta=1\nT=1\ndmin=0.2\ndmax=0.8\ndn=3\niamin=0.5\niamax=4\nian=3\n"
+    )
+    by_config = tmp_path / "config.csv"
+    assert main(["scan", "--config", str(path), "-o", str(by_config)]) == EXIT_OK
+    assert by_config.read_bytes() == by_flags.read_bytes()
+
+
+def test_tol_time_is_only_a_bif_flag():
+    sweep = ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*sweep, "--tmin", "0.8", "--tmax", "2.0", "--n", "3", "--tol-time", "1e-3"])
+    assert exc.value.code == EXIT_CONFIG
+    bif = ["bif", *MODEL, "--solve", "T", "--side", "R", "--spikes", "1", "--A", "3.3333", "--d", "0.2"]
+    assert main([*bif, "--tol-time", "1e-12"]) == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from ifstrobe import (
     attractor,
     bif_T,
     boundary_sigma,
+    contraction_margin,
     fixed_point,
     rotation_number,
     strobe,
@@ -194,6 +196,24 @@ def test_attractor_seed_independence(lif):
     assert (a.period_p, a.spikes_n, a.eta) == (b.period_p, b.spikes_n, b.eta)
     assert a.word == b.word  # canonical rotation makes them directly comparable
     assert a.rate == pytest.approx(b.rate, abs=1e-6)
+
+
+def test_attractor_computes_the_boundary_once(lif, monkeypatch):
+    forcing = Forcing(A=10 / 3, T=1.6, d=0.2)
+    margin = contraction_margin(lif, forcing)
+    # ifstrobe.strobe is the re-exported function, so patch the module itself
+    module = sys.modules["ifstrobe.strobe"]
+    calls = []
+    original = module.boundary_sigma
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "boundary_sigma", counting)
+    orbit = attractor(lif, forcing)
+    assert len(calls) == 1
+    assert orbit.contraction_margin == margin > 0.0
 
 
 def test_attractor_eta_equals_spikes_plus_rotation(lif):

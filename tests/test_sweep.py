@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from ifstrobe import (
     AmplitudeCorrection,
     Forcing,
+    GenericModel,
     LinearModel,
     OrbitOptions,
     Side,
@@ -152,6 +154,30 @@ def test_scan_plane_deterministic_across_workers(lif):
     scan2 = scan_plane(lif, 1.0, [0.2, 0.5], [0.5, 1.0, 2.0], opts=FAST, workers=3)
     assert np.array_equal(scan1.period, scan2.period)
     assert np.array_equal(scan1.eta, scan2.eta, equal_nan=True)
+
+
+def test_scan_plane_skips_the_contraction_margin(lif, monkeypatch):
+    def no_margin(*args, **kwargs):
+        raise AssertionError("scan_plane discards the margin, so it must not compute it")
+
+    monkeypatch.setattr(sys.modules["ifstrobe.strobe"], "_contraction_margin", no_margin)
+    scan = scan_plane(lif, 1.0, [0.2, 0.5], [0.5, 2.0])
+    assert not scan.failed.any()
+
+
+def test_scan_plane_raises_on_invalid_input(lif):
+    with pytest.raises(ValueError, match="period T"):
+        scan_plane(lif, -1.0, [0.2, 0.5], [0.5, 2.0], opts=FAST)
+
+
+def test_unpicklable_model_fails_before_any_pool_starts(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "ProcessPoolExecutor", no_pool)
+    model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
+    with pytest.raises(TypeError, match="module level"):
+        sweep_T(model, WidthCorrection(A=10 / 3, d=0.2), (1.0, 2.0), 4, opts=FAST, workers=2)
 
 
 def _sample(T, eta, word, contraction_ok=True):
