@@ -14,10 +14,12 @@ help text and its domain rule.  The parser, the config reader and the
 validation all derive from that table.  A parameter ``name`` is the flag
 ``--name`` (underscores written as dashes) and the key ``name`` of a flat
 ``key=value`` config file (``--config``, '#' comments); explicit command-line
-flags override file values.  Exact rationals are serialized as integer
-numerator/denominator column pairs so that re-reading a CSV reproduces them
-bit-exactly; reals are written with 12 significant digits.  Exit codes: 0
-success, 2 configuration error, 3 numeric failure.
+flags override file values.  A subcommand accepts only the flags it uses,
+global ones included, and ignores config keys it does not use.  Exact
+rationals are serialized as integer numerator/denominator column pairs so
+that re-reading a CSV reproduces them bit-exactly; reals are written with 12
+significant digits.  Exit codes: 0 success, 2 configuration error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -407,22 +409,36 @@ def _cmd_adding_check(args: argparse.Namespace) -> int:
 
 
 COMMANDS = {
-    "limits": (_cmd_limits, "firing-rate limits for one (A, d)", (*MODEL, "A", "d")),
+    "limits": (_cmd_limits, "firing-rate limits for one (A, d)", (*MODEL, "A", "d", "out")),
     "classify": (_cmd_classify, "spiking-region label for one (A, d)", (*MODEL, "A", "d")),
     "sweep": (
         _cmd_sweep,
         "firing-rate staircase over T",
-        (*MODEL, "mode", "A", "d", "delta", "Q", "tmin", "tmax", "n", "refine"),
+        (*GLOBAL, *MODEL, "mode", "A", "d", "delta", "Q", "tmin", "tmax", "n", "refine"),
     ),
     "scan": (
         _cmd_scan,
         "period/firing-number over a (d, 1/A) grid",
-        (*MODEL, "T", "dmin", "dmax", "dn", "iamin", "iamax", "ian", "cap"),
+        (  # no max_period: scan_plane derives it from cap
+            "workers",
+            "tol_state",
+            "transient",
+            "out",
+            *MODEL,
+            "T",
+            "dmin",
+            "dmax",
+            "dn",
+            "iamin",
+            "iamax",
+            "ian",
+            "cap",
+        ),
     ),
     "bif": (
         _cmd_bif,
         "one border-collision solve",
-        (*MODEL, "solve", "side", "spikes", "A", "d", "T", "tol_time"),
+        (*MODEL, "solve", "side", "spikes", "A", "d", "T", "tol_time", "out"),
     ),
     "adding-check": (_cmd_adding_check, "period-adding report for a swept CSV", ("input",)),
 }
@@ -438,15 +454,8 @@ def _add_params(parser: argparse.ArgumentParser, names: tuple[str, ...], default
         elif isinstance(kind, tuple):
             how = {"choices": kind}
         else:
-            how = {"type": kind}
+            how = {"type": kind, "metavar": name}  # the default upper-cases, merging --a and --A
         parser.add_argument(*flags, dest=name, default=default, help=help_text, **how)
-
-
-def _add_global(parser: argparse.ArgumentParser, default: object) -> None:
-    # the same flags are accepted before or after the subcommand; the
-    # subparser copies use SUPPRESS so they only override when given
-    parser.add_argument("--config", default=default, help="key=value config file")
-    _add_params(parser, GLOBAL, default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,19 +463,29 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ifstrobe",
         description="Analyses of periodically pulsed integrate-and-fire models",
     )
-    _add_global(parser, None)
+    parser.add_argument("--config", help="key=value config file")
+    _add_params(parser, GLOBAL, None)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, help_text, names) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        _add_global(p, argparse.SUPPRESS)
-        _add_params(p, names, None)
+        # a global flag is accepted before or after the subcommand; the
+        # copies after it use SUPPRESS so they only override when given
+        p.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")
+        _add_params(p, tuple(n for n in names if n in GLOBAL), argparse.SUPPRESS)
+        _add_params(p, tuple(n for n in names if n not in GLOBAL), None)
         p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute one subcommand, return the exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    reads = COMMANDS[args.command][2]
+    unread = [n for n in GLOBAL if getattr(args, n) is not None and n not in reads]
+    if unread:
+        flags = ", ".join("--" + n.replace("_", "-") for n in unread)
+        parser.error(f"{args.command} does not use {flags}")
     try:
         if args.config:
             for name, value in vars(parse_config(args.config)).items():

@@ -16,7 +16,9 @@ are kept as exact rationals.
 
 from __future__ import annotations
 
+import logging
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +38,8 @@ __all__ = [
     "attractor",
     "rotation_number",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Default cap on spikes within one map application.
 SPIKE_CAP = 10**6
@@ -114,51 +118,97 @@ def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP
     if not 0.0 <= x0 < theta:
         raise ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
     pulse = forcing.pulse_width
-    elapsed = 0.0
-    x = x0
     times: list[float] = []
+    spikes, elapsed = _spikes(model, forcing, x0, spike_cap, times)
+    x = flow(model, forcing.A, pulse - elapsed, 0.0 if spikes else x0)
+    image = flow(model, 0.0, forcing.T - pulse, x)
+    return StrobeResult(image=image, spikes=spikes, spike_times=tuple(times))
+
+
+def _spikes(
+    model: Model, forcing: Forcing, x0: float, spike_cap: int, times: list[float] | None = None
+) -> tuple[int, float]:
+    """Number of spikes within the pulse from x0 and the time of the last one.
+
+    The time is 0.0 without a spike; each spike time is appended to
+    ``times`` when given.  Every spike after the first starts from the reset
+    state, so it takes the same time ``delta`` and the threshold is solved
+    at most twice.
+    """
+    pulse = forcing.pulse_width
+    t = time_to_threshold(model, forcing.A, x0)
+    if t is None or t > pulse:
+        return 0, 0.0
+    delta = time_to_threshold(model, forcing.A, 0.0)
+    spikes = 0
     while True:
-        hit = time_to_threshold(model, forcing.A, x)
-        if hit is None:
-            break
-        t_spike = elapsed + hit
-        if t_spike > pulse:
-            break
-        times.append(t_spike)
-        if len(times) > spike_cap:
+        spikes += 1
+        if times is not None:
+            times.append(t)
+        if spikes > spike_cap:
             raise SpikeRunawayError(
                 f"more than {spike_cap} spikes in one period (A={forcing.A}, T={forcing.T})"
             )
-        x = 0.0
-        elapsed = t_spike
-    x = flow(model, forcing.A, pulse - elapsed, x)
-    image = flow(model, 0.0, forcing.T - pulse, x)
-    return StrobeResult(image=image, spikes=len(times), spike_times=tuple(times))
+        after = t + delta
+        if after > pulse:
+            return spikes, t
+        t = after
 
 
 def _spike_count(model: Model, forcing: Forcing, x0: float, spike_cap: int) -> int:
-    return strobe(model, forcing, x0, spike_cap).spikes
+    return _spikes(model, forcing, x0, spike_cap)[0]
+
+
+def _ordinal(x: float) -> int:
+    """Bit pattern of a double; it orders non-negative doubles like their values."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_ordinal(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
 def _snap_to_branch_edge(
     model: Model, forcing: Forcing, sigma: float, n: int, spike_cap: int
 ) -> float | None:
-    """Smallest double spiking n times, searched within a few ulps of sigma."""
-    theta = model.theta
-    for _ in range(64):
-        if sigma >= theta:
-            return None
-        if _spike_count(model, forcing, sigma, spike_cap) >= n:
-            break
-        sigma = math.nextafter(sigma, theta)
+    """Smallest double in (0, theta) spiking at least n times, searched from sigma.
+
+    Gallops 1, 2, 4, ... ulps away from the guess until the count crosses n,
+    then bisects the bracket, so the cost grows with the log of the
+    distance.  None when 0.0 already spikes n times or no state below theta
+    does.
+    """
+
+    def reaches(k: int) -> bool:
+        return _spike_count(model, forcing, _from_ordinal(k), spike_cap) >= n
+
+    top = _ordinal(math.nextafter(model.theta, 0.0))
+    step = 1
+    if reaches(_ordinal(sigma)):
+        hi = _ordinal(sigma)
+        while True:
+            if hi == 0:
+                return None
+            lo = max(hi - step, 0)
+            if not reaches(lo):
+                break
+            hi, step = lo, 2 * step
     else:
-        return None
-    for _ in range(64):
-        below = math.nextafter(sigma, 0.0)
-        if below <= 0.0 or _spike_count(model, forcing, below, spike_cap) < n:
-            return sigma
-        sigma = below
-    return None
+        lo = _ordinal(sigma)
+        while True:
+            if lo == top:
+                return None
+            hi = min(lo + step, top)
+            if reaches(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _from_ordinal(hi)
 
 
 def boundary_sigma(
@@ -190,7 +240,11 @@ def boundary_sigma(
         snapped = _snap_to_branch_edge(model, forcing, sigma, n, spike_cap)
         if snapped is not None:
             return BoundaryInfo(sigma=snapped, n=n)
-        # closed form disagreed with the simulated count; fall through to bisection
+        logger.warning(
+            "closed-form boundary (sigma=%r, n=%d) disagrees with the simulated spike count "
+            "(A=%r, T=%r, d=%r); falling back to bisection",
+            sigma, n, forcing.A, forcing.T, forcing.d,
+        )
     lo = 0.0
     n_lo = _spike_count(model, forcing, lo, spike_cap)
     n_hi = _spike_count(model, forcing, top, spike_cap)

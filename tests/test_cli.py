@@ -306,3 +306,37 @@ def test_tol_time_is_only_a_bif_flag():
     assert exc.value.code == EXIT_CONFIG
     bif = ["bif", *MODEL, "--solve", "T", "--side", "R", "--spikes", "1", "--A", "3.3333", "--d", "0.2"]
     assert main([*bif, "--tol-time", "1e-12"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *MODEL, "--A", "0.25", "--d", "0.5", "-o", "x.csv"],
+        ["--workers", "2", "classify", *MODEL, "--A", "0.25", "--d", "0.5"],
+        ["scan", *MODEL, "--T", "1", *SCAN_GRID, "--max-period", "500"],
+        ["--max-period", "500", "scan", *MODEL, "--T", "1", *SCAN_GRID],
+    ],
+)
+def test_global_flags_only_where_used(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "x.csv").exists()
+    assert "error" in capsys.readouterr().err
+
+
+def test_unused_config_keys_are_ignored(tmp_path, capsys):
+    path = tmp_path / "all.cfg"
+    path.write_text(f"a=-0.5\nb=0.2\ntheta=1\nA=0.25\nd=0.5\nworkers=2\nout={tmp_path / 'x.csv'}\n")
+    assert main(["classify", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "NonSpiking"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_help_tells_decay_rate_from_amplitude(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bif", "--help"])
+    assert exc.value.code == EXIT_OK
+    usage = capsys.readouterr().out
+    assert "--a a " in usage and "--A A " in usage

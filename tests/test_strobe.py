@@ -1,12 +1,16 @@
+import logging
 import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifstrobe import (
     Forcing,
+    LinearModel,
     OrbitOptions,
     attractor,
     bif_T,
@@ -22,6 +26,9 @@ from ifstrobe.strobe import _least_rotation
 import oracle
 
 PULSED = dict(A=10 / 3, T=1.0, d=0.2)
+
+# amplitude correction at T = 60 (delta = 3, Q = 0.6667): 40 spikes per period
+FORTY_SPIKES = Forcing(A=0.6667 * 60 / 3, T=60.0, d=0.05)
 
 
 def test_strobe_subthreshold_start(lif):
@@ -73,6 +80,54 @@ def test_boundary_matches_backward_flow(lif):
     info5 = boundary_sigma(lif, Forcing(A=10 / 3, T=5.0, d=0.2))
     assert info5.n == 4
     assert info5.sigma == pytest.approx(0.7381204597233646, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    forcing=st.builds(
+        Forcing, A=st.floats(0.31, 30.0), T=st.floats(0.05, 100.0), d=st.floats(0.01, 0.95)
+    )
+)
+@example(forcing=FORTY_SPIKES)
+def test_boundary_is_the_exact_branch_edge(forcing):
+    lif = LinearModel(a=-0.5, b=0.2, theta=1.0)
+    info = boundary_sigma(lif, forcing)
+    if info is None:
+        return
+    assert strobe(lif, forcing, info.sigma).spikes == info.n
+    assert strobe(lif, forcing, math.nextafter(info.sigma, 0.0)).spikes == info.n - 1
+
+
+def test_boundary_fallback_logs_a_warning(lif, monkeypatch, caplog):
+    module = sys.modules["ifstrobe.strobe"]
+    monkeypatch.setattr(module, "_snap_to_branch_edge", lambda *args: None)
+    with caplog.at_level(logging.WARNING, logger="ifstrobe"):
+        info = boundary_sigma(lif, Forcing(**PULSED))
+    assert info.n == 1
+    assert info.sigma == pytest.approx(0.3619630970077372, abs=1e-9)
+    [record] = caplog.records
+    assert record.name.startswith("ifstrobe.") and record.levelno == logging.WARNING
+    assert "bisection" in record.getMessage()
+
+
+def test_map_solves_the_threshold_at_most_twice(lif, monkeypatch):
+    sigma = boundary_sigma(lif, FORTY_SPIKES).sigma
+    # ifstrobe.strobe is the re-exported function, so patch the module itself
+    module = sys.modules["ifstrobe.strobe"]
+    calls = {"time_to_threshold": 0, "flow": 0}
+    for name in calls:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    assert strobe(lif, FORTY_SPIKES, sigma).spikes == 40
+    assert calls["time_to_threshold"] == 2
+    calls.update(time_to_threshold=0, flow=0)
+    assert boundary_sigma(lif, FORTY_SPIKES).sigma == sigma
+    assert calls["flow"] == 0
 
 
 def test_boundary_absent_without_spiking(lif):
