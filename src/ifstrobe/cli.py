@@ -83,9 +83,11 @@ _SIDES = {side.value.lower(): side for side in Side}
 
 PARAMS: dict[str, Param] = {
     "workers": Param(int, "parallel workers for grids"),
-    "tol_state": Param(float, "attractor state-recurrence tolerance"),
-    "transient": Param(int, "attractor burn-in budget"),
-    "max_period": Param(int, "attractor period cap", _AT_LEAST_ONE),
+    "tol_state": Param(float, "attractor state-recurrence tolerance (> 0)"),
+    "transient": Param(int, "attractor maps before the last cycle search (>= 0)"),
+    "max_period": Param(
+        int, "longest attractor period (>= 1); at most transient + 2*max_period maps"
+    ),
     "out": Param(str, "output CSV path"),
     "a": Param(float, "linear decay rate (a < 0)"),
     "b": Param(float, "linear bias (b > 0)"),

@@ -74,7 +74,13 @@ class BoundaryInfo:
 
 @dataclass(frozen=True)
 class OrbitOptions:
-    """Iteration budget and tolerances for attractor detection."""
+    """Iteration budget and tolerances for attractor detection.
+
+    :func:`attractor` applies the map at most ``transient + 2*max_period``
+    times from ``seed`` and reports cycles of at most ``max_period`` maps;
+    ``spike_cap`` bounds the spikes of one map.  Out-of-domain values raise
+    ValueError.
+    """
 
     transient: int = 10_000
     max_period: int = 10_000
@@ -82,6 +88,16 @@ class OrbitOptions:
     state_tol: float = STATE_TOL
     spike_cap: int = SPIKE_CAP
     compute_margin: bool = True
+
+    def __post_init__(self) -> None:
+        if self.transient < 0:
+            raise ValueError(f"transient must be >= 0, got {self.transient!r}")
+        if self.max_period < 1:
+            raise ValueError(f"max_period must be >= 1, got {self.max_period!r}")
+        if not (math.isfinite(self.state_tol) and self.state_tol > 0.0):
+            raise ValueError(f"state_tol must be finite and > 0, got {self.state_tol!r}")
+        if self.spike_cap < 1:
+            raise ValueError(f"spike_cap must be >= 1, got {self.spike_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +108,11 @@ class OrbitSummary:
     rationals; ``rate`` = eta / T.  ``word`` is the itinerary in its
     lexicographically minimal cyclic rotation; when no boundary lies in
     [0, theta) the orbit is single-branch and the word is "L" * p by
-    convention.  ``converged`` is False when no recurrence was found within
-    the budget, in which case the fields describe the best candidate cycle.
+    convention.  ``converged`` is True when a cycle of length at most
+    ``max_period`` was verified by a second cycle within the budget of
+    :class:`OrbitOptions`.  Otherwise, when the budget ran out or the verified
+    cycle is longer than ``max_period``, the fields describe the best
+    candidate cycle among the last ``2*max_period`` map applications.
     """
 
     period_p: int
@@ -335,34 +354,17 @@ def _least_rotation(word: str) -> str:
     return word[k:] + word[:k]
 
 
-def _find_period(states: list[float], counts: list[int], tol: float, max_period: int) -> int | None:
-    """Minimal verified period in a recorded trajectory.
-
-    A candidate p needs a recurrence |x_p - x_0| < tol and a full second
-    cycle matching both states (within 10*tol) and per-step spike counts;
-    the joint check avoids false positives near tangencies.
-    """
-    n = len(counts)
-    for p in range(1, min(n // 2, max_period) + 1):
-        if abs(states[p] - states[0]) >= tol:
-            continue
-        if counts[p : 2 * p] != counts[:p]:
-            continue
-        if all(abs(states[j + p] - states[j]) < 10.0 * tol for j in range(p)):
-            return p
-    return None
+def _best_candidate(states: list[float], max_period: int) -> int:
+    """Length of the closest return to ``states[0]``, at most max_period (the first on ties)."""
+    lengths = range(1, min(len(states) - 1, max_period) + 1)
+    return min(lengths, key=lambda p: abs(states[p] - states[0]))
 
 
-def _best_candidate(states: list[float], counts: list[int], max_period: int) -> int:
-    n = len(counts)
-    best_p = 1
-    best_err = math.inf
-    for p in range(1, min(n, max_period) + 1):
-        err = abs(states[p] - states[0])
-        if err < best_err:
-            best_err = err
-            best_p = p
-    return best_p
+def _repeats(states: list[float], counts: list[int], start: int, p: int, tol: float) -> bool:
+    """Whether the p maps from ``start`` repeat: states within 10*tol, same spike counts."""
+    return counts[start + p : start + 2 * p] == counts[start : start + p] and all(
+        abs(states[start + p + j] - states[start + j]) < 10.0 * tol for j in range(p)
+    )
 
 
 def _contraction_margin(
@@ -419,58 +421,50 @@ def _contraction_margin(
 def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) -> OrbitSummary:
     """Iterate the map to the periodic attractor and summarize it.
 
-    Burn-in runs until either the budget ``opts.transient`` is spent or an
-    approximate return to a stored anchor suggests convergence; the minimal
-    period is then extracted from a recorded scan of at most 2*max_period
-    further steps.  When no verified recurrence exists within the budget the
-    summary carries ``converged=False`` and the closest candidate cycle
-    (expected only where the map loses contraction).
+    One loop applies the map at most ``transient + 2*max_period`` times
+    (``opts``).  Each state is compared with an anchor that moves after 1, 2,
+    4, ... maps without a return (Brent's cycle detection), once more when
+    ``transient`` maps are spent, and to the current state after a failed
+    verification.  A return within ``state_tol`` at distance p, the only
+    candidate since shorter ones failed from the same anchor, is verified by
+    p more maps: states repeat within 10*state_tol with equal per-step spike
+    counts.  A cycle longer than ``max_period``, or none within the budget,
+    gives ``converged=False`` and the closest candidate cycle among the last
+    2*max_period maps (expected only where the map loses contraction).
     """
     if opts is None:
         opts = OrbitOptions()
     tol = opts.state_tol
-    x = opts.seed
-    budget = opts.transient
-    period = None
-    states: list[float] = []
+    states = [opts.seed]
     counts: list[int] = []
-    while True:
-        # burn-in with doubling anchors (Brent-style early exit)
-        anchor = x
-        next_anchor = 1
-        step = 0
-        while step < budget:
-            x = strobe(model, forcing, x, opts.spike_cap).image
-            step += 1
-            if abs(x - anchor) < tol:
-                break
-            if step == next_anchor:
-                anchor = x
-                next_anchor *= 2
-        budget -= step
-        # scan for the minimal verified period
-        states = [x]
-        counts = []
-        chunk = 8
-        while len(counts) < 2 * opts.max_period:
-            grow = min(chunk, 2 * opts.max_period - len(counts))
-            for _ in range(grow):
-                r = strobe(model, forcing, x, opts.spike_cap)
-                x = r.image
-                states.append(x)
-                counts.append(r.spikes)
-            chunk = min(chunk * 2, 4096)
-            period = _find_period(states, counts, tol, opts.max_period)
-            if period is not None:
-                break
-        budget -= len(counts)
-        if period is not None or budget <= 0:
-            break
+    anchor, power = 0, 1  # index of the anchor; maps it waits before it moves
+    lam = 0  # distance of the return under verification, 0 when none
+    period = 0  # length of the verified cycle, 0 when none
+    while len(counts) < opts.transient + 2 * opts.max_period:
+        r = strobe(model, forcing, states[-1], opts.spike_cap)
+        states.append(r.image)
+        counts.append(r.spikes)
+        i = len(counts)
+        if lam:
+            if i == anchor + 2 * lam:
+                if _repeats(states, counts, anchor, lam, tol):
+                    period = lam
+                    break
+                anchor, power, lam = i, 1, 0
+        elif abs(states[i] - states[anchor]) < tol:
+            lam = i - anchor
+        elif i == opts.transient or (i < opts.transient and i - anchor == power):
+            anchor, power = i, 2 * power
 
-    converged = period is not None
-    p = period if converged else _best_candidate(states, counts, opts.max_period)
-    points = tuple(states[:p])
-    n_spikes = sum(counts[:p])
+    converged = 0 < period <= opts.max_period
+    if converged:
+        p = period
+        start = len(counts) - p
+    else:
+        start = len(counts) - 2 * opts.max_period
+        p = _best_candidate(states[start:], opts.max_period)
+    points = tuple(states[start : start + p])
+    n_spikes = sum(counts[start : start + p])
 
     info = boundary_sigma(model, forcing, spike_cap=opts.spike_cap)
     if info is None:

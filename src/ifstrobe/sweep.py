@@ -15,6 +15,7 @@ results merged by index; output is identical for any worker count.
 
 from __future__ import annotations
 
+import logging
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,8 @@ __all__ = [
     "scan_plane",
     "verify_adding",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,8 @@ def _eval_plane_node(
     try:
         forcing = Forcing(A=1.0 / invA, T=T, d=d)
         orbit = attractor(model, forcing, opts)
-    except (SpikeRunawayError, IntegrationError):
+    except (SpikeRunawayError, IntegrationError) as exc:
+        logger.warning("scan node d=%r, 1/A=%r failed: %s", float(d), float(invA), exc)
         return 0, math.nan, False, True
     if orbit.converged and orbit.period_p <= cap:
         return orbit.period_p, float(orbit.eta), False, False

@@ -26,3 +26,19 @@ def lif() -> LinearModel:
 def lif_generic() -> GenericModel:
     """Same field wrapped as a generic model, driving the integrator path."""
     return GenericModel(f=linear_f, f_deriv=linear_f_deriv, theta=1.0)
+
+
+@pytest.fixture
+def strobe_calls(monkeypatch) -> list:
+    """One entry per map application from here on."""
+    # ifstrobe.strobe is the re-exported function, so patch the module itself
+    module = sys.modules["ifstrobe.strobe"]
+    original = module.strobe
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "strobe", counting)
+    return calls

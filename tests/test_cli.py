@@ -287,6 +287,18 @@ def test_scan_rejects_out_of_domain_flags(bad, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad", [("--tol-state", "0"), ("--transient", "-5"), ("--max-period", "0")]
+)
+def test_sweep_rejects_out_of_domain_orbit_options(bad, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    sweep = ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2"]
+    argv = [*sweep, "--tmin", "0.8", "--tmax", "2.0", "--n", "3", *bad, "-o", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_drives_scan(tmp_path):
     by_flags = tmp_path / "flags.csv"
     assert main(["scan", *MODEL, "--T", "1", *SCAN_GRID, "-o", str(by_flags)]) == EXIT_OK

@@ -271,6 +271,47 @@ def test_attractor_computes_the_boundary_once(lif, monkeypatch):
     assert orbit.contraction_margin == margin > 0.0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(transient=-1),
+        dict(max_period=0),
+        dict(state_tol=0.0),
+        dict(state_tol=-1e-9),
+        dict(state_tol=math.nan),
+        dict(state_tol=math.inf),
+        dict(spike_cap=0),
+    ],
+)
+def test_orbit_options_reject_out_of_domain_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        OrbitOptions(**bad)
+
+
+def test_attractor_anchors_once_more_when_the_transient_is_spent(lif):
+    # the last doubling anchor before the transient (2047) lies off the cycle
+    # and the next one (4095) comes after it, so only the anchor placed at the
+    # transient sees the cycle return
+    forcing = Forcing(A=2.6741647000591087, T=0.07739807593168964, d=0.8272023821560168)
+    orbit = attractor(lif, forcing, OrbitOptions(transient=4000, max_period=20))
+    assert orbit.converged
+    assert (orbit.period_p, orbit.eta, orbit.word) == (6, Fraction(1, 6), "LLLLLR")
+
+
+# amplitude correction at T = delta: duty cycle 1 - 1e-12, no contraction
+UNCONVERGED = Forcing(A=0.6667, T=3 * (1 + 1e-12), d=1 / (1 + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "opts", [OrbitOptions(), OrbitOptions(transient=300, max_period=50)], ids=["default", "short"]
+)
+def test_attractor_budget_bounds_the_map_applications(lif, strobe_calls, opts):
+    orbit = attractor(lif, UNCONVERGED, opts)
+    assert not orbit.converged
+    assert 1 <= orbit.period_p <= opts.max_period
+    assert len(strobe_calls) <= opts.transient + 2 * opts.max_period
+
+
 def test_attractor_eta_equals_spikes_plus_rotation(lif):
     # orbit words alternating n and n+1 spikes satisfy eta = n + rho
     for T in (0.9, 1.05, 2.2, 2.45):

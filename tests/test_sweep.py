@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import sys
 from fractions import Fraction
@@ -137,6 +138,24 @@ def test_scan_plane_marks_high_periods_as_capped(lif):
     scan = scan_plane(lif, 1.0, [0.2], [0.5], period_cap=2, opts=FAST)
     assert scan.capped[0, 0]
     assert scan.period[0, 0] == 0 and math.isnan(scan.eta[0, 0])
+
+
+def test_scan_plane_stops_at_a_verified_cycle_above_the_cap(lif, strobe_calls):
+    # the period-3 cycle is verified once and reported as capped, without
+    # spending the rest of the transient budget
+    scan = scan_plane(lif, 1.0, [0.2], [0.5], period_cap=2, opts=FAST)
+    assert scan.capped[0, 0]
+    assert len(strobe_calls) < 200
+
+
+def test_scan_plane_logs_failed_nodes(lif, caplog):
+    with caplog.at_level(logging.WARNING, logger="ifstrobe.sweep"):
+        scan = scan_plane(lif, 1.0, [0.2, 0.5], [0.3, 0.5], opts=OrbitOptions(spike_cap=1))
+    assert scan.failed.tolist() == [[False, False], [True, False]]
+    [record] = caplog.records
+    assert record.name == "ifstrobe.sweep" and record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "d=0.5" in message and "1/A=0.3" in message and "more than 1 spikes" in message
 
 
 def test_scan_plane_fixed_point_column_counts_up(lif):
