@@ -187,13 +187,17 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
 
 
+#: The ``PARAMS`` name of each ``OrbitOptions`` field the CLI sets.
+_ORBIT_PARAMS = {"transient": "transient", "max_period": "max_period", "state_tol": "tol_state"}
+
+
 def _orbit_opts(args: argparse.Namespace) -> OrbitOptions:
-    base = OrbitOptions()
-    return OrbitOptions(
-        transient=args.transient if args.transient is not None else base.transient,
-        max_period=args.max_period if args.max_period is not None else base.max_period,
-        state_tol=args.tol_state if args.tol_state is not None else base.state_tol,
-    )
+    given = {f: getattr(args, p) for f, p in _ORBIT_PARAMS.items() if getattr(args, p) is not None}
+    try:
+        return OrbitOptions(**given)
+    except ValueError as exc:  # OrbitOptions names the field first
+        field, rule = str(exc).split(" ", 1)
+        raise ConfigError(f"{_ORBIT_PARAMS[field]} {rule}") from exc
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:

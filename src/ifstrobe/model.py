@@ -293,7 +293,6 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
         rtol=_RTOL,
         atol=_ATOL,
         events=crossing,
-        dense_output=True,
     )
     if not sol.success:
         raise IntegrationError(f"threshold search failed from x0={x0}, drive={drive}")

@@ -6,7 +6,8 @@ crossing.  Spikes can only occur during (0, d*T]; the map is smooth except at
 the single state ``sigma`` whose trajectory reaches the threshold exactly
 when the pulse ends.  States at or right of ``sigma`` perform n spikes per
 period, states left of it n-1 (right-branch convention at the boundary
-itself).
+itself), up to a band of a few thousand ulps around ``sigma`` where the
+rounded spike count mixes n and n-1.
 
 Periodic attractors are detected by iterating the map, with symbolic
 itineraries over {L, R} taken relative to ``sigma``:  R marks orbit points on
@@ -46,9 +47,6 @@ SPIKE_CAP = 10**6
 
 #: Default state tolerance for recurrence detection.
 STATE_TOL = 1e-9
-
-#: State tolerance for boundary bisection.
-SIGMA_TOL = 1e-12
 
 
 class SpikeRunawayError(RuntimeError):
@@ -187,97 +185,82 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
-def _snap_to_branch_edge(
-    model: Model, forcing: Forcing, sigma: float, n: int, spike_cap: int
-) -> float | None:
-    """Smallest double in (0, theta) spiking at least n times, searched from sigma.
+def _bisect_edge(model: Model, forcing: Forcing, n: int, spike_cap: int, lo: int, hi: int) -> float:
+    """Upper of two adjacent doubles in the ordinal bracket where the count crosses n.
 
-    Gallops 1, 2, 4, ... ulps away from the guess until the count crosses n,
-    then bisects the bracket, so the cost grows with the log of the
-    distance.  None when 0.0 already spikes n times or no state below theta
-    does.
+    ``lo`` must spike fewer than n times and ``hi`` at least n times.
     """
-
-    def reaches(k: int) -> bool:
-        return _spike_count(model, forcing, _from_ordinal(k), spike_cap) >= n
-
-    top = _ordinal(math.nextafter(model.theta, 0.0))
-    step = 1
-    if reaches(_ordinal(sigma)):
-        hi = _ordinal(sigma)
-        while True:
-            if hi == 0:
-                return None
-            lo = max(hi - step, 0)
-            if not reaches(lo):
-                break
-            hi, step = lo, 2 * step
-    else:
-        lo = _ordinal(sigma)
-        while True:
-            if lo == top:
-                return None
-            hi = min(lo + step, top)
-            if reaches(hi):
-                break
-            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if reaches(mid):
+        if _spike_count(model, forcing, _from_ordinal(mid), spike_cap) >= n:
             hi = mid
         else:
             lo = mid
     return _from_ordinal(hi)
 
 
+def _snap_to_branch_edge(
+    model: Model, forcing: Forcing, sigma: float, n: int, spike_cap: int
+) -> float | None:
+    """A double in (0, theta) spiking at least n times whose predecessor spikes fewer.
+
+    Gallops 1, 2, 4, ... ulps from the guess sigma, down while the probes
+    spike at least n times and up while they spike fewer, until the count
+    crosses n, then bisects the bracket, so the cost grows with the log of
+    the distance.  None when the gallop reaches 0.0 or the last double below
+    theta without a crossing.
+    """
+    top = _ordinal(math.nextafter(model.theta, 0.0))
+    k = _ordinal(sigma)
+    above = _spike_count(model, forcing, sigma, spike_cap) >= n
+    step, end = (-1, 0) if above else (1, top)
+    while True:
+        if k == end:
+            return None
+        probe = min(max(k + step, 0), top)
+        if (_spike_count(model, forcing, _from_ordinal(probe), spike_cap) >= n) != above:
+            break
+        k, step = probe, 2 * step
+    lo, hi = sorted((k, probe))
+    return _bisect_edge(model, forcing, n, spike_cap, lo, hi)
+
+
 def boundary_sigma(
-    model: Model,
-    forcing: Forcing,
-    state_tol: float = SIGMA_TOL,
-    spike_cap: int = SPIKE_CAP,
+    model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP
 ) -> BoundaryInfo | None:
-    """Unique state whose trajectory reaches the threshold exactly at t = d*T.
+    """State whose trajectory reaches the threshold at t = d*T, snapped to the branch edge.
 
     Returns None when every initial state yields the same spike count (in
-    particular whenever A <= critical dose).  The returned point always lies
-    on the n-spike side: ``strobe(sigma).spikes == n``.
+    particular whenever A <= critical dose).  The returned point spikes n
+    times and the double below it n - 1 times.  The spike count rounds
+    unevenly near the edge, so sigma is one edge of a band of mixed counts
+    that can be a few thousand ulps wide.  The guess is the point of the
+    reset trajectory ``t_first`` short of the threshold, where ``t_first``
+    is the time of the first of the n spikes.
     """
-    theta = model.theta
-    top = math.nextafter(theta, 0.0)
-    if isinstance(model, LinearModel):
-        delta = time_to_threshold(model, forcing.A, 0.0)
-        if delta is None:
-            return None
-        pulse = forcing.pulse_width
-        n = math.floor(pulse / delta) + 1
-        t_first = pulse - (n - 1) * delta
-        if t_first <= 0.0:
-            return None
-        xeq = model.equilibrium(forcing.A)
-        sigma = xeq + (theta - xeq) * math.exp(-model.a * t_first)
-        sigma = min(max(sigma, 0.0), top)
-        snapped = _snap_to_branch_edge(model, forcing, sigma, n, spike_cap)
-        if snapped is not None:
-            return BoundaryInfo(sigma=snapped, n=n)
-        logger.warning(
-            "closed-form boundary (sigma=%r, n=%d) disagrees with the simulated spike count "
-            "(A=%r, T=%r, d=%r); falling back to bisection",
-            sigma, n, forcing.A, forcing.T, forcing.d,
-        )
-    lo = 0.0
-    n_lo = _spike_count(model, forcing, lo, spike_cap)
-    n_hi = _spike_count(model, forcing, top, spike_cap)
-    if n_hi == n_lo:
+    delta = time_to_threshold(model, forcing.A, 0.0)
+    if delta is None:
         return None
-    target = n_lo + 1
-    hi = top
-    while hi - lo > state_tol:
-        mid = 0.5 * (lo + hi)
-        if _spike_count(model, forcing, mid, spike_cap) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return BoundaryInfo(sigma=hi, n=_spike_count(model, forcing, hi, spike_cap))
+    pulse = forcing.pulse_width
+    n = math.floor(pulse / delta) + 1
+    t_first = pulse - (n - 1) * delta
+    if t_first <= 0.0:
+        return None
+    top = math.nextafter(model.theta, 0.0)
+    sigma = min(max(flow(model, forcing.A, max(delta - t_first, 0.0), 0.0), 0.0), top)
+    snapped = _snap_to_branch_edge(model, forcing, sigma, n, spike_cap)
+    if snapped is not None:
+        return BoundaryInfo(sigma=snapped, n=n)
+    logger.warning(
+        "boundary guess (sigma=%r, n=%d) disagrees with the simulated spike count "
+        "(A=%r, T=%r, d=%r); falling back to bisection",
+        sigma, n, forcing.A, forcing.T, forcing.d,
+    )
+    n_lo = _spike_count(model, forcing, 0.0, spike_cap)
+    if _spike_count(model, forcing, top, spike_cap) == n_lo:
+        return None
+    edge = _bisect_edge(model, forcing, n_lo + 1, spike_cap, 0, _ordinal(top))
+    return BoundaryInfo(sigma=edge, n=_spike_count(model, forcing, edge, spike_cap))
 
 
 def fixed_point(

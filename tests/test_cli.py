@@ -295,7 +295,10 @@ def test_sweep_rejects_out_of_domain_orbit_options(bad, tmp_path, capsys):
     sweep = ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2"]
     argv = [*sweep, "--tmin", "0.8", "--tmax", "2.0", "--n", "3", *bad, "-o", str(out)]
     assert main(argv) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    key = bad[0].removeprefix("--").replace("-", "_")  # the PARAMS name, as in a config file
+    assert f"config error: {key} must" in err
+    assert "state_tol" not in err
     assert not out.exists()
 
 

@@ -89,6 +89,8 @@ def test_boundary_matches_backward_flow(lif):
     )
 )
 @example(forcing=FORTY_SPIKES)
+# pulse - 27*delta rounds to just above delta: the guess flows for a clamped 0.0
+@example(forcing=Forcing(A=10 / 3, T=42.72228452666078, d=0.2))
 def test_boundary_is_the_exact_branch_edge(forcing):
     lif = LinearModel(a=-0.5, b=0.2, theta=1.0)
     info = boundary_sigma(lif, forcing)
@@ -127,7 +129,7 @@ def test_map_solves_the_threshold_at_most_twice(lif, monkeypatch):
     assert calls["time_to_threshold"] == 2
     calls.update(time_to_threshold=0, flow=0)
     assert boundary_sigma(lif, FORTY_SPIKES).sigma == sigma
-    assert calls["flow"] == 0
+    assert calls["flow"] == 1  # the guess; the edge search only counts spikes
 
 
 def test_boundary_absent_without_spiking(lif):
@@ -154,11 +156,14 @@ def test_spike_count_is_two_valued_step(lif):
 
 
 def test_generic_boundary_agrees_with_linear(lif, lif_generic):
-    forcing = Forcing(**PULSED)
-    lin = boundary_sigma(lif, forcing)
-    gen = boundary_sigma(lif_generic, forcing)
-    assert gen.n == lin.n
-    assert gen.sigma == pytest.approx(lin.sigma, abs=1e-8)
+    for T, n in [(1.0, 1), (1.7, 2)]:
+        forcing = Forcing(A=10 / 3, T=T, d=0.2)
+        lin = boundary_sigma(lif, forcing)
+        gen = boundary_sigma(lif_generic, forcing)
+        assert gen.n == lin.n == n
+        assert gen.sigma == pytest.approx(lin.sigma, abs=1e-8)
+        assert strobe(lif_generic, forcing, gen.sigma).spikes == n
+        assert strobe(lif_generic, forcing, math.nextafter(gen.sigma, 0.0)).spikes == n - 1
 
 
 def test_fixed_point_subthreshold(lif):
