@@ -16,7 +16,7 @@ alignment condition on the pulse width d*T:
 
 The n = 0 left case is the onset curve separating spiking from non-spiking
 dynamics; it is exposed as side ``ZERO``.  The alignment defect is strictly
-monotone in the solved variable, so a bracketing solve (scipy.optimize.brentq)
+monotone in the solved variable, so a bracketing solve (Brent's method)
 is guaranteed to converge.
 """
 
@@ -26,8 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .model import (
     Forcing,
     Model,
@@ -219,7 +218,7 @@ def bif_A(
                 f"no amplitude below {_AMP_CEILING} satisfies the collision (n={n}, side={side.value})"
             )
     A = brentq(defect, lo, hi, xtol=max(time_tol * 0.1, 1e-15), rtol=8.9e-16)
-    return _make_point(model, n, side, d, T, float(A), k, at_resolution=False)
+    return _make_point(model, n, side, d, T, A, k, at_resolution=False)
 
 
 def bif_T(
@@ -257,14 +256,15 @@ def bif_T(
                 f"no period below {_PERIOD_CEILING} satisfies the collision (n={n}, side={side.value})"
             )
     T = brentq(defect, lo, hi, xtol=time_tol, rtol=8.9e-16)
-    return _make_point(model, n, side, d, float(T), A, k, at_resolution=False)
+    return _make_point(model, n, side, d, T, A, k, at_resolution=False)
 
 
 def contraction_margin(model: Model, forcing: Forcing) -> float:
     """Interval length lost by the right branch of the map; > 0 certifies
     contraction there.  Without a boundary the single branch is measured,
     which is always contracting under the standing hypotheses."""
-    return _contraction_margin(model, forcing, boundary_sigma(model, forcing))
+    delta = time_to_threshold(model, forcing.A, 0.0)
+    return _contraction_margin(model, forcing, boundary_sigma(model, forcing), delta)
 
 
 def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -> RateLimits:

@@ -23,8 +23,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .model import Forcing, LinearModel, Model, flow, time_to_threshold
 
 __all__ = [
@@ -125,38 +124,54 @@ class OrbitSummary:
     single_branch: bool
 
 
-def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP) -> StrobeResult:
+def strobe(
+    model: Model,
+    forcing: Forcing,
+    x0: float,
+    spike_cap: int = SPIKE_CAP,
+    *,
+    delta: float | None = None,
+) -> StrobeResult:
     """Flow x0 through one full period of the square-wave drive.
 
     A crossing exactly at the pulse end t = d*T still counts as a spike, so
-    the map takes its right-branch value on the boundary.
+    the map takes its right-branch value on the boundary.  ``delta`` is the
+    reset hit time ``time_to_threshold(model, forcing.A, 0.0)`` when the
+    caller has it; otherwise it is solved when a spike needs it.
     """
     theta = model.theta
     if not 0.0 <= x0 < theta:
         raise ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
     pulse = forcing.pulse_width
     times: list[float] = []
-    spikes, elapsed = _spikes(model, forcing, x0, spike_cap, times)
+    spikes, elapsed = _spikes(model, forcing, x0, spike_cap, delta, times)
     x = flow(model, forcing.A, pulse - elapsed, 0.0 if spikes else x0)
     image = flow(model, 0.0, forcing.T - pulse, x)
     return StrobeResult(image=image, spikes=spikes, spike_times=tuple(times))
 
 
 def _spikes(
-    model: Model, forcing: Forcing, x0: float, spike_cap: int, times: list[float] | None = None
+    model: Model,
+    forcing: Forcing,
+    x0: float,
+    spike_cap: int,
+    delta: float | None,
+    times: list[float] | None = None,
 ) -> tuple[int, float]:
     """Number of spikes within the pulse from x0 and the time of the last one.
 
     The time is 0.0 without a spike; each spike time is appended to
     ``times`` when given.  Every spike after the first starts from the reset
-    state, so it takes the same time ``delta`` and the threshold is solved
-    at most twice.
+    state, so it takes the same time ``delta``, the reset hit time; None
+    solves it here when a spike needs it.  The threshold is thus solved at
+    most twice, and once when the caller passes ``delta``.
     """
     pulse = forcing.pulse_width
     t = time_to_threshold(model, forcing.A, x0)
     if t is None or t > pulse:
         return 0, 0.0
-    delta = time_to_threshold(model, forcing.A, 0.0)
+    if delta is None:
+        delta = time_to_threshold(model, forcing.A, 0.0)
     spikes = 0
     while True:
         spikes += 1
@@ -172,8 +187,10 @@ def _spikes(
         t = after
 
 
-def _spike_count(model: Model, forcing: Forcing, x0: float, spike_cap: int) -> int:
-    return _spikes(model, forcing, x0, spike_cap)[0]
+def _spike_count(
+    model: Model, forcing: Forcing, x0: float, spike_cap: int, delta: float | None
+) -> int:
+    return _spikes(model, forcing, x0, spike_cap, delta)[0]
 
 
 def _ordinal(x: float) -> int:
@@ -185,14 +202,16 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
-def _bisect_edge(model: Model, forcing: Forcing, n: int, spike_cap: int, lo: int, hi: int) -> float:
+def _bisect_edge(
+    model: Model, forcing: Forcing, delta: float, n: int, spike_cap: int, lo: int, hi: int
+) -> float:
     """Upper of two adjacent doubles in the ordinal bracket where the count crosses n.
 
     ``lo`` must spike fewer than n times and ``hi`` at least n times.
     """
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _spike_count(model, forcing, _from_ordinal(mid), spike_cap) >= n:
+        if _spike_count(model, forcing, _from_ordinal(mid), spike_cap, delta) >= n:
             hi = mid
         else:
             lo = mid
@@ -200,7 +219,7 @@ def _bisect_edge(model: Model, forcing: Forcing, n: int, spike_cap: int, lo: int
 
 
 def _snap_to_branch_edge(
-    model: Model, forcing: Forcing, sigma: float, n: int, spike_cap: int
+    model: Model, forcing: Forcing, delta: float, sigma: float, n: int, spike_cap: int
 ) -> float | None:
     """A double in (0, theta) spiking at least n times whose predecessor spikes fewer.
 
@@ -212,17 +231,17 @@ def _snap_to_branch_edge(
     """
     top = _ordinal(math.nextafter(model.theta, 0.0))
     k = _ordinal(sigma)
-    above = _spike_count(model, forcing, sigma, spike_cap) >= n
+    above = _spike_count(model, forcing, sigma, spike_cap, delta) >= n
     step, end = (-1, 0) if above else (1, top)
     while True:
         if k == end:
             return None
         probe = min(max(k + step, 0), top)
-        if (_spike_count(model, forcing, _from_ordinal(probe), spike_cap) >= n) != above:
+        if (_spike_count(model, forcing, _from_ordinal(probe), spike_cap, delta) >= n) != above:
             break
         k, step = probe, 2 * step
     lo, hi = sorted((k, probe))
-    return _bisect_edge(model, forcing, n, spike_cap, lo, hi)
+    return _bisect_edge(model, forcing, delta, n, spike_cap, lo, hi)
 
 
 def boundary_sigma(
@@ -248,7 +267,7 @@ def boundary_sigma(
         return None
     top = math.nextafter(model.theta, 0.0)
     sigma = min(max(flow(model, forcing.A, max(delta - t_first, 0.0), 0.0), 0.0), top)
-    snapped = _snap_to_branch_edge(model, forcing, sigma, n, spike_cap)
+    snapped = _snap_to_branch_edge(model, forcing, delta, sigma, n, spike_cap)
     if snapped is not None:
         return BoundaryInfo(sigma=snapped, n=n)
     logger.warning(
@@ -256,11 +275,11 @@ def boundary_sigma(
         "(A=%r, T=%r, d=%r); falling back to bisection",
         sigma, n, forcing.A, forcing.T, forcing.d,
     )
-    n_lo = _spike_count(model, forcing, 0.0, spike_cap)
-    if _spike_count(model, forcing, top, spike_cap) == n_lo:
+    n_lo = _spike_count(model, forcing, 0.0, spike_cap, delta)
+    if _spike_count(model, forcing, top, spike_cap, delta) == n_lo:
         return None
-    edge = _bisect_edge(model, forcing, n_lo + 1, spike_cap, 0, _ordinal(top))
-    return BoundaryInfo(sigma=edge, n=_spike_count(model, forcing, edge, spike_cap))
+    edge = _bisect_edge(model, forcing, delta, n_lo + 1, spike_cap, 0, _ordinal(top))
+    return BoundaryInfo(sigma=edge, n=_spike_count(model, forcing, edge, spike_cap, delta))
 
 
 def fixed_point(
@@ -276,8 +295,9 @@ def fixed_point(
     theta = model.theta
     top = math.nextafter(theta, 0.0)
     info = boundary_sigma(model, forcing, spike_cap=spike_cap)
+    delta = time_to_threshold(model, forcing.A, 0.0)
     if info is None:
-        if _spike_count(model, forcing, 0.0, spike_cap) != n:
+        if _spike_count(model, forcing, 0.0, spike_cap, delta) != n:
             return None
         lo, hi = 0.0, top
     elif n == info.n:
@@ -288,7 +308,7 @@ def fixed_point(
         return None
 
     def defect(x: float) -> float:
-        return strobe(model, forcing, x, spike_cap).image - x
+        return strobe(model, forcing, x, spike_cap, delta=delta).image - x
 
     d_lo = defect(lo)
     d_hi = defect(hi)
@@ -298,9 +318,9 @@ def fixed_point(
         return hi
     if math.copysign(1.0, d_lo) == math.copysign(1.0, d_hi):
         return None
-    root = float(brentq(defect, lo, hi, xtol=1e-14))
+    root = brentq(defect, lo, hi, xtol=1e-14)
     # a sign change at the branch edge is the discontinuity, not a fixed point
-    at_root = strobe(model, forcing, root, spike_cap)
+    at_root = strobe(model, forcing, root, spike_cap, delta=delta)
     if at_root.spikes != n or abs(at_root.image - root) > 1e-12 * max(1.0, theta):
         return None
     return root
@@ -354,6 +374,7 @@ def _contraction_margin(
     model: Model,
     forcing: Forcing,
     info: BoundaryInfo | None,
+    delta: float | None,
     spike_cap: int = SPIKE_CAP,
     grid: int = 33,
 ) -> float:
@@ -366,20 +387,18 @@ def _contraction_margin(
     sampled sup of the central-difference derivative, a heuristic bound.
     Without a boundary (``info`` is None, as returned by
     :func:`boundary_sigma`) the single branch is measured the same way.
+    ``delta`` is the reset hit time ``time_to_threshold(model, forcing.A, 0.0)``.
     """
     theta = model.theta
     if info is None:
         lo = 0.0
-        n = _spike_count(model, forcing, 0.0, spike_cap)
+        n = _spike_count(model, forcing, 0.0, spike_cap, delta)
     else:
         lo = info.sigma
         n = info.n
     span = theta - lo
     if isinstance(model, LinearModel):
-        ndelta = 0.0
-        if n:
-            delta = time_to_threshold(model, forcing.A, 0.0)
-            ndelta = n * delta
+        ndelta = n * delta if n else 0.0
         slope = math.exp(model.a * (forcing.T - ndelta))
         return span * (1.0 - slope)
     h = min(1e-6, span * 1e-3)
@@ -391,8 +410,8 @@ def _contraction_margin(
         xr = min(x + h, top)
         if xr <= xl:
             continue
-        sl = strobe(model, forcing, xl, spike_cap)
-        sr = strobe(model, forcing, xr, spike_cap)
+        sl = strobe(model, forcing, xl, spike_cap, delta=delta)
+        sr = strobe(model, forcing, xr, spike_cap, delta=delta)
         if sl.spikes != n or sr.spikes != n:
             continue
         sup = max(sup, (sr.image - sl.image) / (xr - xl))
@@ -418,13 +437,14 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     if opts is None:
         opts = OrbitOptions()
     tol = opts.state_tol
+    delta = time_to_threshold(model, forcing.A, 0.0)
     states = [opts.seed]
     counts: list[int] = []
     anchor, power = 0, 1  # index of the anchor; maps it waits before it moves
     lam = 0  # distance of the return under verification, 0 when none
     period = 0  # length of the verified cycle, 0 when none
     while len(counts) < opts.transient + 2 * opts.max_period:
-        r = strobe(model, forcing, states[-1], opts.spike_cap)
+        r = strobe(model, forcing, states[-1], opts.spike_cap, delta=delta)
         states.append(r.image)
         counts.append(r.spikes)
         i = len(counts)
@@ -459,7 +479,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     word = _least_rotation(word)
 
     margin = (
-        _contraction_margin(model, forcing, info, spike_cap=opts.spike_cap)
+        _contraction_margin(model, forcing, info, delta, spike_cap=opts.spike_cap)
         if opts.compute_margin
         else math.nan
     )

@@ -75,6 +75,11 @@ class AmplitudeCorrection:
     def dose(self) -> float:
         return self.Q
 
+    @property
+    def t_floor(self) -> float:
+        """Smallest period a sweep samples: the pulse duration nudged up by 1e-12."""
+        return self.delta * (1.0 + 1e-12)
+
     def forcing_at(self, T: float) -> Forcing:
         if T <= self.delta:
             raise ValueError(f"period T = {T} must exceed the pulse duration {self.delta}")
@@ -178,7 +183,7 @@ def sweep_T(
     if opts is None:
         opts = OrbitOptions()
     if isinstance(mode, AmplitudeCorrection) and t_min <= mode.delta:
-        t_min = mode.delta * (1.0 + 1e-12)
+        t_min = mode.t_floor
         if t_min >= t_max:
             raise ValueError("period range lies at or below the pulse duration")
     spacing = (t_max - t_min) / (resolution - 1)

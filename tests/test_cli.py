@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +358,68 @@ def test_help_tells_decay_rate_from_amplitude(capsys):
     assert exc.value.code == EXIT_OK
     usage = capsys.readouterr().out
     assert "--a a " in usage and "--A A " in usage
+
+
+def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
+    def broken_flow(*args):
+        raise ValueError("broken flow")
+
+    monkeypatch.setattr(sys.modules["ifstrobe.bifurcation"], "flow", broken_flow)
+    with pytest.raises(ValueError, match="broken flow"):
+        main(["limits", *MODEL, "--A", "3.3333", "--d", "0.2"])
+    assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["limits", *MODEL, "--A", "0.25", "--d", "0.5"], "(A=0.25, d=0.5) lies in the non-spiking region"),
+        (["classify", *MODEL, "--A", "-1", "--d", "0.5"], "A must be finite and >= 0"),
+        (
+            ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2",
+             "--tmin", "2", "--tmax", "1", "--n", "3"],
+            "tmax must exceed tmin",
+        ),
+        (
+            ["sweep", *MODEL, "--mode", "amplitude", "--delta", "3", "--Q", "0.6667",
+             "--tmin", "1", "--tmax", "2", "--n", "3"],
+            "tmax must exceed the pulse duration",
+        ),
+        (
+            ["sweep", *MODEL, "--mode", "amplitude", "--delta", "1e-300", "--Q", "1e10",
+             "--tmin", "1", "--tmax", "2", "--n", "3"],
+            "at T = tmax: amplitude A must be finite",
+        ),
+        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--dmax", "1.5"], "dmax must lie in"),
+        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--iamin", "1e-320"], "iamin must be finite"),
+        (
+            ["bif", *MODEL, "--solve", "A", "--side", "R", "--spikes", "0", "--d", "0.5",
+             "--T", "2"],
+            "n = 0 admits only the onset collision",
+        ),
+        (
+            ["bif", *MODEL, "--solve", "A", "--side", "zero", "--spikes", "0", "--d", "0.5",
+             "--T", "2", "--tol-time", "0"],
+            "tol_time must be finite and strictly positive",
+        ),
+    ],
+)  # fmt: skip
+def test_inputs_outside_the_library_domain_are_config_errors(argv, rule, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {rule}" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, ifstrobe, ifstrobe.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

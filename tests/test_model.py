@@ -199,3 +199,27 @@ def test_generic_flow_blowup_raises():
     exploding = GenericModel(f=lambda x: 1.0 + x * x, f_deriv=lambda x: 2.0 * x)
     with pytest.raises((IntegrationError, OverflowError)):
         flow(exploding, 0.0, 10.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "square", [lambda x: x * x, lambda x: x**2], ids=["inf", "OverflowError"]
+)
+def test_generic_blowup_is_an_integration_error_at_once(square):
+    from ifstrobe import IntegrationError
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 + square(x)
+
+    # f = 1 + x^2 is not finite at 1e200: x*x gives inf, x**2 raises
+    exploding = GenericModel(f=f, f_deriv=lambda x: 2.0 * x, theta=1e300)
+    with pytest.raises(IntegrationError, match="blew up near t=0.0"):
+        flow(exploding, 0.0, 1.0, 1e200)
+    # a step shrunk to 10 ulps of t first would cost about ten more stages
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(IntegrationError, match="theta=1e\\+300"):
+        time_to_threshold(exploding, 0.0, 1e200)
+    assert len(calls) == 1

@@ -20,6 +20,7 @@ from ifstrobe import (
     rotation_number,
     strobe,
     Side,
+    time_to_threshold,
 )
 from ifstrobe.strobe import _least_rotation
 
@@ -164,6 +165,34 @@ def test_generic_boundary_agrees_with_linear(lif, lif_generic):
         assert gen.sigma == pytest.approx(lin.sigma, abs=1e-8)
         assert strobe(lif_generic, forcing, gen.sigma).spikes == n
         assert strobe(lif_generic, forcing, math.nextafter(gen.sigma, 0.0)).spikes == n - 1
+
+
+@pytest.mark.parametrize("kind", ["linear", "generic"])
+def test_strobe_given_delta_is_bit_identical(kind, lif, lif_generic):
+    model = lif if kind == "linear" else lif_generic
+    forcing = Forcing(A=10 / 3, T=5.0, d=0.2)
+    delta = time_to_threshold(model, forcing.A, 0.0)
+    for x0 in np.linspace(0.0, 0.99, 7):
+        assert strobe(model, forcing, x0, delta=delta) == strobe(model, forcing, x0)
+
+
+def test_generic_attractor_solves_the_reset_hit_time_twice(lif_generic, monkeypatch):
+    module = sys.modules["ifstrobe.strobe"]
+    original = module.time_to_threshold
+    starts = []
+
+    def counting(model, drive, x0):
+        starts.append(x0)
+        return original(model, drive, x0)
+
+    monkeypatch.setattr(module, "time_to_threshold", counting)
+    # seeded off 0.0, so every solve from 0.0 is the reset hit time delta
+    orbit = attractor(lif_generic, Forcing(**PULSED), OrbitOptions(seed=0.5))
+    assert orbit.converged and orbit.period_p == 8
+    # once in attractor, for its maps and the margin, and once in boundary_sigma,
+    # for its guess and its edge probes; the maps and probes reuse it
+    assert starts.count(0.0) == 2
+    assert len(starts) > 100
 
 
 def test_fixed_point_subthreshold(lif):
