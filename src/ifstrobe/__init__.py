@@ -7,6 +7,7 @@ regions and the firing-rate-vs-period staircase under dose conservation.
 """
 
 from .model import (
+    DomainError,
     Forcing,
     GenericModel,
     HypothesisReport,
@@ -59,6 +60,7 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "DomainError",
     "Forcing",
     "GenericModel",
     "HypothesisReport",

@@ -4,7 +4,7 @@ The port keeps the C routine's float operations in the same order, so that
 it returns the same double as ``scipy.optimize.brentq`` for the same
 function, bracket and tolerances, and raises the same errors: ValueError for
 a bracket without a sign change, a non-positive ``xtol``, an ``rtol`` below
-4 eps or a NaN function value, RuntimeError after ``maxiter`` iterations
+4 eps or a NaN function value, RuntimeError after ``_ITER`` (100) iterations
 without convergence.
 
 Reference: R. P. Brent, *Algorithms for Minimization without Derivatives*
@@ -21,18 +21,12 @@ __all__ = ["brentq", "EPS"]
 
 EPS = sys.float_info.epsilon
 
-_XTOL = 2e-12
 _RTOL = 4 * EPS
 _ITER = 100
 
 
 def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = _XTOL,
-    rtol: float = _RTOL,
-    maxiter: int = _ITER,
+    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float = _RTOL
 ) -> float:
     """Root of ``f`` in the bracket [a, b] to within ``xtol + rtol*|x|``."""
     if xtol <= 0:
@@ -56,7 +50,7 @@ def brentq(
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_ITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk = xpre
             fblk = fpre
@@ -101,7 +95,7 @@ def brentq(
             xcur += delta if sbis > 0 else -delta
 
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_ITER} iterations.")
 
 
 def _signbit(x: float) -> bool:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from ._brent import brentq
 from .model import (
+    DomainError,
     Forcing,
     Model,
     averaged_time_to_threshold,
@@ -123,11 +124,11 @@ class RateLimits:
 def _normalize_side(n: int, side: Side) -> tuple[Side, int]:
     """Map (n, side) onto the solver's alignment count k."""
     if n < 0:
-        raise ValueError("spike count n must be >= 0")
+        raise DomainError("spike count n must be >= 0")
     if side is Side.ZERO or (side is Side.L and n == 0):
         return Side.ZERO, 0
     if n == 0:
-        raise ValueError("n = 0 admits only the onset collision (side ZERO)")
+        raise DomainError("n = 0 admits only the onset collision (side ZERO)")
     if side is Side.R:
         return Side.R, n - 1
     return Side.L, n
@@ -195,9 +196,9 @@ def bif_A(
     when no admissible amplitude exists.
     """
     if not (0.0 < d < 1.0):
-        raise ValueError("duty cycle d must lie in (0, 1)")
+        raise DomainError("duty cycle d must lie in (0, 1)")
     if T <= 0.0:
-        raise ValueError("period T must be > 0")
+        raise DomainError("period T must be > 0")
     side, k = _normalize_side(n, side)
     qc = critical_dose(model)
     lo = qc * (1.0 + _AMP_CUSHION)
@@ -232,7 +233,9 @@ def bif_T(
     the critical dose.
     """
     if not (0.0 < d < 1.0):
-        raise ValueError("duty cycle d must lie in (0, 1)")
+        raise DomainError("duty cycle d must lie in (0, 1)")
+    if not time_tol > 0.0:
+        raise DomainError("time_tol must be > 0")
     side, k = _normalize_side(n, side)
     if time_to_threshold(model, A, 0.0) is None:
         raise BifurcationNotFound(f"A = {A} at or below the critical dose: no spiking orbit")
@@ -277,10 +280,10 @@ def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -
     """
     region = classify_region(model, A, d)
     if region.kind == Region.NON_SPIKING:
-        raise ValueError(f"(A={A}, d={d}) lies in the non-spiking region")
+        raise DomainError(f"(A={A}, d={d}) lies in the non-spiking region")
     delta = time_to_threshold(model, A, 0.0)
     if delta is None:
-        raise ValueError(f"(A={A}, d={d}) lies in the non-spiking region")
+        raise DomainError(f"(A={A}, d={d}) lies in the non-spiking region")
     r_infinity = d / delta
 
     if region.kind == Region.PERMANENT_SPIKING:

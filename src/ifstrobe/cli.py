@@ -19,10 +19,10 @@ global ones included, and ignores config keys it does not use.  Exact
 rationals are serialized as integer numerator/denominator column pairs so
 that re-reading a CSV reproduces them bit-exactly; reals are written with 12
 significant digits.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure.  Exit 2 comes only from the validation layer: the config file, the
-``PARAMS`` checks, the handlers' checks of their inputs and the construction
-of the model, the orbit options and a sweep's forcing at ``tmax``.  Any
-other exception raised by the numerics is a bug and propagates with its
+failure.  Exit 2 comes only from the validation layer: the config file and
+the ``PARAMS`` checks (:class:`ConfigError`) and the library's checks of the
+parameters it is given (:class:`~ifstrobe.model.DomainError`).  Any other
+exception raised by the numerics is a bug and propagates with its
 traceback.
 """
 
@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .bifurcation import BifurcationNotFound, Side, bif_A, bif_T, rate_limits
-from .model import IntegrationError, LinearModel, Region, classify_region, validate_hypotheses
+from .model import DomainError, IntegrationError, LinearModel, classify_region, validate_hypotheses
 from .strobe import OrbitOptions, SpikeRunawayError
 from .sweep import (
     AmplitudeCorrection,
@@ -82,13 +81,7 @@ class Param(NamedTuple):
     check: tuple[Callable[[Any], bool], str] | None = None  # domain test and its rule
 
 
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and strictly positive")
-_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
-_DUTY = (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0, 1)")
-_INVERSE_AMPLITUDE = (
-    lambda v: 0.0 < v < math.inf and 1.0 / v < math.inf,
-    "must be finite and strictly positive, with a finite inverse",
-)
+_POSITIVE = (lambda v: v > 0.0, "must be strictly positive")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
 _SIDES = {side.value.lower(): side for side in Side}
 
@@ -103,29 +96,29 @@ PARAMS: dict[str, Param] = {
     "a": Param(float, "linear decay rate (a < 0)"),
     "b": Param(float, "linear bias (b > 0)"),
     "theta": Param(float, "threshold (> 0)", _POSITIVE),
-    "A": Param(float, "pulse amplitude", _NON_NEGATIVE),
-    "d": Param(float, "duty cycle", _DUTY),
+    "A": Param(float, "pulse amplitude"),
+    "d": Param(
+        float, "duty cycle", (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0, 1)")
+    ),
     "T": Param(float, "forcing period", _POSITIVE),
     "mode": Param(("width", "amplitude"), "dose conservation: fixed (A, d) or fixed pulse duration"),
-    "delta": Param(float, "pulse duration (amplitude mode)", _POSITIVE),
-    "Q": Param(float, "dose (amplitude mode)", _NON_NEGATIVE),
-    "tmin": Param(float, "smallest period of the sweep", _POSITIVE),
-    "tmax": Param(float, "largest period of the sweep (> tmin)", _POSITIVE),
-    "n": Param(int, "grid resolution", (lambda v: v >= 2, "must be at least 2")),
+    "delta": Param(float, "pulse duration (amplitude mode)"),
+    "Q": Param(float, "dose (amplitude mode)"),
+    "tmin": Param(float, "smallest period of the sweep"),
+    "tmax": Param(float, "largest period of the sweep"),
+    "n": Param(int, "grid resolution"),
     "refine": Param(bool, "bisect between samples of different firing number"),
-    "dmin": Param(float, "smallest duty cycle of the scan", _DUTY),
-    "dmax": Param(float, "largest duty cycle of the scan", _DUTY),
+    "dmin": Param(float, "smallest duty cycle of the scan"),
+    "dmax": Param(float, "largest duty cycle of the scan"),
     "dn": Param(int, "duty-cycle nodes of the scan", _AT_LEAST_ONE),
-    "iamin": Param(float, "smallest 1/A of the scan", _INVERSE_AMPLITUDE),
-    "iamax": Param(float, "largest 1/A of the scan", _INVERSE_AMPLITUDE),
+    "iamin": Param(float, "smallest 1/A of the scan"),
+    "iamax": Param(float, "largest 1/A of the scan"),
     "ian": Param(int, "1/A nodes of the scan", _AT_LEAST_ONE),
     "cap": Param(int, "period cap (default 20)", _AT_LEAST_ONE),
     "solve": Param(("A", "T"), "variable of the collision solve"),
     "side": Param(str, "R, L or zero", (lambda v: v.lower() in _SIDES, "must be R, L or zero")),
-    "spikes": Param(
-        int, "spike count n (0 only with side zero or L)", (lambda v: v >= 0, "must be >= 0")
-    ),
-    "tol_time": Param(float, "root tolerance of the collision solve (default 1e-14)", _POSITIVE),
+    "spikes": Param(int, "spike count n"),
+    "tol_time": Param(float, "root tolerance of the collision solve (default 1e-14)"),
     "input": Param(str, "CSV produced by the sweep subcommand"),
 }
 _SHORT = {"out": "-o", "input": "-i"}
@@ -178,7 +171,7 @@ def _validate(ns: argparse.Namespace, prefix: str = "") -> None:
         if value is not None and param.check is not None and not param.check[0](value):
             raise ConfigError(f"{prefix}{name} {param.check[1]}, got {value!r}")
     if all(getattr(ns, name, None) is not None for name in MODEL):
-        report = validate_hypotheses(_linear_model(ns, prefix))
+        report = validate_hypotheses(LinearModel(a=ns.a, b=ns.b, theta=ns.theta))
         if not report.passed:
             raise ConfigError(f"{prefix}model hypothesis violated: {report.failures[0].detail}")
 
@@ -187,16 +180,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _linear_model(ns: argparse.Namespace, prefix: str = "") -> LinearModel:
-    try:
-        return LinearModel(a=ns.a, b=ns.b, theta=ns.theta)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
-
-
 def _model_from(args: argparse.Namespace) -> LinearModel:
     _require(args, *MODEL)
-    return _linear_model(args)
+    return LinearModel(a=args.a, b=args.b, theta=args.theta)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -267,8 +253,6 @@ def read_staircase_csv(path: str | Path) -> list[StaircaseSample]:
 def _cmd_limits(args: argparse.Namespace) -> int:
     model = _model_from(args)
     _require(args, "A", "d")
-    if classify_region(model, args.A, args.d).kind == Region.NON_SPIKING:
-        raise ConfigError(f"(A={args.A}, d={args.d}) lies in the non-spiking region")
     lim = rate_limits(model, args.A, args.d)
     t0 = "none" if lim.T0 is None else _fmt(lim.T0)
     min_at = "T->0" if lim.r_min_is_infimum else _fmt(lim.r_min_at) if lim.r_min_at else "0<T<T0"
@@ -313,20 +297,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     model = _model_from(args)
     _require(args, "mode", "tmin", "tmax", "n")
-    if not args.tmin < args.tmax:
-        raise ConfigError(f"tmax must exceed tmin, got {args.tmin!r} and {args.tmax!r}")
     if args.mode == "width":
         _require(args, "A", "d")
         mode = WidthCorrection(A=args.A, d=args.d)
     else:
         _require(args, "delta", "Q")
         mode = AmplitudeCorrection(delta=args.delta, Q=args.Q)
-        if not args.tmax > mode.t_floor:
-            raise ConfigError(f"tmax must exceed the pulse duration delta={args.delta!r}")
-    try:  # the sweep's largest amplitude is at tmax
-        mode.forcing_at(args.tmax)
-    except ValueError as exc:
-        raise ConfigError(f"at T = tmax: {exc}") from exc
     samples = sweep_T(
         model,
         mode,
@@ -395,8 +371,6 @@ def _cmd_bif(args: argparse.Namespace) -> int:
     model = _model_from(args)
     _require(args, "solve", "side", "spikes", "d")
     side = _SIDES[args.side.lower()]
-    if args.spikes == 0 and side is Side.R:
-        raise ConfigError("n = 0 admits only the onset collision (side ZERO)")
     time_tol = args.tol_time if args.tol_time is not None else 1e-14
     if args.solve == "A":
         _require(args, "T")
@@ -532,7 +506,7 @@ def run(argv: list[str] | None = None) -> int:
                     setattr(args, name, value)
         _validate(args)
         return args.handler(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BifurcationNotFound, IntegrationError, SpikeRunawayError) as exc:

@@ -38,6 +38,7 @@ __all__ = [
     "RegionClass",
     "HypothesisReport",
     "IntegrationError",
+    "DomainError",
     "validate_hypotheses",
     "flow",
     "time_to_threshold",
@@ -62,6 +63,10 @@ class IntegrationError(RuntimeError):
     """Numerical integration blew up or failed to locate a crossing."""
 
 
+class DomainError(ValueError):
+    """A model, forcing or protocol parameter outside the domain the library accepts."""
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Linear subthreshold field f(x) = a*x + b with threshold ``theta``.
@@ -77,9 +82,9 @@ class LinearModel:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError("theta must be finite and strictly positive")
+            raise DomainError("theta must be finite and strictly positive")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("a and b must be finite")
+            raise DomainError("a and b must be finite")
 
     def f(self, x: float) -> float:
         return self.a * x + self.b
@@ -102,7 +107,7 @@ class GenericModel:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError("theta must be finite and strictly positive")
+            raise DomainError("theta must be finite and strictly positive")
 
 
 Model = Union[LinearModel, GenericModel]
@@ -118,11 +123,11 @@ class Forcing:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.A) and self.A >= 0.0):
-            raise ValueError("amplitude A must be finite and >= 0")
+            raise DomainError("amplitude A must be finite and >= 0")
         if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError("period T must be finite and > 0")
+            raise DomainError("period T must be finite and > 0")
         if not (0.0 < self.d < 1.0):
-            raise ValueError("duty cycle d must lie in the open interval (0, 1)")
+            raise DomainError("duty cycle d must lie in the open interval (0, 1)")
 
     @property
     def dose(self) -> float:
@@ -440,7 +445,7 @@ def averaged_time_to_threshold(model: Model, Q: float) -> float | None:
     below the threshold and never crosses it.
     """
     if Q < 0.0:
-        raise ValueError("dose Q must be >= 0")
+        raise DomainError("dose Q must be >= 0")
     return time_to_threshold(model, Q, 0.0)
 
 
@@ -452,9 +457,9 @@ def classify_region(model: Model, A: float, d: float, tol: float = BOUNDARY_TOL)
     on A, d and the model, never on the period.
     """
     if not (0.0 < d < 1.0):
-        raise ValueError("duty cycle d must lie in (0, 1)")
+        raise DomainError("duty cycle d must lie in (0, 1)")
     if A < 0.0:
-        raise ValueError("amplitude A must be >= 0")
+        raise DomainError("amplitude A must be >= 0")
     qc = critical_dose(model)
     on_amp = abs(A - qc) <= tol
     on_dose = abs(A * d - qc) <= tol

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._brent import brentq
-from .model import Forcing, LinearModel, Model, flow, time_to_threshold
+from .model import DomainError, Forcing, LinearModel, Model, flow, time_to_threshold
 
 __all__ = [
     "SpikeRunawayError",
@@ -76,7 +76,7 @@ class OrbitOptions:
     :func:`attractor` applies the map at most ``transient + 2*max_period``
     times from ``seed`` and reports cycles of at most ``max_period`` maps;
     ``spike_cap`` bounds the spikes of one map.  Out-of-domain values raise
-    ValueError.
+    :class:`~ifstrobe.model.DomainError`.
     """
 
     transient: int = 10_000
@@ -88,13 +88,13 @@ class OrbitOptions:
 
     def __post_init__(self) -> None:
         if self.transient < 0:
-            raise ValueError(f"transient must be >= 0, got {self.transient!r}")
+            raise DomainError(f"transient must be >= 0, got {self.transient!r}")
         if self.max_period < 1:
-            raise ValueError(f"max_period must be >= 1, got {self.max_period!r}")
+            raise DomainError(f"max_period must be >= 1, got {self.max_period!r}")
         if not (math.isfinite(self.state_tol) and self.state_tol > 0.0):
-            raise ValueError(f"state_tol must be finite and > 0, got {self.state_tol!r}")
+            raise DomainError(f"state_tol must be finite and > 0, got {self.state_tol!r}")
         if self.spike_cap < 1:
-            raise ValueError(f"spike_cap must be >= 1, got {self.spike_cap!r}")
+            raise DomainError(f"spike_cap must be >= 1, got {self.spike_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +130,21 @@ def strobe(
     x0: float,
     spike_cap: int = SPIKE_CAP,
     *,
-    delta: float | None = None,
+    _delta: float | None = None,
 ) -> StrobeResult:
     """Flow x0 through one full period of the square-wave drive.
 
     A crossing exactly at the pulse end t = d*T still counts as a spike, so
-    the map takes its right-branch value on the boundary.  ``delta`` is the
-    reset hit time ``time_to_threshold(model, forcing.A, 0.0)`` when the
-    caller has it; otherwise it is solved when a spike needs it.
+    the map takes its right-branch value on the boundary.
     """
+    # _delta is private: the reset hit time time_to_threshold(model, forcing.A, 0.0),
+    # passed by the package's callers that solve it once per forcing
     theta = model.theta
     if not 0.0 <= x0 < theta:
         raise ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
     pulse = forcing.pulse_width
     times: list[float] = []
-    spikes, elapsed = _spikes(model, forcing, x0, spike_cap, delta, times)
+    spikes, elapsed = _spikes(model, forcing, x0, spike_cap, _delta, times)
     x = flow(model, forcing.A, pulse - elapsed, 0.0 if spikes else x0)
     image = flow(model, 0.0, forcing.T - pulse, x)
     return StrobeResult(image=image, spikes=spikes, spike_times=tuple(times))
@@ -291,7 +291,7 @@ def fixed_point(
     moved outside the branch domain.
     """
     if n < 0:
-        raise ValueError("spike count n must be >= 0")
+        raise DomainError("spike count n must be >= 0")
     theta = model.theta
     top = math.nextafter(theta, 0.0)
     info = boundary_sigma(model, forcing, spike_cap=spike_cap)
@@ -308,7 +308,7 @@ def fixed_point(
         return None
 
     def defect(x: float) -> float:
-        return strobe(model, forcing, x, spike_cap, delta=delta).image - x
+        return strobe(model, forcing, x, spike_cap, _delta=delta).image - x
 
     d_lo = defect(lo)
     d_hi = defect(hi)
@@ -320,7 +320,7 @@ def fixed_point(
         return None
     root = brentq(defect, lo, hi, xtol=1e-14)
     # a sign change at the branch edge is the discontinuity, not a fixed point
-    at_root = strobe(model, forcing, root, spike_cap, delta=delta)
+    at_root = strobe(model, forcing, root, spike_cap, _delta=delta)
     if at_root.spikes != n or abs(at_root.image - root) > 1e-12 * max(1.0, theta):
         return None
     return root
@@ -410,8 +410,8 @@ def _contraction_margin(
         xr = min(x + h, top)
         if xr <= xl:
             continue
-        sl = strobe(model, forcing, xl, spike_cap, delta=delta)
-        sr = strobe(model, forcing, xr, spike_cap, delta=delta)
+        sl = strobe(model, forcing, xl, spike_cap, _delta=delta)
+        sr = strobe(model, forcing, xr, spike_cap, _delta=delta)
         if sl.spikes != n or sr.spikes != n:
             continue
         sup = max(sup, (sr.image - sl.image) / (xr - xl))
@@ -444,7 +444,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     lam = 0  # distance of the return under verification, 0 when none
     period = 0  # length of the verified cycle, 0 when none
     while len(counts) < opts.transient + 2 * opts.max_period:
-        r = strobe(model, forcing, states[-1], opts.spike_cap, delta=delta)
+        r = strobe(model, forcing, states[-1], opts.spike_cap, _delta=delta)
         states.append(r.image)
         counts.append(r.spikes)
         i = len(counts)

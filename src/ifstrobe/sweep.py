@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .model import Forcing, IntegrationError, Model
+from .model import DomainError, Forcing, IntegrationError, Model
 from .strobe import OrbitOptions, OrbitSummary, SpikeRunawayError, attractor, _least_rotation
 
 __all__ = [
@@ -75,14 +75,9 @@ class AmplitudeCorrection:
     def dose(self) -> float:
         return self.Q
 
-    @property
-    def t_floor(self) -> float:
-        """Smallest period a sweep samples: the pulse duration nudged up by 1e-12."""
-        return self.delta * (1.0 + 1e-12)
-
     def forcing_at(self, T: float) -> Forcing:
         if T <= self.delta:
-            raise ValueError(f"period T = {T} must exceed the pulse duration {self.delta}")
+            raise DomainError(f"period T = {T} must exceed the pulse duration {self.delta}")
         return Forcing(A=self.Q * T / self.delta, T=T, d=self.delta / T)
 
 
@@ -177,15 +172,15 @@ def sweep_T(
     """
     t_min, t_max = t_range
     if not (0.0 < t_min < t_max):
-        raise ValueError("period range must satisfy 0 < t_min < t_max")
+        raise DomainError("period range must satisfy 0 < t_min < t_max")
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise DomainError("resolution must be at least 2")
     if opts is None:
         opts = OrbitOptions()
     if isinstance(mode, AmplitudeCorrection) and t_min <= mode.delta:
-        t_min = mode.t_floor
+        t_min = mode.delta * (1.0 + 1e-12)
         if t_min >= t_max:
-            raise ValueError("period range lies at or below the pulse duration")
+            raise DomainError("period range lies at or below the pulse duration")
     spacing = (t_max - t_min) / (resolution - 1)
     grid = [t_min + i * spacing for i in range(resolution - 1)] + [t_max]
     samples = _pmap(_eval_sweep_node, [(model, mode, T, opts) for T in grid], workers)
@@ -237,11 +232,11 @@ def scan_plane(
     d_vals = np.asarray(list(d_grid), dtype=float)
     a_vals = np.asarray(list(invA_grid), dtype=float)
     if d_vals.size == 0 or a_vals.size == 0:
-        raise ValueError("grids must be nonempty")
+        raise DomainError("grids must be nonempty")
     if np.any(d_vals <= 0.0) or np.any(d_vals >= 1.0):
-        raise ValueError("duty-cycle grid must lie inside (0, 1)")
+        raise DomainError("duty-cycle grid must lie inside (0, 1)")
     if np.any(a_vals <= 0.0):
-        raise ValueError("1/A grid must be strictly positive")
+        raise DomainError("1/A grid must be strictly positive")
     opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
     results = _pmap(_eval_plane_node, tasks, workers)

@@ -374,33 +374,33 @@ def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
     "argv, rule",
     [
         (["limits", *MODEL, "--A", "0.25", "--d", "0.5"], "(A=0.25, d=0.5) lies in the non-spiking region"),
-        (["classify", *MODEL, "--A", "-1", "--d", "0.5"], "A must be finite and >= 0"),
+        (["classify", *MODEL, "--A", "-1", "--d", "0.5"], "amplitude A must be >= 0"),
         (
             ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2",
              "--tmin", "2", "--tmax", "1", "--n", "3"],
-            "tmax must exceed tmin",
+            "period range must satisfy 0 < t_min < t_max",
         ),
         (
             ["sweep", *MODEL, "--mode", "amplitude", "--delta", "3", "--Q", "0.6667",
              "--tmin", "1", "--tmax", "2", "--n", "3"],
-            "tmax must exceed the pulse duration",
+            "period range lies at or below the pulse duration",
         ),
         (
             ["sweep", *MODEL, "--mode", "amplitude", "--delta", "1e-300", "--Q", "1e10",
              "--tmin", "1", "--tmax", "2", "--n", "3"],
-            "at T = tmax: amplitude A must be finite",
+            "amplitude A must be finite and >= 0",
         ),
-        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--dmax", "1.5"], "dmax must lie in"),
-        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--iamin", "1e-320"], "iamin must be finite"),
+        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--dmax", "1.5"], "duty-cycle grid must lie inside"),
+        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--iamin", "1e-320"], "amplitude A must be finite"),
         (
             ["bif", *MODEL, "--solve", "A", "--side", "R", "--spikes", "0", "--d", "0.5",
              "--T", "2"],
             "n = 0 admits only the onset collision",
         ),
         (
-            ["bif", *MODEL, "--solve", "A", "--side", "zero", "--spikes", "0", "--d", "0.5",
-             "--T", "2", "--tol-time", "0"],
-            "tol_time must be finite and strictly positive",
+            ["bif", *MODEL, "--solve", "T", "--side", "zero", "--spikes", "0", "--d", "0.5",
+             "--A", "1.2", "--tol-time", "0"],
+            "time_tol must be > 0",
         ),
     ],
 )  # fmt: skip

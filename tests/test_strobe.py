@@ -173,7 +173,7 @@ def test_strobe_given_delta_is_bit_identical(kind, lif, lif_generic):
     forcing = Forcing(A=10 / 3, T=5.0, d=0.2)
     delta = time_to_threshold(model, forcing.A, 0.0)
     for x0 in np.linspace(0.0, 0.99, 7):
-        assert strobe(model, forcing, x0, delta=delta) == strobe(model, forcing, x0)
+        assert strobe(model, forcing, x0, _delta=delta) == strobe(model, forcing, x0)
 
 
 def test_generic_attractor_solves_the_reset_hit_time_twice(lif_generic, monkeypatch):
