@@ -27,6 +27,7 @@ from .strobe import (
     OrbitOptions,
     OrbitSummary,
     SpikeRunawayError,
+    StrobeMap,
     StrobeResult,
     attractor,
     boundary_sigma,
@@ -78,6 +79,7 @@ __all__ = [
     "OrbitOptions",
     "OrbitSummary",
     "SpikeRunawayError",
+    "StrobeMap",
     "StrobeResult",
     "attractor",
     "boundary_sigma",

@@ -38,7 +38,7 @@ from .model import (
     time_to_threshold,
     Region,
 )
-from .strobe import _contraction_margin, boundary_sigma
+from .strobe import StrobeMap, _contraction_margin
 
 __all__ = [
     "Side",
@@ -266,8 +266,8 @@ def contraction_margin(model: Model, forcing: Forcing) -> float:
     """Interval length lost by the right branch of the map; > 0 certifies
     contraction there.  Without a boundary the single branch is measured,
     which is always contracting under the standing hypotheses."""
-    delta = time_to_threshold(model, forcing.A, 0.0)
-    return _contraction_margin(model, forcing, boundary_sigma(model, forcing), delta)
+    smap = StrobeMap(model, forcing)
+    return _contraction_margin(smap, smap.boundary())
 
 
 def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -> RateLimits:

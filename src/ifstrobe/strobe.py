@@ -22,6 +22,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from ._brent import brentq
 from .model import DomainError, Forcing, LinearModel, Model, flow, time_to_threshold
@@ -30,6 +31,7 @@ __all__ = [
     "SpikeRunawayError",
     "StrobeResult",
     "BoundaryInfo",
+    "StrobeMap",
     "OrbitOptions",
     "OrbitSummary",
     "strobe",
@@ -124,73 +126,131 @@ class OrbitSummary:
     single_branch: bool
 
 
-def strobe(
-    model: Model,
-    forcing: Forcing,
-    x0: float,
-    spike_cap: int = SPIKE_CAP,
-    *,
-    _delta: float | None = None,
-) -> StrobeResult:
+class StrobeMap:
+    """The stroboscopic map of one forcing, set up once and applied many times.
+
+    Built once per ``(model, forcing, spike_cap)``.  ``delta`` is the reset
+    hit time ``time_to_threshold(model, forcing.A, 0.0)``, None when the
+    threshold is unreachable; every spike after the first starts from the
+    reset state and takes that time, so one map solves the threshold only
+    from its start state.  For a linear model with ``a < 0`` (the standing
+    hypothesis) the constants of the closed form are computed here and each
+    application repeats the float operations of ``time_to_threshold`` and
+    ``flow`` in their order, so images, spike counts and errors equal theirs
+    bit for bit.  Any other model calls the two functions; for a linear
+    ``a >= 0`` they also keep the errors (a division by zero, an overflow)
+    where they raise them.
+    """
+
+    def __init__(self, model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP) -> None:
+        self.model = model
+        self.forcing = forcing
+        self.spike_cap = spike_cap
+        self.delta = time_to_threshold(model, forcing.A, 0.0)
+        self._theta = model.theta
+        self._pulse = pulse = forcing.pulse_width
+        self._rest = rest = forcing.T - pulse
+        self._closed_form = isinstance(model, LinearModel) and model.a < 0.0
+        if self._closed_form:
+            self._a = a = model.a
+            self._reachable = a * model.theta + model.b + forcing.A > 0.0
+            self._xeq_on = model.equilibrium(forcing.A)
+            self._xeq_off = model.equilibrium(0.0)
+            self._expm1_pulse = math.expm1(a * pulse)
+            self._expm1_rest = math.expm1(a * rest)
+
+    def apply(self, x0: float, times: list[float] | None = None) -> tuple[float, int]:
+        """Image of x0 after one period and the number of spikes on the way.
+
+        Each spike time is appended to ``times`` when given.  A crossing
+        exactly at the pulse end t = d*T still counts as a spike, so the map
+        takes its right-branch value on the boundary.  Raises ValueError
+        outside the map domain [0, theta) and SpikeRunawayError past
+        ``spike_cap`` spikes.
+        """
+        if not 0.0 <= x0 < self._theta:
+            raise ValueError(f"x0 = {x0} outside the map domain [0, {self._theta})")
+        spikes, elapsed = self._spikes(x0, times)
+        if not self._closed_form:
+            x = flow(self.model, self.forcing.A, self._pulse - elapsed, 0.0 if spikes else x0)
+            return flow(self.model, 0.0, self._rest, x), spikes
+        # flow(model, A, pulse - elapsed, x), then flow(model, 0.0, rest, x)
+        if spikes:
+            t = self._pulse - elapsed
+            x = 0.0 if t == 0.0 else 0.0 + (0.0 - self._xeq_on) * math.expm1(self._a * t)
+        else:
+            x = x0 if self._pulse == 0.0 else x0 + (x0 - self._xeq_on) * self._expm1_pulse
+        if self._rest == 0.0:
+            return x, spikes
+        return x + (x - self._xeq_off) * self._expm1_rest, spikes
+
+    def spike_count(self, x0: float) -> int:
+        """Spikes of one map application from x0 in [0, theta), without its image."""
+        return self._spikes(x0)[0]
+
+    def _spikes(self, x0: float, times: list[float] | None = None) -> tuple[int, float]:
+        """Number of spikes within the pulse from x0 and the time of the last one (0.0 without)."""
+        if not self._closed_form:
+            t = time_to_threshold(self.model, self.forcing.A, x0)
+        elif self._reachable:
+            t = math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
+        else:
+            t = None
+        pulse = self._pulse
+        if t is None or t > pulse:
+            return 0, 0.0
+        first, delta, cap = t, self.delta, self.spike_cap
+        spikes = 1
+        while spikes <= cap:
+            after = t + delta
+            if after > pulse:
+                if times is not None:
+                    times.extend(accumulate(repeat(delta, spikes - 1), initial=first))
+                return spikes, t
+            spikes += 1
+            t = after
+        raise SpikeRunawayError(
+            f"more than {cap} spikes in one period (A={self.forcing.A}, T={self.forcing.T})"
+        )
+
+    def boundary(self) -> BoundaryInfo | None:
+        """The map's discontinuity; see :func:`boundary_sigma`."""
+        delta = self.delta
+        if delta is None:
+            return None
+        pulse = self._pulse
+        n = math.floor(pulse / delta) + 1
+        t_first = pulse - (n - 1) * delta
+        if t_first <= 0.0:
+            return None
+        model, forcing = self.model, self.forcing
+        top = math.nextafter(model.theta, 0.0)
+        sigma = min(max(flow(model, forcing.A, max(delta - t_first, 0.0), 0.0), 0.0), top)
+        snapped = _snap_to_branch_edge(self, sigma, n)
+        if snapped is not None:
+            return BoundaryInfo(sigma=snapped, n=n)
+        logger.warning(
+            "boundary guess (sigma=%r, n=%d) disagrees with the simulated spike count "
+            "(A=%r, T=%r, d=%r); falling back to bisection",
+            sigma, n, forcing.A, forcing.T, forcing.d,
+        )
+        n_lo = self.spike_count(0.0)
+        if self.spike_count(top) == n_lo:
+            return None
+        edge = _bisect_edge(self, n_lo + 1, 0, _ordinal(top))
+        return BoundaryInfo(sigma=edge, n=self.spike_count(edge))
+
+
+def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP) -> StrobeResult:
     """Flow x0 through one full period of the square-wave drive.
 
     A crossing exactly at the pulse end t = d*T still counts as a spike, so
-    the map takes its right-branch value on the boundary.
+    the map takes its right-branch value on the boundary.  Callers applying
+    the map of one forcing many times build a :class:`StrobeMap` once.
     """
-    # _delta is private: the reset hit time time_to_threshold(model, forcing.A, 0.0),
-    # passed by the package's callers that solve it once per forcing
-    theta = model.theta
-    if not 0.0 <= x0 < theta:
-        raise ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
-    pulse = forcing.pulse_width
     times: list[float] = []
-    spikes, elapsed = _spikes(model, forcing, x0, spike_cap, _delta, times)
-    x = flow(model, forcing.A, pulse - elapsed, 0.0 if spikes else x0)
-    image = flow(model, 0.0, forcing.T - pulse, x)
+    image, spikes = StrobeMap(model, forcing, spike_cap).apply(x0, times)
     return StrobeResult(image=image, spikes=spikes, spike_times=tuple(times))
-
-
-def _spikes(
-    model: Model,
-    forcing: Forcing,
-    x0: float,
-    spike_cap: int,
-    delta: float | None,
-    times: list[float] | None = None,
-) -> tuple[int, float]:
-    """Number of spikes within the pulse from x0 and the time of the last one.
-
-    The time is 0.0 without a spike; each spike time is appended to
-    ``times`` when given.  Every spike after the first starts from the reset
-    state, so it takes the same time ``delta``, the reset hit time; None
-    solves it here when a spike needs it.  The threshold is thus solved at
-    most twice, and once when the caller passes ``delta``.
-    """
-    pulse = forcing.pulse_width
-    t = time_to_threshold(model, forcing.A, x0)
-    if t is None or t > pulse:
-        return 0, 0.0
-    if delta is None:
-        delta = time_to_threshold(model, forcing.A, 0.0)
-    spikes = 0
-    while True:
-        spikes += 1
-        if times is not None:
-            times.append(t)
-        if spikes > spike_cap:
-            raise SpikeRunawayError(
-                f"more than {spike_cap} spikes in one period (A={forcing.A}, T={forcing.T})"
-            )
-        after = t + delta
-        if after > pulse:
-            return spikes, t
-        t = after
-
-
-def _spike_count(
-    model: Model, forcing: Forcing, x0: float, spike_cap: int, delta: float | None
-) -> int:
-    return _spikes(model, forcing, x0, spike_cap, delta)[0]
 
 
 def _ordinal(x: float) -> int:
@@ -202,25 +262,21 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
-def _bisect_edge(
-    model: Model, forcing: Forcing, delta: float, n: int, spike_cap: int, lo: int, hi: int
-) -> float:
+def _bisect_edge(smap: StrobeMap, n: int, lo: int, hi: int) -> float:
     """Upper of two adjacent doubles in the ordinal bracket where the count crosses n.
 
     ``lo`` must spike fewer than n times and ``hi`` at least n times.
     """
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _spike_count(model, forcing, _from_ordinal(mid), spike_cap, delta) >= n:
+        if smap.spike_count(_from_ordinal(mid)) >= n:
             hi = mid
         else:
             lo = mid
     return _from_ordinal(hi)
 
 
-def _snap_to_branch_edge(
-    model: Model, forcing: Forcing, delta: float, sigma: float, n: int, spike_cap: int
-) -> float | None:
+def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     """A double in (0, theta) spiking at least n times whose predecessor spikes fewer.
 
     Gallops 1, 2, 4, ... ulps from the guess sigma, down while the probes
@@ -229,19 +285,19 @@ def _snap_to_branch_edge(
     the distance.  None when the gallop reaches 0.0 or the last double below
     theta without a crossing.
     """
-    top = _ordinal(math.nextafter(model.theta, 0.0))
+    top = _ordinal(math.nextafter(smap.model.theta, 0.0))
     k = _ordinal(sigma)
-    above = _spike_count(model, forcing, sigma, spike_cap, delta) >= n
+    above = smap.spike_count(sigma) >= n
     step, end = (-1, 0) if above else (1, top)
     while True:
         if k == end:
             return None
         probe = min(max(k + step, 0), top)
-        if (_spike_count(model, forcing, _from_ordinal(probe), spike_cap, delta) >= n) != above:
+        if (smap.spike_count(_from_ordinal(probe)) >= n) != above:
             break
         k, step = probe, 2 * step
     lo, hi = sorted((k, probe))
-    return _bisect_edge(model, forcing, delta, n, spike_cap, lo, hi)
+    return _bisect_edge(smap, n, lo, hi)
 
 
 def boundary_sigma(
@@ -255,31 +311,10 @@ def boundary_sigma(
     unevenly near the edge, so sigma is one edge of a band of mixed counts
     that can be a few thousand ulps wide.  The guess is the point of the
     reset trajectory ``t_first`` short of the threshold, where ``t_first``
-    is the time of the first of the n spikes.
+    is the time of the first of the n spikes.  :meth:`StrobeMap.boundary`
+    computes it for a map already built.
     """
-    delta = time_to_threshold(model, forcing.A, 0.0)
-    if delta is None:
-        return None
-    pulse = forcing.pulse_width
-    n = math.floor(pulse / delta) + 1
-    t_first = pulse - (n - 1) * delta
-    if t_first <= 0.0:
-        return None
-    top = math.nextafter(model.theta, 0.0)
-    sigma = min(max(flow(model, forcing.A, max(delta - t_first, 0.0), 0.0), 0.0), top)
-    snapped = _snap_to_branch_edge(model, forcing, delta, sigma, n, spike_cap)
-    if snapped is not None:
-        return BoundaryInfo(sigma=snapped, n=n)
-    logger.warning(
-        "boundary guess (sigma=%r, n=%d) disagrees with the simulated spike count "
-        "(A=%r, T=%r, d=%r); falling back to bisection",
-        sigma, n, forcing.A, forcing.T, forcing.d,
-    )
-    n_lo = _spike_count(model, forcing, 0.0, spike_cap, delta)
-    if _spike_count(model, forcing, top, spike_cap, delta) == n_lo:
-        return None
-    edge = _bisect_edge(model, forcing, delta, n_lo + 1, spike_cap, 0, _ordinal(top))
-    return BoundaryInfo(sigma=edge, n=_spike_count(model, forcing, edge, spike_cap, delta))
+    return StrobeMap(model, forcing, spike_cap).boundary()
 
 
 def fixed_point(
@@ -294,10 +329,10 @@ def fixed_point(
         raise DomainError("spike count n must be >= 0")
     theta = model.theta
     top = math.nextafter(theta, 0.0)
-    info = boundary_sigma(model, forcing, spike_cap=spike_cap)
-    delta = time_to_threshold(model, forcing.A, 0.0)
+    smap = StrobeMap(model, forcing, spike_cap)
+    info = smap.boundary()
     if info is None:
-        if _spike_count(model, forcing, 0.0, spike_cap, delta) != n:
+        if smap.spike_count(0.0) != n:
             return None
         lo, hi = 0.0, top
     elif n == info.n:
@@ -308,7 +343,7 @@ def fixed_point(
         return None
 
     def defect(x: float) -> float:
-        return strobe(model, forcing, x, spike_cap, _delta=delta).image - x
+        return smap.apply(x)[0] - x
 
     d_lo = defect(lo)
     d_hi = defect(hi)
@@ -320,8 +355,8 @@ def fixed_point(
         return None
     root = brentq(defect, lo, hi, xtol=1e-14)
     # a sign change at the branch edge is the discontinuity, not a fixed point
-    at_root = strobe(model, forcing, root, spike_cap, _delta=delta)
-    if at_root.spikes != n or abs(at_root.image - root) > 1e-12 * max(1.0, theta):
+    image, spikes = smap.apply(root)
+    if spikes != n or abs(image - root) > 1e-12 * max(1.0, theta):
         return None
     return root
 
@@ -370,14 +405,7 @@ def _repeats(states: list[float], counts: list[int], start: int, p: int, tol: fl
     )
 
 
-def _contraction_margin(
-    model: Model,
-    forcing: Forcing,
-    info: BoundaryInfo | None,
-    delta: float | None,
-    spike_cap: int = SPIKE_CAP,
-    grid: int = 33,
-) -> float:
+def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 33) -> float:
     """Length lost by the right branch under one map application.
 
     Positive values certify contraction of the branch [sigma, theta) (the
@@ -386,19 +414,19 @@ def _contraction_margin(
     so the margin is (theta - sigma) * (1 - slope).  Generic fields use a
     sampled sup of the central-difference derivative, a heuristic bound.
     Without a boundary (``info`` is None, as returned by
-    :func:`boundary_sigma`) the single branch is measured the same way.
-    ``delta`` is the reset hit time ``time_to_threshold(model, forcing.A, 0.0)``.
+    :meth:`StrobeMap.boundary`) the single branch is measured the same way.
     """
+    model, forcing = smap.model, smap.forcing
     theta = model.theta
     if info is None:
         lo = 0.0
-        n = _spike_count(model, forcing, 0.0, spike_cap, delta)
+        n = smap.spike_count(0.0)
     else:
         lo = info.sigma
         n = info.n
     span = theta - lo
     if isinstance(model, LinearModel):
-        ndelta = n * delta if n else 0.0
+        ndelta = n * smap.delta if n else 0.0
         slope = math.exp(model.a * (forcing.T - ndelta))
         return span * (1.0 - slope)
     h = min(1e-6, span * 1e-3)
@@ -410,11 +438,11 @@ def _contraction_margin(
         xr = min(x + h, top)
         if xr <= xl:
             continue
-        sl = strobe(model, forcing, xl, spike_cap, _delta=delta)
-        sr = strobe(model, forcing, xr, spike_cap, _delta=delta)
-        if sl.spikes != n or sr.spikes != n:
+        image_l, spikes_l = smap.apply(xl)
+        image_r, spikes_r = smap.apply(xr)
+        if spikes_l != n or spikes_r != n:
             continue
-        sup = max(sup, (sr.image - sl.image) / (xr - xl))
+        sup = max(sup, (image_r - image_l) / (xr - xl))
     if not math.isfinite(sup):
         return span
     return span * (1.0 - sup)
@@ -437,16 +465,17 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     if opts is None:
         opts = OrbitOptions()
     tol = opts.state_tol
-    delta = time_to_threshold(model, forcing.A, 0.0)
+    smap = StrobeMap(model, forcing, opts.spike_cap)
+    step = smap.apply
     states = [opts.seed]
     counts: list[int] = []
     anchor, power = 0, 1  # index of the anchor; maps it waits before it moves
     lam = 0  # distance of the return under verification, 0 when none
     period = 0  # length of the verified cycle, 0 when none
     while len(counts) < opts.transient + 2 * opts.max_period:
-        r = strobe(model, forcing, states[-1], opts.spike_cap, _delta=delta)
-        states.append(r.image)
-        counts.append(r.spikes)
+        image, spikes = step(states[-1])
+        states.append(image)
+        counts.append(spikes)
         i = len(counts)
         if lam:
             if i == anchor + 2 * lam:
@@ -469,7 +498,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     points = tuple(states[start : start + p])
     n_spikes = sum(counts[start : start + p])
 
-    info = boundary_sigma(model, forcing, spike_cap=opts.spike_cap)
+    info = smap.boundary()
     if info is None:
         word = "L" * p
         single_branch = True
@@ -478,11 +507,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
         single_branch = False
     word = _least_rotation(word)
 
-    margin = (
-        _contraction_margin(model, forcing, info, delta, spike_cap=opts.spike_cap)
-        if opts.compute_margin
-        else math.nan
-    )
+    margin = _contraction_margin(smap, info) if opts.compute_margin else math.nan
     return OrbitSummary(
         period_p=p,
         spikes_n=n_spikes,

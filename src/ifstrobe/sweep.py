@@ -21,12 +21,13 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .model import DomainError, Forcing, IntegrationError, Model
 from .strobe import OrbitOptions, OrbitSummary, SpikeRunawayError, attractor, _least_rotation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WidthCorrection",
@@ -229,6 +230,8 @@ def scan_plane(
     Numeric per-node failures are recorded and the scan continues; invalid
     input, such as a non-positive period, raises.
     """
+    import numpy as np  # here only, so that importing ifstrobe does not load numpy
+
     d_vals = np.asarray(list(d_grid), dtype=float)
     a_vals = np.asarray(list(invA_grid), dtype=float)
     if d_vals.size == 0 or a_vals.size == 0:
@@ -360,26 +363,25 @@ def verify_adding(samples: Sequence[StaircaseSample]) -> AddingReport:
     staircase.
     """
     windows = _extract_windows(samples)
+    by_eta: dict[Fraction, list[Window]] = {}
+    for w in windows:
+        by_eta.setdefault(w.eta, []).append(w)
+    ratios = [(w.eta.numerator, w.eta.denominator) for w in windows]
     checks: list[AddingCheck] = []
     for i, left in enumerate(windows):
-        for right in windows[i + 1 :]:
-            if left.eta >= right.eta:
+        n1, p1 = ratios[i]
+        for j in range(i + 1, len(windows)):
+            n2, p2 = ratios[j]
+            # a cross product of 1 also means left.eta < right.eta
+            if n2 * p1 - n1 * p2 != 1:
                 continue
-            cross = (
-                right.eta.numerator * left.eta.denominator
-                - left.eta.numerator * right.eta.denominator
-            )
-            if cross != 1:
-                continue
-            mediant = Fraction(
-                left.eta.numerator + right.eta.numerator,
-                left.eta.denominator + right.eta.denominator,
-            )
+            right = windows[j]
+            mediant = Fraction(n1 + n2, p1 + p2)
             found = next(
                 (
                     w
-                    for w in windows
-                    if w.eta == mediant and left.t_hi < w.t_lo and w.t_hi < right.t_lo
+                    for w in by_eta.get(mediant, ())
+                    if left.t_hi < w.t_lo and w.t_hi < right.t_lo
                 ),
                 None,
             )

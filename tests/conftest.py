@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ifstrobe import GenericModel, LinearModel
+from ifstrobe import GenericModel, LinearModel, StrobeMap
 
 
 def linear_f(x: float) -> float:
@@ -30,15 +30,13 @@ def lif_generic() -> GenericModel:
 
 @pytest.fixture
 def strobe_calls(monkeypatch) -> list:
-    """One entry per map application from here on."""
-    # ifstrobe.strobe is the re-exported function, so patch the module itself
-    module = sys.modules["ifstrobe.strobe"]
-    original = module.strobe
+    """One entry per map application (``StrobeMap.apply``) from here on."""
+    original = StrobeMap.apply
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(None)
-        return original(*args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(module, "strobe", counting)
+    monkeypatch.setattr(StrobeMap, "apply", counting)
     return calls

@@ -409,11 +409,12 @@ def test_inputs_outside_the_library_domain_are_config_errors(argv, rule, capsys)
     assert f"config error: {rule}" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
+def _modules_loaded_by_import(package: str) -> list[str]:
+    """Modules of ``package`` that a fresh ``import ifstrobe, ifstrobe.cli`` loads."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, ifstrobe, ifstrobe.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        f"print(*(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -422,4 +423,13 @@ def test_import_loads_no_scipy():
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_import_loads_no_scipy():
+    assert _modules_loaded_by_import("scipy") == []
+
+
+def test_import_loads_no_numpy():
+    # scan_plane, numpy's only user in the package, imports it when called
+    assert _modules_loaded_by_import("numpy") == []

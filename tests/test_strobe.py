@@ -1,5 +1,6 @@
 import logging
 import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -20,9 +21,13 @@ from ifstrobe import (
     rotation_number,
     strobe,
     Side,
+    SpikeRunawayError,
+    StrobeMap,
+    StrobeResult,
+    flow,
     time_to_threshold,
 )
-from ifstrobe.strobe import _least_rotation
+from ifstrobe.strobe import SPIKE_CAP, _least_rotation
 
 import oracle
 
@@ -113,8 +118,9 @@ def test_boundary_fallback_logs_a_warning(lif, monkeypatch, caplog):
     assert "bisection" in record.getMessage()
 
 
-def test_map_solves_the_threshold_at_most_twice(lif, monkeypatch):
-    sigma = boundary_sigma(lif, FORTY_SPIKES).sigma
+def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, monkeypatch):
+    sigma = boundary_sigma(lif_generic, FORTY_SPIKES).sigma
+    sigma_linear = boundary_sigma(lif, FORTY_SPIKES).sigma
     # ifstrobe.strobe is the re-exported function, so patch the module itself
     module = sys.modules["ifstrobe.strobe"]
     calls = {"time_to_threshold": 0, "flow": 0}
@@ -126,11 +132,19 @@ def test_map_solves_the_threshold_at_most_twice(lif, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
-    assert strobe(lif, FORTY_SPIKES, sigma).spikes == 40
+    assert strobe(lif_generic, FORTY_SPIKES, sigma).spikes == 40
     assert calls["time_to_threshold"] == 2
     calls.update(time_to_threshold=0, flow=0)
-    assert boundary_sigma(lif, FORTY_SPIKES).sigma == sigma
+    assert boundary_sigma(lif_generic, FORTY_SPIKES).sigma == sigma
     assert calls["flow"] == 1  # the guess; the edge search only counts spikes
+    # the linear closed form solves delta once per map object and calls
+    # neither function per application
+    calls.update(time_to_threshold=0, flow=0)
+    assert strobe(lif, FORTY_SPIKES, sigma_linear).spikes == 40
+    assert calls == {"time_to_threshold": 1, "flow": 0}
+    calls.update(time_to_threshold=0, flow=0)
+    assert boundary_sigma(lif, FORTY_SPIKES).sigma == sigma_linear
+    assert calls == {"time_to_threshold": 1, "flow": 1}
 
 
 def test_boundary_absent_without_spiking(lif):
@@ -169,14 +183,19 @@ def test_generic_boundary_agrees_with_linear(lif, lif_generic):
 
 @pytest.mark.parametrize("kind", ["linear", "generic"])
 def test_strobe_given_delta_is_bit_identical(kind, lif, lif_generic):
+    # one map object, with its delta solved once, gives what strobe gives
     model = lif if kind == "linear" else lif_generic
     forcing = Forcing(A=10 / 3, T=5.0, d=0.2)
-    delta = time_to_threshold(model, forcing.A, 0.0)
+    smap = StrobeMap(model, forcing)
+    assert smap.delta == time_to_threshold(model, forcing.A, 0.0)
     for x0 in np.linspace(0.0, 0.99, 7):
-        assert strobe(model, forcing, x0, _delta=delta) == strobe(model, forcing, x0)
+        times = []
+        image, spikes = smap.apply(x0, times)
+        assert StrobeResult(image, spikes, tuple(times)) == strobe(model, forcing, x0)
+        assert smap.spike_count(x0) == spikes
 
 
-def test_generic_attractor_solves_the_reset_hit_time_twice(lif_generic, monkeypatch):
+def test_generic_attractor_solves_the_reset_hit_time_once(lif_generic, monkeypatch):
     module = sys.modules["ifstrobe.strobe"]
     original = module.time_to_threshold
     starts = []
@@ -189,10 +208,99 @@ def test_generic_attractor_solves_the_reset_hit_time_twice(lif_generic, monkeypa
     # seeded off 0.0, so every solve from 0.0 is the reset hit time delta
     orbit = attractor(lif_generic, Forcing(**PULSED), OrbitOptions(seed=0.5))
     assert orbit.converged and orbit.period_p == 8
-    # once in attractor, for its maps and the margin, and once in boundary_sigma,
-    # for its guess and its edge probes; the maps and probes reuse it
-    assert starts.count(0.0) == 2
+    # once, when attractor builds its map object; the maps, the boundary's
+    # guess and edge probes and the margin all reuse it
+    assert starts.count(0.0) == 1
     assert len(starts) > 100
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _strobe_from_flows(model, forcing, x0, spike_cap):
+    """The map as two flows around a spike loop, each spike time by time_to_threshold."""
+    theta = model.theta
+    if not 0.0 <= x0 < theta:
+        raise ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
+    pulse = forcing.pulse_width
+    times = []
+    spikes, elapsed = 0, 0.0
+    t = time_to_threshold(model, forcing.A, x0)
+    if not (t is None or t > pulse):
+        delta = time_to_threshold(model, forcing.A, 0.0)
+        while True:
+            spikes += 1
+            times.append(t)
+            if spikes > spike_cap:
+                raise SpikeRunawayError(f"more than {spike_cap} spikes")
+            after = t + delta
+            if after > pulse:
+                elapsed = t
+                break
+            t = after
+    x = flow(model, forcing.A, pulse - elapsed, 0.0 if spikes else x0)
+    return flow(model, 0.0, forcing.T - pulse, x), spikes, tuple(times)
+
+
+def _outcome(fn):
+    """Bit patterns of the image and the spike times plus the count, or the error type."""
+    try:
+        image, spikes, times = fn()
+    except (ValueError, SpikeRunawayError) as exc:
+        return type(exc)
+    return _bits(image), spikes, tuple(map(_bits, times))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=st.floats(-3.0, -0.05),
+    rest=st.floats(0.02, 0.98),
+    theta=st.floats(0.3, 4.0),
+    forcing=st.builds(
+        Forcing, A=st.floats(0.0, 40.0), T=st.floats(1e-3, 200.0), d=st.floats(0.001, 0.999)
+    ),
+    share=st.floats(-0.25, 1.25),
+    spike_cap=st.integers(1, 100),
+)
+@example(a=-0.5, rest=0.4, theta=1.0, forcing=FORTY_SPIKES, share=0.5, spike_cap=SPIKE_CAP)
+@example(a=-0.5, rest=0.4, theta=1.0, forcing=FORTY_SPIKES, share=0.5, spike_cap=39)
+def test_linear_map_is_bit_identical_to_the_flows(a, rest, theta, forcing, share, spike_cap):
+    # rest places the equilibrium -b/a inside (0, theta); share places x0
+    # around the map domain [0, theta), past both ends
+    model = LinearModel(a=a, b=-a * theta * rest, theta=theta)
+    x0 = share * theta
+    smap = StrobeMap(model, forcing, spike_cap)
+
+    def mapped():
+        times = []
+        image, spikes = smap.apply(x0, times)
+        return image, spikes, times
+
+    expected = _outcome(lambda: _strobe_from_flows(model, forcing, x0, spike_cap))
+    assert _outcome(mapped) == expected
+    # the same without spike times, and the count alone
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            smap.apply(x0)
+        if expected is SpikeRunawayError:
+            with pytest.raises(SpikeRunawayError):
+                smap.spike_count(x0)
+    else:
+        image, spikes = smap.apply(x0)
+        assert (_bits(image), spikes) == expected[:2]
+        assert smap.spike_count(x0) == spikes
+
+
+def test_linear_field_without_decay_keeps_the_errors_of_the_flows():
+    # a = 0 breaks the standing hypotheses and the closed form's equilibrium
+    # divides by zero; the map calls flow and time_to_threshold instead
+    model = LinearModel(a=0.0, b=-0.5, theta=1.0)
+    forcing = Forcing(A=0.2, T=1.0, d=0.5)  # the threshold is unreachable
+    assert StrobeMap(model, forcing).delta is None
+    assert boundary_sigma(model, forcing) is None
+    with pytest.raises(ZeroDivisionError):
+        strobe(model, forcing, 0.5)
 
 
 def test_fixed_point_subthreshold(lif):
@@ -290,16 +398,14 @@ def test_attractor_seed_independence(lif):
 def test_attractor_computes_the_boundary_once(lif, monkeypatch):
     forcing = Forcing(A=10 / 3, T=1.6, d=0.2)
     margin = contraction_margin(lif, forcing)
-    # ifstrobe.strobe is the re-exported function, so patch the module itself
-    module = sys.modules["ifstrobe.strobe"]
     calls = []
-    original = module.boundary_sigma
+    original = StrobeMap.boundary
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(self):
+        calls.append(self)
+        return original(self)
 
-    monkeypatch.setattr(module, "boundary_sigma", counting)
+    monkeypatch.setattr(StrobeMap, "boundary", counting)
     orbit = attractor(lif, forcing)
     assert len(calls) == 1
     assert orbit.contraction_margin == margin > 0.0
@@ -343,7 +449,7 @@ def test_attractor_budget_bounds_the_map_applications(lif, strobe_calls, opts):
     orbit = attractor(lif, UNCONVERGED, opts)
     assert not orbit.converged
     assert 1 <= orbit.period_p <= opts.max_period
-    assert len(strobe_calls) <= opts.transient + 2 * opts.max_period
+    assert len(strobe_calls) == opts.transient + 2 * opts.max_period
 
 
 def test_attractor_eta_equals_spikes_plus_rotation(lif):
@@ -365,8 +471,6 @@ def test_rationals_are_exact(lif):
 
 
 def test_strobe_runaway_guard(lif):
-    from ifstrobe import SpikeRunawayError
-
     forcing = Forcing(A=10 / 3, T=8.0, d=0.5)  # four spikes per period
     with pytest.raises(SpikeRunawayError):
         strobe(lif, forcing, 0.0, spike_cap=2)

@@ -145,7 +145,7 @@ def test_scan_plane_stops_at_a_verified_cycle_above_the_cap(lif, strobe_calls):
     # spending the rest of the transient budget
     scan = scan_plane(lif, 1.0, [0.2], [0.5], period_cap=2, opts=FAST)
     assert scan.capped[0, 0]
-    assert len(strobe_calls) < 200
+    assert 0 < len(strobe_calls) < 200
 
 
 def test_scan_plane_logs_failed_nodes(lif, caplog):
