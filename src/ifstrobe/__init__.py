@@ -31,6 +31,7 @@ from .strobe import (
     StrobeResult,
     attractor,
     boundary_sigma,
+    contraction_margin,
     fixed_point,
     rotation_number,
     strobe,
@@ -42,7 +43,6 @@ from .bifurcation import (
     Side,
     bif_A,
     bif_T,
-    contraction_margin,
     rate_limits,
 )
 from .sweep import (
@@ -83,6 +83,7 @@ __all__ = [
     "StrobeResult",
     "attractor",
     "boundary_sigma",
+    "contraction_margin",
     "fixed_point",
     "rotation_number",
     "strobe",
@@ -92,7 +93,6 @@ __all__ = [
     "Side",
     "bif_A",
     "bif_T",
-    "contraction_margin",
     "rate_limits",
     "AddingCheck",
     "AddingReport",

@@ -1,4 +1,4 @@
-"""Border-collision curves, firing-rate limits and contraction margins.
+"""Border-collision curves and firing-rate limits.
 
 A fixed point of the stroboscopic map spiking n times per period is destroyed
 in two ways as parameters move: its first threshold crossing slides to the
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from ._brent import brentq
 from .model import (
     DomainError,
-    Forcing,
     Model,
+    _check_forcing,
     averaged_time_to_threshold,
     classify_region,
     critical_dose,
@@ -38,7 +38,6 @@ from .model import (
     time_to_threshold,
     Region,
 )
-from .strobe import StrobeMap, _contraction_margin
 
 __all__ = [
     "Side",
@@ -48,7 +47,6 @@ __all__ = [
     "bif_A",
     "bif_T",
     "rate_limits",
-    "contraction_margin",
 ]
 
 #: Relative cushion above the critical dose for amplitude brackets; roots
@@ -134,33 +132,46 @@ def _normalize_side(n: int, side: Side) -> tuple[Side, int]:
     return Side.L, n
 
 
-def _decay_start(side: Side, theta: float) -> float:
+def _reset_time(model: Model, A: float, k: int) -> float | None:
+    # delta, the hit time from the reset state; only alignments with k >= 1 use it
+    return time_to_threshold(model, A, 0.0) if k else 0.0
+
+
+def _first_crossing(
+    model: Model, A: float, d: float, T: float, side: Side
+) -> tuple[float, float | None]:
+    """The colliding fixed point ``xbar`` and its first threshold time (None if unreached)."""
     # right collisions reset at the pulse end (decay from 0); left and onset
     # collisions graze without reset (decay from theta)
-    return 0.0 if side is Side.R else theta
+    xbar = flow(model, 0.0, T * (1.0 - d), 0.0 if side is Side.R else model.theta)
+    return xbar, time_to_threshold(model, A, xbar)
 
 
-def _alignment_defect(model: Model, A: float, d: float, T: float, side: Side, k: int) -> float:
-    xbar = flow(model, 0.0, T * (1.0 - d), _decay_start(side, model.theta))
-    t1 = time_to_threshold(model, A, xbar)
-    if t1 is None:
+def _alignment_defect(
+    model: Model, A: float, d: float, T: float, side: Side, k: int, delta: float | None
+) -> float:
+    t1 = _first_crossing(model, A, d, T, side)[1]
+    if t1 is None or delta is None:
         return math.inf
     defect = t1 - d * T
     if k:
-        delta = time_to_threshold(model, A, 0.0)
-        if delta is None:
-            return math.inf
         defect += k * delta
     return defect
 
 
 def _make_point(
-    model: Model, n: int, side: Side, d: float, T: float, A: float, k: int, at_resolution: bool
+    model: Model,
+    n: int,
+    side: Side,
+    d: float,
+    T: float,
+    A: float,
+    k: int,
+    delta: float | None,
+    at_resolution: bool,
 ) -> BifPoint:
     theta = model.theta
-    xbar = flow(model, 0.0, T * (1.0 - d), _decay_start(side, theta))
-    t1 = time_to_threshold(model, A, xbar)
-    delta = time_to_threshold(model, A, 0.0) if k else 0.0
+    xbar, t1 = _first_crossing(model, A, d, T, side)
     if t1 is None or delta is None:
         t1 = math.inf
         residual = math.inf
@@ -185,6 +196,17 @@ def _make_point(
     )
 
 
+def _grow_bracket(defect, hi: float, ceiling: float, name: str, n: int, side: Side) -> float:
+    """Quadruple ``hi`` until the defect turns non-positive there, up to ``ceiling``."""
+    while defect(hi) > 0.0:
+        hi *= 4.0
+        if hi > ceiling:
+            raise BifurcationNotFound(
+                f"no {name} below {ceiling} satisfies the collision (n={n}, side={side.value})"
+            )
+    return hi
+
+
 def bif_A(
     model: Model, n: int, side: Side, d: float, T: float, time_tol: float = 1e-14
 ) -> BifPoint:
@@ -195,31 +217,23 @@ def bif_A(
     bracketed and refined with brentq.  Raises :class:`BifurcationNotFound`
     when no admissible amplitude exists.
     """
-    if not (0.0 < d < 1.0):
-        raise DomainError("duty cycle d must lie in (0, 1)")
-    if T <= 0.0:
-        raise DomainError("period T must be > 0")
+    _check_forcing(T=T, d=d)
     side, k = _normalize_side(n, side)
     qc = critical_dose(model)
     lo = qc * (1.0 + _AMP_CUSHION)
 
     def defect(A: float) -> float:
-        return _alignment_defect(model, A, d, T, side, k)
+        return _alignment_defect(model, A, d, T, side, k, _reset_time(model, A, k))
 
-    f_lo = defect(lo)
-    if not f_lo > 0.0:
+    at_resolution = not defect(lo) > 0.0
+    if at_resolution:
         # true root is below the cushion; indistinguishable from the critical
         # dose in double precision
-        return _make_point(model, n, side, d, T, lo, k, at_resolution=True)
-    hi = max(2.0 * qc, qc + 1.0)
-    while defect(hi) > 0.0:
-        hi *= 4.0
-        if hi > _AMP_CEILING:
-            raise BifurcationNotFound(
-                f"no amplitude below {_AMP_CEILING} satisfies the collision (n={n}, side={side.value})"
-            )
-    A = brentq(defect, lo, hi, xtol=max(time_tol * 0.1, 1e-15), rtol=8.9e-16)
-    return _make_point(model, n, side, d, T, A, k, at_resolution=False)
+        A = lo
+    else:
+        hi = _grow_bracket(defect, max(2.0 * qc, qc + 1.0), _AMP_CEILING, "amplitude", n, side)
+        A = brentq(defect, lo, hi, xtol=max(time_tol * 0.1, 1e-15), rtol=8.9e-16)
+    return _make_point(model, n, side, d, T, A, k, _reset_time(model, A, k), at_resolution)
 
 
 def bif_T(
@@ -232,42 +246,27 @@ def bif_T(
     elsewhere a window endpoint exists for every n >= 1 whenever A exceeds
     the critical dose.
     """
-    if not (0.0 < d < 1.0):
-        raise DomainError("duty cycle d must lie in (0, 1)")
+    _check_forcing(A=A, d=d)
     if not time_tol > 0.0:
         raise DomainError("time_tol must be > 0")
     side, k = _normalize_side(n, side)
-    if time_to_threshold(model, A, 0.0) is None:
+    delta = time_to_threshold(model, A, 0.0)  # depends on A alone: once per solve
+    if delta is None:
         raise BifurcationNotFound(f"A = {A} at or below the critical dose: no spiking orbit")
 
     def defect(T: float) -> float:
-        return _alignment_defect(model, A, d, T, side, k)
+        return _alignment_defect(model, A, d, T, side, k, delta)
 
     lo = _PERIOD_FLOOR
-    f_lo = defect(lo)
-    if not f_lo > 0.0:
+    if not defect(lo) > 0.0:
         raise BifurcationNotFound(
             f"no onset period: ({A}, {d}) is not in the conditional-spiking region"
             if side is Side.ZERO
             else f"collision unreachable at small periods (n={n}, side={side.value})"
         )
-    hi = max(1.0, 2.0 * lo)
-    while defect(hi) > 0.0:
-        hi *= 4.0
-        if hi > _PERIOD_CEILING:
-            raise BifurcationNotFound(
-                f"no period below {_PERIOD_CEILING} satisfies the collision (n={n}, side={side.value})"
-            )
+    hi = _grow_bracket(defect, max(1.0, 2.0 * lo), _PERIOD_CEILING, "period", n, side)
     T = brentq(defect, lo, hi, xtol=time_tol, rtol=8.9e-16)
-    return _make_point(model, n, side, d, T, A, k, at_resolution=False)
-
-
-def contraction_margin(model: Model, forcing: Forcing) -> float:
-    """Interval length lost by the right branch of the map; > 0 certifies
-    contraction there.  Without a boundary the single branch is measured,
-    which is always contracting under the standing hypotheses."""
-    smap = StrobeMap(model, forcing)
-    return _contraction_margin(smap, smap.boundary())
+    return _make_point(model, n, side, d, T, A, k, delta, at_resolution=False)
 
 
 def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -> RateLimits:
@@ -281,9 +280,7 @@ def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -
     region = classify_region(model, A, d)
     if region.kind == Region.NON_SPIKING:
         raise DomainError(f"(A={A}, d={d}) lies in the non-spiking region")
-    delta = time_to_threshold(model, A, 0.0)
-    if delta is None:
-        raise DomainError(f"(A={A}, d={d}) lies in the non-spiking region")
+    delta = time_to_threshold(model, A, 0.0)  # not None above the critical dose
     r_infinity = d / delta
 
     if region.kind == Region.PERMANENT_SPIKING:

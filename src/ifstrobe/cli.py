@@ -42,6 +42,7 @@ from .sweep import (
     AmplitudeCorrection,
     StaircaseSample,
     WidthCorrection,
+    _linspace,
     scan_plane,
     sweep_T,
     verify_adding,
@@ -358,13 +359,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         + (f", wrote {args.out}" if args.out else "")
     )
     return EXIT_OK
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n == 1:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def _cmd_bif(args: argparse.Namespace) -> int:

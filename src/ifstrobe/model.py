@@ -113,6 +113,16 @@ class GenericModel:
 Model = Union[LinearModel, GenericModel]
 
 
+def _check_forcing(A: float | None = None, T: float | None = None, d: float | None = None) -> None:
+    """Apply the one domain rule of each given forcing parameter; raises DomainError."""
+    if A is not None and not (math.isfinite(A) and A >= 0.0):
+        raise DomainError("amplitude A must be finite and >= 0")
+    if T is not None and not (math.isfinite(T) and T > 0.0):
+        raise DomainError("period T must be finite and > 0")
+    if d is not None and not (0.0 < d < 1.0):
+        raise DomainError("duty cycle d must lie in the open interval (0, 1)")
+
+
 @dataclass(frozen=True)
 class Forcing:
     """Square-wave input: amplitude ``A`` on (nT, nT + dT], zero otherwise."""
@@ -122,12 +132,7 @@ class Forcing:
     d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.A) and self.A >= 0.0):
-            raise DomainError("amplitude A must be finite and >= 0")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise DomainError("period T must be finite and > 0")
-        if not (0.0 < self.d < 1.0):
-            raise DomainError("duty cycle d must lie in the open interval (0, 1)")
+        _check_forcing(self.A, self.T, self.d)
 
     @property
     def dose(self) -> float:
@@ -456,10 +461,7 @@ def classify_region(model: Model, A: float, d: float, tol: float = BOUNDARY_TOL)
     conditional spiking for Q_c < A with A*d < Q_c.  The result depends only
     on A, d and the model, never on the period.
     """
-    if not (0.0 < d < 1.0):
-        raise DomainError("duty cycle d must lie in (0, 1)")
-    if A < 0.0:
-        raise DomainError("amplitude A must be >= 0")
+    _check_forcing(A=A, d=d)
     qc = critical_dose(model)
     on_amp = abs(A - qc) <= tol
     on_dose = abs(A * d - qc) <= tol

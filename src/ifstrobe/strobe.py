@@ -38,6 +38,7 @@ __all__ = [
     "boundary_sigma",
     "fixed_point",
     "attractor",
+    "contraction_margin",
     "rotation_number",
 ]
 
@@ -446,6 +447,14 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
     if not math.isfinite(sup):
         return span
     return span * (1.0 - sup)
+
+
+def contraction_margin(model: Model, forcing: Forcing) -> float:
+    """Interval length lost by the right branch of the map; > 0 certifies
+    contraction there.  Without a boundary the single branch is measured,
+    which is always contracting under the standing hypotheses."""
+    smap = StrobeMap(model, forcing)
+    return _contraction_margin(smap, smap.boundary())
 
 
 def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) -> OrbitSummary:

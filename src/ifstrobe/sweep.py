@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .model import DomainError, Forcing, IntegrationError, Model
+from .model import DomainError, Forcing, IntegrationError, Model, _check_forcing
 from .strobe import OrbitOptions, OrbitSummary, SpikeRunawayError, attractor, _least_rotation
 
 if TYPE_CHECKING:
@@ -156,6 +156,14 @@ def _pmap(fn, tasks: Sequence, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced floats from lo to hi, both ends exact."""
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def sweep_T(
     model: Model,
     mode: DoseMode,
@@ -182,13 +190,12 @@ def sweep_T(
         t_min = mode.delta * (1.0 + 1e-12)
         if t_min >= t_max:
             raise DomainError("period range lies at or below the pulse duration")
-    spacing = (t_max - t_min) / (resolution - 1)
-    grid = [t_min + i * spacing for i in range(resolution - 1)] + [t_max]
+    grid = _linspace(t_min, t_max, resolution)
     samples = _pmap(_eval_sweep_node, [(model, mode, T, opts) for T in grid], workers)
     samples.sort(key=lambda s: s.T)
     if not refine:
         return samples
-    min_gap = spacing / 100.0
+    min_gap = (t_max - t_min) / (resolution - 1) / 100.0  # the grid spacing, to its bits
     while True:
         mids = []
         for left, right in zip(samples, samples[1:]):
@@ -208,7 +215,7 @@ def _eval_plane_node(
         forcing = Forcing(A=1.0 / invA, T=T, d=d)
         orbit = attractor(model, forcing, opts)
     except (SpikeRunawayError, IntegrationError) as exc:
-        logger.warning("scan node d=%r, 1/A=%r failed: %s", float(d), float(invA), exc)
+        logger.warning("scan node d=%r, 1/A=%r failed: %s", d, invA, exc)
         return 0, math.nan, False, True
     if orbit.converged and orbit.period_p <= cap:
         return orbit.period_p, float(orbit.eta), False, False
@@ -230,32 +237,29 @@ def scan_plane(
     Numeric per-node failures are recorded and the scan continues; invalid
     input, such as a non-positive period, raises.
     """
-    import numpy as np  # here only, so that importing ifstrobe does not load numpy
-
-    d_vals = np.asarray(list(d_grid), dtype=float)
-    a_vals = np.asarray(list(invA_grid), dtype=float)
-    if d_vals.size == 0 or a_vals.size == 0:
+    d_vals = [float(d) for d in d_grid]
+    a_vals = [float(invA) for invA in invA_grid]
+    if not d_vals or not a_vals:
         raise DomainError("grids must be nonempty")
-    if np.any(d_vals <= 0.0) or np.any(d_vals >= 1.0):
+    if not all(0.0 < d < 1.0 for d in d_vals):
         raise DomainError("duty-cycle grid must lie inside (0, 1)")
-    if np.any(a_vals <= 0.0):
+    if not all(invA > 0.0 for invA in a_vals):
         raise DomainError("1/A grid must be strictly positive")
+    _check_forcing(T=T)
     opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
-    results = _pmap(_eval_plane_node, tasks, workers)
-    shape = (d_vals.size, a_vals.size)
-    period = np.zeros(shape, dtype=int)
-    eta = np.full(shape, math.nan)
-    capped = np.zeros(shape, dtype=bool)
-    failed = np.zeros(shape, dtype=bool)
-    for idx, (p, e, c, f) in enumerate(results):
-        i, j = divmod(idx, a_vals.size)
-        period[i, j] = p
-        eta[i, j] = e
-        capped[i, j] = c
-        failed[i, j] = f
+    period, eta, capped, failed = zip(*_pmap(_eval_plane_node, tasks, workers))
+    import numpy as np  # for the result only: neither import ifstrobe nor a worker loads it
+
+    shape = (len(d_vals), len(a_vals))
     return PlaneScan(
-        T=T, d_grid=d_vals, invA_grid=a_vals, period=period, eta=eta, capped=capped, failed=failed
+        T=T,
+        d_grid=np.array(d_vals),
+        invA_grid=np.array(a_vals),
+        period=np.array(period, dtype=int).reshape(shape),
+        eta=np.array(eta).reshape(shape),
+        capped=np.array(capped).reshape(shape),
+        failed=np.array(failed).reshape(shape),
     )
 
 
@@ -392,25 +396,18 @@ def verify_adding(samples: Sequence[StaircaseSample]) -> AddingReport:
             if sigma is not None and omega is not None:
                 expected_word = _least_rotation(sigma + omega)
             if found is None:
-                checks.append(
-                    AddingCheck(
-                        left=left,
-                        right=right,
-                        mediant=mediant,
-                        expected_word=expected_word,
-                        found=None,
-                        status="unresolved",
-                        detail=f"no window at {mediant} sampled in ({left.t_hi}, {right.t_lo})",
-                    )
-                )
-                continue
-            problems = []
-            if expected_word is not None:
-                if found.word != expected_word:
-                    problems.append(f"word {found.word} != {expected_word}")
-                rho_expected = Fraction(expected_word.count("R"), len(expected_word))
-                if found.rho != rho_expected:
-                    problems.append(f"rotation {found.rho} != {rho_expected}")
+                status = "unresolved"
+                detail = f"no window at {mediant} sampled in ({left.t_hi}, {right.t_lo})"
+            else:
+                problems = []
+                if expected_word is not None:
+                    if found.word != expected_word:
+                        problems.append(f"word {found.word} != {expected_word}")
+                    rho_expected = Fraction(expected_word.count("R"), len(expected_word))
+                    if found.rho != rho_expected:
+                        problems.append(f"rotation {found.rho} != {rho_expected}")
+                status = "violation" if problems else "ok"
+                detail = "; ".join(problems)
             checks.append(
                 AddingCheck(
                     left=left,
@@ -418,8 +415,8 @@ def verify_adding(samples: Sequence[StaircaseSample]) -> AddingReport:
                     mediant=mediant,
                     expected_word=expected_word,
                     found=found,
-                    status="violation" if problems else "ok",
-                    detail="; ".join(problems),
+                    status=status,
+                    detail=detail,
                 )
             )
     return AddingReport(windows=tuple(windows), checks=tuple(checks))

@@ -1,10 +1,13 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from ifstrobe import (
     BifurcationNotFound,
+    DomainError,
     Forcing,
     LinearModel,
     Side,
@@ -112,6 +115,50 @@ def test_wide_window_width_approaches_rise_time_ratio(lif):
     delta = time_to_threshold(lif, A, 0.0)
     width = bif_T(lif, 20, Side.L, A, d).T - bif_T(lif, 20, Side.R, A, d).T
     assert width == pytest.approx(delta / d, rel=0.10)
+
+
+def test_bif_T_solves_the_reset_hit_time_once(lif, monkeypatch):
+    # delta = time_to_threshold(model, A, 0.0) depends on A alone
+    from_reset = []
+
+    def counting(model, drive, x0):
+        if x0 == 0.0:
+            from_reset.append(drive)
+        return time_to_threshold(model, drive, x0)
+
+    monkeypatch.setattr(sys.modules["ifstrobe.bifurcation"], "time_to_threshold", counting)
+    for n, side in [(1, Side.L), (3, Side.R), (3, Side.L)]:
+        from_reset.clear()
+        bif_T(lif, n, side, 10 / 3, 0.2)
+        assert len(from_reset) <= 2, (n, side)
+
+
+A_RULE = "amplitude A must be finite and >= 0"
+T_RULE = "period T must be finite and > 0"
+D_RULE = "duty cycle d must lie in the open interval (0, 1)"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "solve, rule",
+    [
+        (lambda m, v: bif_A(m, 1, Side.R, 0.5, v), T_RULE),
+        (lambda m, v: bif_A(m, 1, Side.R, v, 2.0), D_RULE),
+        (lambda m, v: bif_T(m, 1, Side.R, v, 0.2), A_RULE),
+        (lambda m, v: bif_T(m, 1, Side.R, 10 / 3, v), D_RULE),
+        (lambda m, v: rate_limits(m, v, 0.2), A_RULE),
+        (lambda m, v: rate_limits(m, 10 / 3, v), D_RULE),
+    ],
+    ids=["bif_A-T", "bif_A-d", "bif_T-A", "bif_T-d", "rate_limits-A", "rate_limits-d"],
+)
+def test_non_finite_forcing_is_a_domain_error(lif, solve, rule, bad):
+    with pytest.raises(DomainError, match=re.escape(rule)):
+        solve(lif, bad)
+
+
+def test_bif_T_rejects_a_negative_amplitude(lif):
+    with pytest.raises(DomainError, match=re.escape(A_RULE)):
+        bif_T(lif, 1, Side.R, -1.0, 0.2)
 
 
 def test_rate_limits_permanent_point(lif):

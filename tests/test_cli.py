@@ -374,7 +374,7 @@ def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
     "argv, rule",
     [
         (["limits", *MODEL, "--A", "0.25", "--d", "0.5"], "(A=0.25, d=0.5) lies in the non-spiking region"),
-        (["classify", *MODEL, "--A", "-1", "--d", "0.5"], "amplitude A must be >= 0"),
+        (["classify", *MODEL, "--A", "-1", "--d", "0.5"], "amplitude A must be finite and >= 0"),
         (
             ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2",
              "--tmin", "2", "--tmax", "1", "--n", "3"],
@@ -405,6 +405,35 @@ def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
     ],
 )  # fmt: skip
 def test_inputs_outside_the_library_domain_are_config_errors(argv, rule, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {rule}" in capsys.readouterr().err
+
+
+BIF_T = ["bif", *MODEL, "--solve", "T", "--side", "R", "--spikes", "1", "--d", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["classify", *MODEL, "--A", "nan", "--d", "0.5"], "amplitude A must be finite and >= 0"),
+        (["classify", *MODEL, "--A", "inf", "--d", "0.5"], "amplitude A must be finite and >= 0"),
+        (["limits", *MODEL, "--A", "inf", "--d", "0.2"], "amplitude A must be finite and >= 0"),
+        (["limits", *MODEL, "--A", "nan", "--d", "0.2"], "amplitude A must be finite and >= 0"),
+        ([*BIF_T, "--A", "nan"], "amplitude A must be finite and >= 0"),
+        ([*BIF_T, "--A", "inf"], "amplitude A must be finite and >= 0"),
+        ([*BIF_T, "--A", "-1"], "amplitude A must be finite and >= 0"),
+        (
+            ["bif", *MODEL, "--solve", "A", "--side", "R", "--spikes", "1", "--d", "0.5",
+             "--T", "inf"],
+            "period T must be finite and > 0",
+        ),
+    ],
+    ids=[
+        "classify-A-nan", "classify-A-inf", "limits-A-inf", "limits-A-nan",
+        "bif-T-A-nan", "bif-T-A-inf", "bif-T-A-negative", "bif-A-T-inf",
+    ],
+)  # fmt: skip
+def test_forcing_outside_its_domain_is_a_config_error(argv, rule, capsys):
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {rule}" in capsys.readouterr().err
 

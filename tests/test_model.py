@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifstrobe import (
+    DomainError,
     Forcing,
     GenericModel,
     LinearModel,
@@ -119,6 +121,15 @@ def test_classify_region_ignores_period(lif):
     for A, d in [(0.1, 0.3), (0.9, 0.7), (2.0, 0.4)]:
         kind = classify_region(lif, A, d).kind
         assert classify_region(lif, A, d).kind == kind
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_classify_region_applies_the_forcing_rules(lif, bad):
+    with pytest.raises(DomainError, match="amplitude A must be finite and >= 0"):
+        classify_region(lif, bad, 0.5)
+    d_rule = "duty cycle d must lie in the open interval (0, 1)"
+    with pytest.raises(DomainError, match=re.escape(d_rule)):
+        classify_region(lif, 10 / 3, bad)
 
 
 models = st.builds(

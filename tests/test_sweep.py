@@ -9,6 +9,7 @@ import pytest
 
 from ifstrobe import (
     AmplitudeCorrection,
+    DomainError,
     Forcing,
     GenericModel,
     LinearModel,
@@ -184,6 +185,20 @@ def test_scan_plane_skips_the_contraction_margin(lif, monkeypatch):
     assert not scan.failed.any()
 
 
+def test_scan_plane_nodes_receive_python_floats(lif, monkeypatch):
+    sweep = sys.modules["ifstrobe.sweep"]
+    original = sweep.attractor
+    types = set()
+
+    def recording(model, forcing, opts=None):
+        types.add((type(forcing.A), type(forcing.d)))
+        return original(model, forcing, opts)
+
+    monkeypatch.setattr(sweep, "attractor", recording)
+    scan_plane(lif, 1.0, np.array([0.2, 0.5]), np.array([0.5, 2.0]), opts=FAST)
+    assert types == {(float, float)}
+
+
 def test_scan_plane_raises_on_invalid_input(lif):
     with pytest.raises(ValueError, match="period T"):
         scan_plane(lif, -1.0, [0.2, 0.5], [0.5, 2.0], opts=FAST)
@@ -197,6 +212,15 @@ def test_unpicklable_model_fails_before_any_pool_starts(monkeypatch):
     model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
     with pytest.raises(TypeError, match="module level"):
         sweep_T(model, WidthCorrection(A=10 / 3, d=0.2), (1.0, 2.0), 4, opts=FAST, workers=2)
+
+
+def test_scan_plane_checks_the_period_before_any_pool_starts(lif, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "ProcessPoolExecutor", no_pool)
+    with pytest.raises(DomainError, match="period T must be finite and > 0"):
+        scan_plane(lif, math.inf, [0.2, 0.5], [0.5, 2.0], opts=FAST, workers=2)
 
 
 def _sample(T, eta, word, contraction_ok=True):
