@@ -10,7 +10,8 @@ bif           one border-collision solve (--solve A|T, --side R|L|zero)
 adding-check  period-adding/Farey report for a previously swept CSV
 
 Every parameter is declared once, in ``PARAMS``: its type (or choices), its
-help text and its domain rule.  The parser, the config reader and the
+help text and its domain rule, which for ``d``, ``T`` and ``theta`` is the
+library's own.  The parser, the config reader and the
 validation all derive from that table.  A parameter ``name`` is the flag
 ``--name`` (underscores written as dashes) and the key ``name`` of a flat
 ``key=value`` config file (``--config``, '#' comments); explicit command-line
@@ -30,13 +31,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .bifurcation import BifurcationNotFound, Side, bif_A, bif_T, rate_limits
-from .model import DomainError, IntegrationError, LinearModel, classify_region, validate_hypotheses
+from .model import (
+    DomainError,
+    IntegrationError,
+    LinearModel,
+    _check_forcing,
+    _check_threshold,
+    classify_region,
+    validate_hypotheses,
+)
 from .strobe import OrbitOptions, SpikeRunawayError
 from .sweep import (
     AmplitudeCorrection,
@@ -75,14 +85,17 @@ class ConfigError(ValueError):
 
 
 class Param(NamedTuple):
-    """One parameter: the flag ``--name`` and the config key ``name``."""
+    """One parameter: the flag ``--name`` and the config key ``name``.
+
+    ``check`` is either the library's rule, a function raising DomainError,
+    or a rule of the CLI's own: a domain test and the rule it states.
+    """
 
     kind: type | tuple[str, ...]  # float, int, str, bool (a bare flag) or the choices
     help: str
-    check: tuple[Callable[[Any], bool], str] | None = None  # domain test and its rule
+    check: Callable[[Any], None] | tuple[Callable[[Any], bool], str] | None = None
 
 
-_POSITIVE = (lambda v: v > 0.0, "must be strictly positive")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
 _SIDES = {side.value.lower(): side for side in Side}
 
@@ -96,12 +109,10 @@ PARAMS: dict[str, Param] = {
     "out": Param(str, "output CSV path"),
     "a": Param(float, "linear decay rate (a < 0)"),
     "b": Param(float, "linear bias (b > 0)"),
-    "theta": Param(float, "threshold (> 0)", _POSITIVE),
+    "theta": Param(float, "threshold (> 0)", _check_threshold),
     "A": Param(float, "pulse amplitude"),
-    "d": Param(
-        float, "duty cycle", (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0, 1)")
-    ),
-    "T": Param(float, "forcing period", _POSITIVE),
+    "d": Param(float, "duty cycle", lambda v: _check_forcing(d=v)),
+    "T": Param(float, "forcing period", lambda v: _check_forcing(T=v)),
     "mode": Param(("width", "amplitude"), "dose conservation: fixed (A, d) or fixed pulse duration"),
     "delta": Param(float, "pulse duration (amplitude mode)"),
     "Q": Param(float, "dose (amplitude mode)"),
@@ -167,14 +178,23 @@ def parse_config(path: str | Path) -> argparse.Namespace:
 
 def _validate(ns: argparse.Namespace, prefix: str = "") -> None:
     """Check every set parameter against its domain, then the model hypotheses."""
-    for name, param in PARAMS.items():
-        value = getattr(ns, name, None)
-        if value is not None and param.check is not None and not param.check[0](value):
-            raise ConfigError(f"{prefix}{name} {param.check[1]}, got {value!r}")
-    if all(getattr(ns, name, None) is not None for name in MODEL):
-        report = validate_hypotheses(LinearModel(a=ns.a, b=ns.b, theta=ns.theta))
-        if not report.passed:
-            raise ConfigError(f"{prefix}model hypothesis violated: {report.failures[0].detail}")
+    try:
+        for name, param in PARAMS.items():
+            value = getattr(ns, name, None)
+            if value is None or param.check is None:
+                continue
+            if isinstance(param.check, tuple):
+                test, rule = param.check
+                if not test(value):
+                    raise ConfigError(f"{name} {rule}, got {value!r}")
+            else:
+                param.check(value)
+        if all(getattr(ns, name, None) is not None for name in MODEL):
+            report = validate_hypotheses(LinearModel(a=ns.a, b=ns.b, theta=ns.theta))
+            if not report.passed:
+                raise ConfigError(f"model hypothesis violated: {report.failures[0].detail}")
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -338,24 +358,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         opts=_orbit_opts(args),
         workers=args.workers or 1,
     )
-    rows = []
-    for i, d in enumerate(scan.d_grid):
-        for j, inva in enumerate(scan.invA_grid):
-            rows.append(
-                (
-                    _fmt(d),
-                    _fmt(inva),
-                    int(scan.period[i, j]),
-                    _fmt(scan.eta[i, j]),
-                    int(scan.capped[i, j]),
-                    int(scan.failed[i, j]),
-                )
-            )
+    cells = itertools.product(scan.d_values, scan.invA_values)  # the nodes' row-major order
+    rows = [
+        (_fmt(d), _fmt(inva), period, "nan" if eta is None else _fmt(eta), int(capped), int(failed))
+        for (d, inva), (period, eta, capped, failed) in zip(cells, scan.nodes)
+    ]
     if args.out:
         _write_csv(args.out, SCAN_COLUMNS, rows)
     print(
         f"scan: {len(rows)} nodes at T={_fmt(args.T)}, "
-        f"{int(scan.capped.sum())} capped, {int(scan.failed.sum())} failed"
+        f"{sum(row[4] for row in rows)} capped, {sum(row[5] for row in rows)} failed"
         + (f", wrote {args.out}" if args.out else "")
     )
     return EXIT_OK

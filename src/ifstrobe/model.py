@@ -81,8 +81,7 @@ class LinearModel:
     theta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise DomainError("theta must be finite and strictly positive")
+        _check_threshold(self.theta)
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError("a and b must be finite")
 
@@ -106,11 +105,16 @@ class GenericModel:
     theta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise DomainError("theta must be finite and strictly positive")
+        _check_threshold(self.theta)
 
 
 Model = Union[LinearModel, GenericModel]
+
+
+def _check_threshold(theta: float) -> None:
+    """Apply the one domain rule of the threshold; raises DomainError."""
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise DomainError("theta must be finite and strictly positive")
 
 
 def _check_forcing(A: float | None = None, T: float | None = None, d: float | None = None) -> None:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import logging
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .model import DomainError, Forcing, IntegrationError, Model, _check_forcing
@@ -103,19 +102,60 @@ class StaircaseSample:
 class PlaneScan:
     """Attractor period and firing-number over a (d, 1/A) grid at fixed T.
 
-    Matrices are indexed [i_d, i_invA].  Nodes where no period at or below
-    the cap was confirmed are flagged in ``capped`` (period 0, eta NaN);
+    The scan holds plain Python values: the grids ``d_values`` and
+    ``invA_values`` and one ``(period, eta, capped, failed)`` tuple per node
+    in ``nodes``, row-major over d then 1/A.  Nodes where no period at or
+    below the cap was confirmed are flagged ``capped`` (period 0, eta None);
     nodes whose attractor search hit a numeric failure (spike runaway or an
-    integration error) are flagged in ``failed``.
+    integration error) are flagged ``failed`` (period 0, eta None).  Two
+    scans of the same grid compare equal for any worker count.
+
+    The numpy views ``d_grid``, ``invA_grid``, ``period`` (int), ``eta``
+    (float, NaN where undefined), ``capped`` and ``failed`` (bool) are built
+    on first access, so only code that reads one of them imports numpy.
+    The matrices are indexed [i_d, i_invA].
     """
 
     T: float
-    d_grid: np.ndarray
-    invA_grid: np.ndarray
-    period: np.ndarray
-    eta: np.ndarray
-    capped: np.ndarray
-    failed: np.ndarray
+    d_values: tuple[float, ...]
+    invA_values: tuple[float, ...]
+    nodes: tuple[tuple[int, float | None, bool, bool], ...]
+
+    def _matrix(self, column: int, dtype: type) -> np.ndarray:
+        values = [node[column] for node in self.nodes]
+        if dtype is float:
+            values = [math.nan if v is None else v for v in values]
+        return _array(values, dtype).reshape(len(self.d_values), len(self.invA_values))
+
+    @cached_property
+    def d_grid(self) -> np.ndarray:
+        return _array(self.d_values, float)
+
+    @cached_property
+    def invA_grid(self) -> np.ndarray:
+        return _array(self.invA_values, float)
+
+    @cached_property
+    def period(self) -> np.ndarray:
+        return self._matrix(0, int)
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return self._matrix(1, float)
+
+    @cached_property
+    def capped(self) -> np.ndarray:
+        return self._matrix(2, bool)
+
+    @cached_property
+    def failed(self) -> np.ndarray:
+        return self._matrix(3, bool)
+
+
+def _array(values: Sequence, dtype: type) -> np.ndarray:
+    import numpy as np  # the package's only numpy import, for PlaneScan's views
+
+    return np.array(values, dtype=dtype)
 
 
 def _to_sample(T: float, orbit: OrbitSummary) -> StaircaseSample:
@@ -143,6 +183,9 @@ def _eval_sweep_node(task: tuple[Model, DoseMode, float, OrbitOptions]) -> Stair
 def _pmap(fn, tasks: Sequence, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    import pickle  # only a pool needs these: importing ifstrobe loads neither
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         pickle.dumps(tasks[0])
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -209,17 +252,17 @@ def sweep_T(
 
 def _eval_plane_node(
     task: tuple[Model, float, float, float, int, OrbitOptions]
-) -> tuple[int, float, bool, bool]:
+) -> tuple[int, float | None, bool, bool]:
     model, T, d, invA, cap, opts = task
     try:
         forcing = Forcing(A=1.0 / invA, T=T, d=d)
         orbit = attractor(model, forcing, opts)
     except (SpikeRunawayError, IntegrationError) as exc:
         logger.warning("scan node d=%r, 1/A=%r failed: %s", d, invA, exc)
-        return 0, math.nan, False, True
+        return 0, None, False, True
     if orbit.converged and orbit.period_p <= cap:
         return orbit.period_p, float(orbit.eta), False, False
-    return 0, math.nan, True, False
+    return 0, None, True, False
 
 
 def scan_plane(
@@ -248,19 +291,8 @@ def scan_plane(
     _check_forcing(T=T)
     opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
-    period, eta, capped, failed = zip(*_pmap(_eval_plane_node, tasks, workers))
-    import numpy as np  # for the result only: neither import ifstrobe nor a worker loads it
-
-    shape = (len(d_vals), len(a_vals))
-    return PlaneScan(
-        T=T,
-        d_grid=np.array(d_vals),
-        invA_grid=np.array(a_vals),
-        period=np.array(period, dtype=int).reshape(shape),
-        eta=np.array(eta).reshape(shape),
-        capped=np.array(capped).reshape(shape),
-        failed=np.array(failed).reshape(shape),
-    )
+    nodes = _pmap(_eval_plane_node, tasks, workers)
+    return PlaneScan(T=T, d_values=tuple(d_vals), invA_values=tuple(a_vals), nodes=tuple(nodes))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ifstrobe import LinearModel, scan_plane
 from ifstrobe.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -15,6 +16,7 @@ from ifstrobe.cli import (
     parse_config,
     read_staircase_csv,
 )
+from ifstrobe.sweep import _linspace
 
 MODEL = ["--a", "-0.5", "--b", "0.2", "--theta", "1"]
 
@@ -460,5 +462,86 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_numpy():
-    # scan_plane, numpy's only user in the package, imports it when called
+    # only reading a PlaneScan matrix imports numpy
     assert _modules_loaded_by_import("numpy") == []
+
+
+BIF_A = ["bif", *MODEL, "--solve", "A", "--side", "R", "--spikes", "1", "--d", "0.5"]
+T_RULE = "period T must be finite and > 0"
+D_RULE = "duty cycle d must lie in the open interval (0, 1)"
+THETA_RULE = "theta must be finite and strictly positive"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, key, value, rule",
+    [
+        *((BIF_A, "T", v, T_RULE) for v in ("nan", "inf", "0")),
+        *((["scan", *MODEL, *SCAN_GRID], "T", v, T_RULE) for v in ("nan", "inf", "0")),
+        *((["classify", *MODEL, "--A", "1"], "d", v, D_RULE) for v in ("0", "1", "nan")),
+        *((["classify", "--a", "-0.5", "--b", "0.2", "--A", "1", "--d", "0.5"], "theta", v, THETA_RULE)
+          for v in ("inf", "0")),
+    ],
+    ids=[
+        "bif-T-nan", "bif-T-inf", "bif-T-0", "scan-T-nan", "scan-T-inf", "scan-T-0",
+        "d-0", "d-1", "d-nan", "theta-inf", "theta-0",
+    ],
+)  # fmt: skip
+def test_d_T_and_theta_follow_the_library_rule(argv, key, value, rule, source, tmp_path, capsys):
+    where = ""
+    if source == "flag":
+        argv = [*argv, f"--{key}", value]
+    else:
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key}={value}\n")
+        argv = [*argv, "--config", str(path)]
+        where = f"{path}: "
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {where}{rule}\n" in capsys.readouterr().err
+
+
+def test_scan_rows_are_the_plane_scan_matrices(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", *MODEL, "--T", "1", *SCAN_GRID, "--cap", "1", "-o", str(out)]) == EXIT_OK
+    scan = scan_plane(
+        LinearModel(a=-0.5, b=0.2, theta=1.0),
+        1.0,
+        _linspace(0.2, 0.8, 3),
+        _linspace(0.5, 4.0, 3),
+        period_cap=1,
+    )
+    assert scan.capped.any()
+    rows = [
+        f"{d:.12g},{inva:.12g},{int(scan.period[i, j])},{scan.eta[i, j]:.12g},"
+        f"{int(scan.capped[i, j])},{int(scan.failed[i, j])}"
+        for i, d in enumerate(scan.d_grid)
+        for j, inva in enumerate(scan.invA_grid)
+    ]
+    assert out.read_text().splitlines()[1:] == rows
+    assert f"{int(scan.capped.sum())} capped, 0 failed" in capsys.readouterr().out
+
+
+def _fresh_python(code: str) -> str:
+    """The last line a fresh interpreter prints running ``code`` against ``src``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_subcommand_loads_no_numpy(workers, tmp_path):
+    argv = ["scan", *MODEL, "--T", "1", *SCAN_GRID, "--cap", "1", "--workers", workers]
+    argv += ["-o", str(tmp_path / "scan.csv")]
+    code = f"import sys, ifstrobe.cli; print(ifstrobe.cli.run({argv!r}), 'numpy' in sys.modules)"
+    assert _fresh_python(code) == "0 False"
+
+
+@pytest.mark.parametrize("package", ["concurrent.futures.process", "multiprocessing", "pickle"])
+def test_import_loads_no_process_pool(package):
+    assert _modules_loaded_by_import(package) == []

@@ -208,7 +208,7 @@ def test_unpicklable_model_fails_before_any_pool_starts(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
     with pytest.raises(TypeError, match="module level"):
         sweep_T(model, WidthCorrection(A=10 / 3, d=0.2), (1.0, 2.0), 4, opts=FAST, workers=2)
@@ -218,9 +218,45 @@ def test_scan_plane_checks_the_period_before_any_pool_starts(lif, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     with pytest.raises(DomainError, match="period T must be finite and > 0"):
         scan_plane(lif, math.inf, [0.2, 0.5], [0.5, 2.0], opts=FAST, workers=2)
+
+
+@pytest.mark.parametrize(
+    "grid, kwargs",
+    [
+        (([0.2, 0.5, 0.8], [0.5, 1.0, 2.0, 4.0]), {"period_cap": 1}),
+        (([0.2, 0.5], [0.3, 0.5]), {"opts": OrbitOptions(spike_cap=1)}),
+    ],
+    ids=["capped", "failed"],
+)
+def test_scan_plane_equal_across_workers(lif, grid, kwargs):
+    scan1 = scan_plane(lif, 1.0, *grid, workers=1, **kwargs)
+    scan3 = scan_plane(lif, 1.0, *grid, workers=3, **kwargs)
+    assert scan1.capped.any() or scan1.failed.any()
+    assert scan1 == scan3
+    assert scan1 != scan_plane(lif, 2.0, *grid, workers=1, **kwargs)
+
+
+def test_scan_plane_matrices_keep_their_dtypes_and_shapes(lif):
+    d_grid, invA_grid = [0.2, 0.5, 0.8], [0.5, 1.0, 2.0, 4.0]
+    scan = scan_plane(lif, 1.0, d_grid, invA_grid, period_cap=1)
+    assert scan.d_grid.dtype == np.float64 and scan.d_grid.tolist() == d_grid
+    assert scan.invA_grid.dtype == np.float64 and scan.invA_grid.tolist() == invA_grid
+    assert scan.period.dtype == np.dtype(int) and scan.period.shape == (3, 4)
+    assert scan.eta.dtype == np.float64 and scan.eta.shape == (3, 4)
+    for flags in (scan.capped, scan.failed):
+        assert flags.dtype == np.bool_ and flags.shape == (3, 4)
+    assert scan.capped.any() and not scan.failed.any()
+    assert np.array_equal(np.isnan(scan.eta), scan.capped)
+    assert np.all(scan.period[scan.capped] == 0) and np.all(scan.period[~scan.capped] == 1)
+    # the matrices are the plain node values, row-major over d then 1/A
+    plain = [(p, None if math.isnan(e) else e, c, f) for p, e, c, f in zip(
+        scan.period.ravel().tolist(), scan.eta.ravel().tolist(),
+        scan.capped.ravel().tolist(), scan.failed.ravel().tolist(),
+    )]  # fmt: skip
+    assert plain == list(scan.nodes)
 
 
 def _sample(T, eta, word, contraction_ok=True):
