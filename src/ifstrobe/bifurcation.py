@@ -119,6 +119,12 @@ class RateLimits:
     r_min_is_infimum: bool
 
 
+def _check_time_tol(time_tol: float) -> None:
+    """Apply the one domain rule of the collision solves' root tolerance; raises DomainError."""
+    if not (math.isfinite(time_tol) and time_tol > 0.0):
+        raise DomainError("time_tol must be finite and > 0")
+
+
 def _normalize_side(n: int, side: Side) -> tuple[Side, int]:
     """Map (n, side) onto the solver's alignment count k."""
     if n < 0:
@@ -218,6 +224,7 @@ def bif_A(
     when no admissible amplitude exists.
     """
     _check_forcing(T=T, d=d)
+    _check_time_tol(time_tol)
     side, k = _normalize_side(n, side)
     qc = critical_dose(model)
     lo = qc * (1.0 + _AMP_CUSHION)
@@ -247,8 +254,7 @@ def bif_T(
     the critical dose.
     """
     _check_forcing(A=A, d=d)
-    if not time_tol > 0.0:
-        raise DomainError("time_tol must be > 0")
+    _check_time_tol(time_tol)
     side, k = _normalize_side(n, side)
     delta = time_to_threshold(model, A, 0.0)  # depends on A alone: once per solve
     if delta is None:

@@ -10,9 +10,11 @@ bif           one border-collision solve (--solve A|T, --side R|L|zero)
 adding-check  period-adding/Farey report for a previously swept CSV
 
 Every parameter is declared once, in ``PARAMS``: its type (or choices), its
-help text and its domain rule, which for ``d``, ``T`` and ``theta`` is the
-library's own.  The parser, the config reader and the
-validation all derive from that table.  A parameter ``name`` is the flag
+help text and its domain rule, which for ``d``, ``T``, ``theta``, ``cap`` and
+``tol_time`` is the library's own.  The parser, the config reader and the
+validation all derive from that table.  A handler passes the library only
+the values the user gave, so every default lives in the library's
+signatures alone.  A parameter ``name`` is the flag
 ``--name`` (underscores written as dashes) and the key ``name`` of a flat
 ``key=value`` config file (``--config``, '#' comments); explicit command-line
 flags override file values.  A subcommand accepts only the flags it uses,
@@ -37,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .bifurcation import BifurcationNotFound, Side, bif_A, bif_T, rate_limits
+from .bifurcation import BifurcationNotFound, Side, _check_time_tol, bif_A, bif_T, rate_limits
 from .model import (
     DomainError,
     IntegrationError,
@@ -52,6 +54,7 @@ from .sweep import (
     AmplitudeCorrection,
     StaircaseSample,
     WidthCorrection,
+    _check_period_cap,
     _linspace,
     scan_plane,
     sweep_T,
@@ -126,11 +129,11 @@ PARAMS: dict[str, Param] = {
     "iamin": Param(float, "smallest 1/A of the scan"),
     "iamax": Param(float, "largest 1/A of the scan"),
     "ian": Param(int, "1/A nodes of the scan", _AT_LEAST_ONE),
-    "cap": Param(int, "period cap (default 20)", _AT_LEAST_ONE),
+    "cap": Param(int, "period cap of the scan", _check_period_cap),
     "solve": Param(("A", "T"), "variable of the collision solve"),
     "side": Param(str, "R, L or zero", (lambda v: v.lower() in _SIDES, "must be R, L or zero")),
     "spikes": Param(int, "spike count n"),
-    "tol_time": Param(float, "root tolerance of the collision solve (default 1e-14)"),
+    "tol_time": Param(float, "root tolerance of the collision solve", _check_time_tol),
     "input": Param(str, "CSV produced by the sweep subcommand"),
 }
 _SHORT = {"out": "-o", "input": "-i"}
@@ -177,7 +180,7 @@ def parse_config(path: str | Path) -> argparse.Namespace:
 
 
 def _validate(ns: argparse.Namespace, prefix: str = "") -> None:
-    """Check every set parameter against its domain, then the model hypotheses."""
+    """Check every set parameter against its domain, then the orbit options and the model."""
     try:
         for name, param in PARAMS.items():
             value = getattr(ns, name, None)
@@ -189,6 +192,7 @@ def _validate(ns: argparse.Namespace, prefix: str = "") -> None:
                     raise ConfigError(f"{name} {rule}, got {value!r}")
             else:
                 param.check(value)
+        _orbit_opts(ns)
         if all(getattr(ns, name, None) is not None for name in MODEL):
             report = validate_hypotheses(LinearModel(a=ns.a, b=ns.b, theta=ns.theta))
             if not report.passed:
@@ -216,10 +220,19 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 _ORBIT_PARAMS = {"transient": "transient", "max_period": "max_period", "state_tol": "tol_state"}
 
 
+def _given(args: argparse.Namespace, keywords: dict[str, str]) -> dict[str, Any]:
+    """The value of each library keyword in ``keywords`` whose ``PARAMS`` name the user gave.
+
+    ``keywords`` maps a keyword to its ``PARAMS`` name.  An unset parameter is
+    left out, so the library's default applies.
+    """
+    values = {keyword: getattr(args, name, None) for keyword, name in keywords.items()}
+    return {keyword: value for keyword, value in values.items() if value is not None}
+
+
 def _orbit_opts(args: argparse.Namespace) -> OrbitOptions:
-    given = {f: getattr(args, p) for f, p in _ORBIT_PARAMS.items() if getattr(args, p) is not None}
     try:
-        return OrbitOptions(**given)
+        return OrbitOptions(**_given(args, _ORBIT_PARAMS))
     except ValueError as exc:  # OrbitOptions names the field first
         field, rule = str(exc).split(" ", 1)
         raise ConfigError(f"{_ORBIT_PARAMS[field]} {rule}") from exc
@@ -329,9 +342,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         mode,
         (args.tmin, args.tmax),
         args.n,
-        refine=bool(args.refine),
         opts=_orbit_opts(args),
-        workers=args.workers or 1,
+        **_given(args, {"refine": "refine", "workers": "workers"}),
     )
     if args.out:
         _write_csv(args.out, SWEEP_COLUMNS, _sweep_rows(samples))
@@ -354,9 +366,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         args.T,
         d_grid,
         a_grid,
-        period_cap=args.cap if args.cap is not None else 20,
         opts=_orbit_opts(args),
-        workers=args.workers or 1,
+        **_given(args, {"period_cap": "cap", "workers": "workers"}),
     )
     cells = itertools.product(scan.d_values, scan.invA_values)  # the nodes' row-major order
     rows = [
@@ -377,13 +388,13 @@ def _cmd_bif(args: argparse.Namespace) -> int:
     model = _model_from(args)
     _require(args, "solve", "side", "spikes", "d")
     side = _SIDES[args.side.lower()]
-    time_tol = args.tol_time if args.tol_time is not None else 1e-14
+    tol = _given(args, {"time_tol": "tol_time"})
     if args.solve == "A":
         _require(args, "T")
-        point = bif_A(model, args.spikes, side, args.d, args.T, time_tol=time_tol)
+        point = bif_A(model, args.spikes, side, args.d, args.T, **tol)
     else:
         _require(args, "A")
-        point = bif_T(model, args.spikes, side, args.A, args.d, time_tol=time_tol)
+        point = bif_T(model, args.spikes, side, args.A, args.d, **tol)
     print(
         f"n={point.n} side={point.side.value} d={_fmt(point.d)} T={_fmt(point.T)} "
         f"A={_fmt(point.A)} residual={point.residual:.3e}"

@@ -71,9 +71,10 @@ class DomainError(ValueError):
 class LinearModel:
     """Linear subthreshold field f(x) = a*x + b with threshold ``theta``.
 
-    The standard hypotheses require a < 0 and 0 < -b/a < theta; they are
-    checked by :func:`validate_hypotheses`, not at construction, so that
-    invalid parameter sets can be built and reported on.
+    The standard hypotheses require a < 0, f(0) = b > 0 and f(theta) < 0, so
+    that the rest point -b/a lies in (0, theta); they are checked by
+    :func:`validate_hypotheses`, not at construction, so that invalid
+    parameter sets can be built and reported on.
     """
 
     a: float
@@ -195,55 +196,31 @@ def validate_hypotheses(model: Model, grid_points: int = HYPOTHESIS_GRID) -> Hyp
       inside (0, theta), i.e. f(0) > 0 and f(theta) < 0.
     * ``monotone_decreasing``: f'(x) < 0 on [0, theta].
 
-    For generic models the derivative condition is sampled on a uniform grid
-    (``grid_points`` nodes); this is a heuristic, not a proof.  Failures are
-    reported with a witness point, never raised.
+    Every field goes through the same check: the derivative condition is
+    sampled on a uniform grid (``grid_points`` nodes), which is exact for a
+    linear field, whose f' is constant, and a heuristic, not a proof, for a
+    generic one.  For a linear field the verdict is therefore ``a < 0 and
+    b > 0 and critical_dose(model) > 0``, in floats.  Failures are reported
+    with a witness point (for the equilibrium, the end of [0, theta] where f
+    has the wrong sign), never raised.
     """
     failures: list[HypothesisFailure] = []
     theta = model.theta
-    if isinstance(model, LinearModel):
-        if model.a >= 0.0:
-            failures.append(
-                HypothesisFailure(
-                    "monotone_decreasing", 0.0, f"f'(x) = a = {model.a} is not negative"
-                )
-            )
-            if model.b <= 0.0 or model.f(theta) >= 0.0:
-                failures.append(
-                    HypothesisFailure(
-                        "attracting_equilibrium",
-                        0.0,
-                        "no attracting equilibrium inside (0, theta)",
-                    )
-                )
-        else:
-            xbar = model.equilibrium()
-            if not (0.0 < xbar < theta):
-                failures.append(
-                    HypothesisFailure(
-                        "attracting_equilibrium",
-                        xbar,
-                        f"equilibrium -b/a = {xbar} outside (0, {theta})",
-                    )
-                )
-    else:
-        f0 = model.f(0.0)
-        fth = model.f(theta)
-        if f0 <= 0.0:
-            failures.append(HypothesisFailure("attracting_equilibrium", 0.0, f"f(0) = {f0} <= 0"))
-        if fth >= 0.0:
-            failures.append(
-                HypothesisFailure("attracting_equilibrium", theta, f"f(theta) = {fth} >= 0")
-            )
-        step = theta / (grid_points - 1)
-        for i in range(grid_points):
-            x = i * step
-            slope = model.f_deriv(x)
-            if slope >= 0.0:
-                failures.append(
-                    HypothesisFailure("monotone_decreasing", x, f"f'({x}) = {slope} >= 0")
-                )
-                break
+    f0 = model.f(0.0)
+    fth = model.f(theta)
+    if f0 <= 0.0:
+        failures.append(HypothesisFailure("attracting_equilibrium", 0.0, f"f(0) = {f0} <= 0"))
+    if fth >= 0.0:
+        failures.append(
+            HypothesisFailure("attracting_equilibrium", theta, f"f(theta) = {fth} >= 0")
+        )
+    step = theta / (grid_points - 1)
+    for i in range(grid_points):
+        x = i * step
+        slope = model.f_deriv(x)
+        if slope >= 0.0:
+            failures.append(HypothesisFailure("monotone_decreasing", x, f"f'({x}) = {slope} >= 0"))
+            break
     return HypothesisReport(passed=not failures, failures=tuple(failures))
 
 

@@ -223,7 +223,9 @@ def sweep_T(
     pins step edges to that width.  Samples come back sorted by period.
     """
     t_min, t_max = t_range
-    if not (0.0 < t_min < t_max):
+    _check_forcing(T=t_min)
+    _check_forcing(T=t_max)
+    if not t_min < t_max:
         raise DomainError("period range must satisfy 0 < t_min < t_max")
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
@@ -265,6 +267,12 @@ def _eval_plane_node(
     return 0, None, True, False
 
 
+def _check_period_cap(period_cap: int) -> None:
+    """Apply the one domain rule of a scan's period cap; raises DomainError."""
+    if not period_cap >= 1:
+        raise DomainError("period cap must be at least 1")
+
+
 def scan_plane(
     model: Model,
     T: float,
@@ -284,11 +292,12 @@ def scan_plane(
     a_vals = [float(invA) for invA in invA_grid]
     if not d_vals or not a_vals:
         raise DomainError("grids must be nonempty")
-    if not all(0.0 < d < 1.0 for d in d_vals):
-        raise DomainError("duty-cycle grid must lie inside (0, 1)")
+    for d in d_vals:
+        _check_forcing(d=d)
     if not all(invA > 0.0 for invA in a_vals):
         raise DomainError("1/A grid must be strictly positive")
     _check_forcing(T=T)
+    _check_period_cap(period_cap)
     opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
     nodes = _pmap(_eval_plane_node, tasks, workers)

@@ -156,6 +156,20 @@ def test_non_finite_forcing_is_a_domain_error(lif, solve, rule, bad):
         solve(lif, bad)
 
 
+@pytest.mark.parametrize("time_tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda m, tol: bif_A(m, 1, Side.R, 0.5, 2.0, time_tol=tol),
+        lambda m, tol: bif_T(m, 1, Side.R, 10 / 3, 0.2, time_tol=tol),
+    ],
+    ids=["bif_A", "bif_T"],
+)
+def test_time_tol_outside_its_domain_is_a_domain_error(lif, solve, time_tol):
+    with pytest.raises(DomainError, match=re.escape("time_tol must be finite and > 0")):
+        solve(lif, time_tol)
+
+
 def test_bif_T_rejects_a_negative_amplitude(lif):
     with pytest.raises(DomainError, match=re.escape(A_RULE)):
         bif_T(lif, 1, Side.R, -1.0, 0.2)

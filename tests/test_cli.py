@@ -392,7 +392,7 @@ def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
              "--tmin", "1", "--tmax", "2", "--n", "3"],
             "amplitude A must be finite and >= 0",
         ),
-        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--dmax", "1.5"], "duty-cycle grid must lie inside"),
+        (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--dmax", "1.5"], "duty cycle d must lie in the open"),
         (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--iamin", "1e-320"], "amplitude A must be finite"),
         (
             ["bif", *MODEL, "--solve", "A", "--side", "R", "--spikes", "0", "--d", "0.5",
@@ -402,7 +402,7 @@ def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
         (
             ["bif", *MODEL, "--solve", "T", "--side", "zero", "--spikes", "0", "--d", "0.5",
              "--A", "1.2", "--tol-time", "0"],
-            "time_tol must be > 0",
+            "time_tol must be finite and > 0",
         ),
     ],
 )  # fmt: skip
@@ -545,3 +545,61 @@ def test_scan_subcommand_loads_no_numpy(workers, tmp_path):
 @pytest.mark.parametrize("package", ["concurrent.futures.process", "multiprocessing", "pickle"])
 def test_import_loads_no_process_pool(package):
     assert _modules_loaded_by_import(package) == []
+
+
+TIME_TOL_RULE = "time_tol must be finite and > 0"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("solve", [[*BIF_A, "--T", "2"], [*BIF_T, "--A", "3.3333"]], ids=["A", "T"])
+def test_tol_time_outside_its_domain_is_a_config_error(solve, value, capsys):
+    assert main([*solve, "--tol-time", value]) == EXIT_CONFIG
+    assert f"config error: {TIME_TOL_RULE}\n" in capsys.readouterr().err
+
+
+SWEEP = ["sweep", *MODEL, "--mode", "width", "--A", "3.3333", "--d", "0.2", "--tmin", "0.8"]
+SWEEP += ["--tmax", "2.0", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, rule",
+    [
+        (SWEEP, "transient", "-5", "transient must be >= 0, got -5"),
+        (SWEEP, "max_period", "0", "max_period must be >= 1, got 0"),
+        (SWEEP, "tol_state", "0", "tol_state must be finite and > 0, got 0.0"),
+        (["scan", *MODEL, "--T", "1", *SCAN_GRID], "cap", "0", "period cap must be at least 1"),
+        ([*BIF_T, "--A", "3.3333"], "tol_time", "nan", TIME_TOL_RULE),
+    ],
+    ids=["transient", "max_period", "tol_state", "cap", "tol_time"],
+)
+def test_config_errors_name_the_file(argv, key, value, rule, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key}={value}\n")
+    assert main([*argv, "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: {path}: {rule}\n" in capsys.readouterr().err
+
+
+def test_unset_parameters_are_not_passed_to_the_library(monkeypatch):
+    cli = sys.modules["ifstrobe.cli"]
+    keywords = []
+
+    def recorder(fn):
+        def record(*args, **kwargs):
+            keywords.append((fn.__name__, set(kwargs)))
+            return fn(*args, **kwargs)
+
+        return record
+
+    for name in ("sweep_T", "scan_plane", "bif_A", "bif_T"):
+        monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
+    scan = ["scan", *MODEL, "--T", "1", *SCAN_GRID]
+    for argv in (SWEEP, scan, [*BIF_A, "--T", "2"], [*BIF_T, "--A", "3.3333"]):
+        assert main(argv) == EXIT_OK
+    assert main([*scan, "--cap", "1", "--workers", "1"]) == EXIT_OK
+    assert keywords == [
+        ("sweep_T", {"opts"}),
+        ("scan_plane", {"opts"}),
+        ("bif_A", set()),
+        ("bif_T", set()),
+        ("scan_plane", {"opts", "period_cap", "workers"}),
+    ]

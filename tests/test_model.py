@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifstrobe import (
@@ -37,7 +37,57 @@ def test_validate_rejects_equilibrium_above_threshold():
     report = validate_hypotheses(LinearModel(a=-0.5, b=0.6, theta=1.0))
     assert not report.passed
     assert report.failed_names() == {"attracting_equilibrium"}
-    assert report.failures[0].witness == pytest.approx(1.2)
+    assert report.failures[0].witness == 1.0  # theta, where f = 0.1 has the wrong sign
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    """The double ``steps`` adjacent doubles above x (below it for negative ``steps``)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def linear_fields(draw) -> LinearModel:
+    """Linear fields; a third with b within 4 ulps of 0, a third with -b/a within 4 ulps of theta."""
+    theta = draw(st.sampled_from([1.0, draw(st.floats(0.01, 10.0))]))
+    a = draw(st.floats(-3.0, 3.0))
+    near = draw(st.sampled_from(["anywhere", "zero", "theta"]))
+    if near == "anywhere":
+        b = draw(st.floats(-3.0, 3.0))
+    elif near == "zero":
+        b = _ulps_from(0.0, draw(st.integers(-4, 4)))
+    else:
+        b = -a * _ulps_from(theta, draw(st.integers(-4, 4)))
+    return LinearModel(a=a, b=b, theta=theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_fields())
+@example(LinearModel(a=-2.5, b=5e-324, theta=1.0))  # -b/a rounds to 0, yet f(0) = b > 0
+def test_linear_verdict_agrees_with_the_critical_dose(model):
+    expected = model.b > 0.0 and critical_dose(model) > 0.0 and model.a < 0.0
+    assert validate_hypotheses(model).passed == expected
+
+
+@pytest.mark.parametrize(
+    "a, b, theta",
+    [
+        (-1.3939773776462188, 1.3043379780994628, 0.9356952264906083),
+        (-1.5110646658837605, 2.130955539081517, 1.410234510271741),
+        (-1.633247535850683, 6.454451983303985, 3.9519128862130257),
+    ],
+)
+def test_rest_point_rounded_onto_the_threshold_fails(a, b, theta):
+    # -b/a lies just below theta, but f(theta) rounds to 0: no pulse can be
+    # too weak to spike, so the field has no attracting rest point below theta
+    model = LinearModel(a=a, b=b, theta=theta)
+    assert model.equilibrium() < theta
+    assert critical_dose(model) == 0.0
+    assert classify_region(model, A=1e-300, d=0.5).kind == Region.PERMANENT_SPIKING
+    report = validate_hypotheses(model)
+    assert report.failed_names() == {"attracting_equilibrium"}
+    assert report.failures[0].witness == theta
 
 
 def test_validate_generic_samples_grid():

@@ -204,23 +204,36 @@ def test_scan_plane_raises_on_invalid_input(lif):
         scan_plane(lif, -1.0, [0.2, 0.5], [0.5, 2.0], opts=FAST)
 
 
-def test_unpicklable_model_fails_before_any_pool_starts(monkeypatch):
-    def no_pool(*args, **kwargs):
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a process pool starts (``_pmap`` imports the class when it needs one)."""
+
+    def refuse(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+
+
+def test_unpicklable_model_fails_before_any_pool_starts(no_pool):
     model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
     with pytest.raises(TypeError, match="module level"):
         sweep_T(model, WidthCorrection(A=10 / 3, d=0.2), (1.0, 2.0), 4, opts=FAST, workers=2)
 
 
-def test_scan_plane_checks_the_period_before_any_pool_starts(lif, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+def test_scan_plane_checks_the_period_before_any_pool_starts(lif, no_pool):
     with pytest.raises(DomainError, match="period T must be finite and > 0"):
         scan_plane(lif, math.inf, [0.2, 0.5], [0.5, 2.0], opts=FAST, workers=2)
+
+
+@pytest.mark.parametrize("period_cap", [0, -3])
+def test_scan_plane_checks_the_period_cap_before_any_pool_starts(lif, no_pool, period_cap):
+    with pytest.raises(DomainError, match="period cap must be at least 1"):
+        scan_plane(lif, 1.0, [0.2, 0.5], [0.5, 2.0], period_cap=period_cap, opts=FAST, workers=2)
+
+
+def test_sweep_T_checks_both_period_ends_before_any_pool_starts(lif, no_pool):
+    with pytest.raises(DomainError, match="period T must be finite and > 0"):
+        sweep_T(lif, WidthCorrection(A=10 / 3, d=0.2), (0.3, math.inf), 4, opts=FAST, workers=2)
 
 
 @pytest.mark.parametrize(
