@@ -55,6 +55,7 @@ from .sweep import (
     StaircaseSample,
     WidthCorrection,
     _check_period_cap,
+    _check_workers,
     _linspace,
     scan_plane,
     sweep_T,
@@ -103,7 +104,7 @@ _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
 _SIDES = {side.value.lower(): side for side in Side}
 
 PARAMS: dict[str, Param] = {
-    "workers": Param(int, "parallel workers for grids"),
+    "workers": Param(int, "parallel workers for grids", _check_workers),
     "tol_state": Param(float, "attractor state-recurrence tolerance (> 0)"),
     "transient": Param(int, "attractor maps before the last cycle search (>= 0)"),
     "max_period": Param(

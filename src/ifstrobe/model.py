@@ -324,6 +324,14 @@ def _blow_up(t: float, y0: float, drive: float) -> IntegrationError:
     return IntegrationError(f"integration blew up near t={t} (x0={y0}, drive={drive})")
 
 
+def _unresolvable(x0: float, drive: float) -> IntegrationError:
+    """Error of a closed-form hit time whose rest point rounds to theta or below it."""
+    return IntegrationError(
+        f"threshold crossing not resolvable: the rest point under drive={drive} rounds "
+        f"to the threshold or below it (x0={x0})"
+    )
+
+
 def _dense_crossing(
     t: float, t_new: float, y: float, theta: float, stages: tuple[float, ...]
 ) -> float:
@@ -400,7 +408,10 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
         if model.a * theta + model.b + drive <= 0.0:
             return None
         xeq = model.equilibrium(drive)
-        return math.log1p(-(theta - x0) / (xeq - x0)) / model.a
+        try:
+            return math.log1p(-(theta - x0) / (xeq - x0)) / model.a
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _unresolvable(x0, drive) from exc
     try:
         fth = model.f(theta) + drive
     except OverflowError as exc:

@@ -17,7 +17,6 @@ are kept as exact rationals.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from ._brent import brentq
-from .model import DomainError, Forcing, LinearModel, Model, flow, time_to_threshold
+from .model import DomainError, Forcing, LinearModel, Model, _unresolvable, flow, time_to_threshold
 
 __all__ = [
     "SpikeRunawayError",
@@ -41,8 +40,6 @@ __all__ = [
     "contraction_margin",
     "rotation_number",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Default cap on spikes within one map application.
 SPIKE_CAP = 10**6
@@ -194,7 +191,10 @@ class StrobeMap:
         if not self._closed_form:
             t = time_to_threshold(self.model, self.forcing.A, x0)
         elif self._reachable:
-            t = math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
+            try:
+                t = math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
+            except (ValueError, ZeroDivisionError) as exc:
+                raise _unresolvable(x0, self.forcing.A) from exc
         else:
             t = None
         pulse = self._pulse
@@ -216,30 +216,15 @@ class StrobeMap:
 
     def boundary(self) -> BoundaryInfo | None:
         """The map's discontinuity; see :func:`boundary_sigma`."""
+        top = math.nextafter(self._theta, 0.0)
+        n = self.spike_count(top)
+        if n == 0:
+            return None
         delta = self.delta
-        if delta is None:
-            return None
-        pulse = self._pulse
-        n = math.floor(pulse / delta) + 1
-        t_first = pulse - (n - 1) * delta
-        if t_first <= 0.0:
-            return None
-        model, forcing = self.model, self.forcing
-        top = math.nextafter(model.theta, 0.0)
-        sigma = min(max(flow(model, forcing.A, max(delta - t_first, 0.0), 0.0), 0.0), top)
-        snapped = _snap_to_branch_edge(self, sigma, n)
-        if snapped is not None:
-            return BoundaryInfo(sigma=snapped, n=n)
-        logger.warning(
-            "boundary guess (sigma=%r, n=%d) disagrees with the simulated spike count "
-            "(A=%r, T=%r, d=%r); falling back to bisection",
-            sigma, n, forcing.A, forcing.T, forcing.d,
-        )
-        n_lo = self.spike_count(0.0)
-        if self.spike_count(top) == n_lo:
-            return None
-        edge = _bisect_edge(self, n_lo + 1, 0, _ordinal(top))
-        return BoundaryInfo(sigma=edge, n=self.spike_count(edge))
+        t_first = self._pulse - (n - 1) * delta
+        guess = flow(self.model, self.forcing.A, max(delta - t_first, 0.0), 0.0)
+        sigma = _snap_to_branch_edge(self, min(max(guess, 0.0), top), n)
+        return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
 
 
 def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP) -> StrobeResult:
@@ -263,11 +248,27 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
-def _bisect_edge(smap: StrobeMap, n: int, lo: int, hi: int) -> float:
-    """Upper of two adjacent doubles in the ordinal bracket where the count crosses n.
+def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
+    """The double in (0, theta) spiking at least n times whose predecessor spikes fewer.
 
-    ``lo`` must spike fewer than n times and ``hi`` at least n times.
+    Gallops 1, 2, 4, ... ulps from the guess sigma, down while the probes
+    spike at least n times and up while they spike fewer, until the count
+    crosses n, then bisects the bracket, so the cost grows with the log of
+    the distance.  Going up it stops by the last double below theta, which
+    spikes n times; None when it goes down to 0.0 without a crossing.
     """
+    top = _ordinal(math.nextafter(smap.model.theta, 0.0))
+    k = _ordinal(sigma)
+    above = smap.spike_count(sigma) >= n
+    step = -1 if above else 1
+    while True:
+        if above and k == 0:
+            return None
+        probe = min(max(k + step, 0), top)
+        if (smap.spike_count(_from_ordinal(probe)) >= n) != above:
+            break
+        k, step = probe, 2 * step
+    lo, hi = sorted((k, probe))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if smap.spike_count(_from_ordinal(mid)) >= n:
@@ -277,43 +278,22 @@ def _bisect_edge(smap: StrobeMap, n: int, lo: int, hi: int) -> float:
     return _from_ordinal(hi)
 
 
-def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
-    """A double in (0, theta) spiking at least n times whose predecessor spikes fewer.
-
-    Gallops 1, 2, 4, ... ulps from the guess sigma, down while the probes
-    spike at least n times and up while they spike fewer, until the count
-    crosses n, then bisects the bracket, so the cost grows with the log of
-    the distance.  None when the gallop reaches 0.0 or the last double below
-    theta without a crossing.
-    """
-    top = _ordinal(math.nextafter(smap.model.theta, 0.0))
-    k = _ordinal(sigma)
-    above = smap.spike_count(sigma) >= n
-    step, end = (-1, 0) if above else (1, top)
-    while True:
-        if k == end:
-            return None
-        probe = min(max(k + step, 0), top)
-        if (smap.spike_count(_from_ordinal(probe)) >= n) != above:
-            break
-        k, step = probe, 2 * step
-    lo, hi = sorted((k, probe))
-    return _bisect_edge(smap, n, lo, hi)
-
-
 def boundary_sigma(
     model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP
 ) -> BoundaryInfo | None:
     """State whose trajectory reaches the threshold at t = d*T, snapped to the branch edge.
 
-    Returns None when every initial state yields the same spike count (in
-    particular whenever A <= critical dose).  The returned point spikes n
-    times and the double below it n - 1 times.  The spike count rounds
-    unevenly near the edge, so sigma is one edge of a band of mixed counts
-    that can be a few thousand ulps wide.  The guess is the point of the
-    reset trajectory ``t_first`` short of the threshold, where ``t_first``
-    is the time of the first of the n spikes.  :meth:`StrobeMap.boundary`
-    computes it for a map already built.
+    n is the map's own spike count from ``top``, the last double below
+    theta.  None when n is 0 (in particular whenever A <= critical dose) or
+    when the edge search walks down to 0.0 without finding a state that
+    spikes fewer than n times; either way ``spike_count(0.0) >=
+    spike_count(top)``.  Otherwise sigma spikes at least n times and the
+    double below it fewer.  The spike count rounds unevenly near the edge,
+    so sigma is one edge of a band of mixed counts that can be a few
+    thousand ulps wide.  The guess is the point of the reset trajectory
+    ``t_first`` = pulse - (n-1)*delta short of the threshold, the time of
+    the first of the n spikes.  :meth:`StrobeMap.boundary` computes it for
+    a map already built.
     """
     return StrobeMap(model, forcing, spike_cap).boundary()
 

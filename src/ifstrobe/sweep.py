@@ -180,6 +180,12 @@ def _eval_sweep_node(task: tuple[Model, DoseMode, float, OrbitOptions]) -> Stair
     return _to_sample(T, orbit)
 
 
+def _check_workers(workers: int) -> None:
+    """Apply the one domain rule of a grid's worker count; raises DomainError."""
+    if not workers >= 1:
+        raise DomainError("workers must be at least 1")
+
+
 def _pmap(fn, tasks: Sequence, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -229,6 +235,7 @@ def sweep_T(
         raise DomainError("period range must satisfy 0 < t_min < t_max")
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
+    _check_workers(workers)
     if opts is None:
         opts = OrbitOptions()
     if isinstance(mode, AmplitudeCorrection) and t_min <= mode.delta:
@@ -294,10 +301,13 @@ def scan_plane(
         raise DomainError("grids must be nonempty")
     for d in d_vals:
         _check_forcing(d=d)
-    if not all(invA > 0.0 for invA in a_vals):
-        raise DomainError("1/A grid must be strictly positive")
+    for invA in a_vals:
+        if not invA > 0.0:
+            raise DomainError("1/A grid must be strictly positive")
+        _check_forcing(A=1.0 / invA)
     _check_forcing(T=T)
     _check_period_cap(period_cap)
+    _check_workers(workers)
     opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
     nodes = _pmap(_eval_plane_node, tasks, workers)

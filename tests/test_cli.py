@@ -200,6 +200,80 @@ def test_adding_check_reads_sweep_output(tmp_path, capsys):
     assert "0 violations" in report
 
 
+def test_limits_and_bif_write_one_row_csvs(tmp_path, capsys):
+    out = tmp_path / "limits.csv"
+    assert main(["limits", *MODEL, "--A", "3.3333", "--d", "0.2", "-o", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "r_infinity,r_zero,T0,T1R,T1L,r_max,r_max_at,r_min",
+        "0.655388983572,0.581252229082,none,1.29439120726,2.06731353044,"
+        "0.772563962416,1.29439120726,0.483719564197",
+    ]
+    out = tmp_path / "bif.csv"
+    bif = ["bif", *MODEL, "--solve", "A", "--side", "zero", "--spikes", "0", "--d", "0.5"]
+    assert main([*bif, "--T", "2", "-o", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "n,side,d,T,A,residual,xbar",
+        "0,zero,0.5,2,0.481959197914,2.220446e-16,0.763918395828",
+    ]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "A, d, expected",
+    [
+        ("0.3", "0.5", "NonSpiking (on-amplitude-boundary)"),
+        ("0.30000000000000004", "0.5", "ConditionalSpiking (on-amplitude-boundary)"),
+        ("0.6", "0.5", "ConditionalSpiking (on-dose-boundary)"),
+    ],
+)
+def test_classify_flags_points_on_a_region_boundary(A, d, expected, capsys):
+    assert main(["classify", *MODEL, "--A", A, "--d", d]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limits", *MODEL, "--d", "0.5"],
+        ["sweep", *MODEL, "--mode", "width", "--d", "0.5", "--tmin", "1", "--tmax", "2", "--n", "3"],
+    ],
+)
+def test_drive_just_above_the_critical_dose_is_a_numeric_failure(argv, capsys):
+    # Q_c + 1 ulp reaches the threshold, but the rest point rounds onto it
+    assert main([*argv, "--A", "0.30000000000000004"]) == EXIT_NUMERIC
+    assert "threshold crossing not resolvable" in capsys.readouterr().err
+
+
+def test_config_file_sets_mode_and_refine(tmp_path):
+    cfg = tmp_path / "amp.cfg"
+    cfg.write_text(
+        "a=-0.5\nb=0.2\ntheta=1\nmode=amplitude\ndelta=3\nQ=0.6667\n"
+        "tmin=3\ntmax=12\nn=6\nrefine=true\n"
+    )
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(["sweep", "--config", str(cfg), "-o", str(from_file)]) == EXIT_OK
+    flags = ["--mode", "amplitude", "--delta", "3", "--Q", "0.6667", "--tmin", "3", "--tmax", "12"]
+    assert main(["sweep", *MODEL, *flags, "--n", "6", "--refine", "-o", str(from_flags)]) == EXIT_OK
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    # refine=true bisected the steps between the six grid nodes
+    assert len(from_file.read_text().splitlines()) > 1 + 6
+
+
+def test_parse_config_rejects_a_line_without_equals(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("a=-0.5\ntheta 1\n")
+    with pytest.raises(ConfigError, match=":2: expected key=value, got 'theta 1'"):
+        parse_config(path)
+
+
+def test_adding_check_rejects_a_csv_that_is_not_a_sweep(tmp_path, capsys):
+    out = tmp_path / "limits.csv"
+    assert main(["limits", *MODEL, "--A", "3.3333", "--d", "0.2", "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["adding-check", "-i", str(out)]) == EXIT_CONFIG
+    assert "not a sweep CSV" in capsys.readouterr().err
+
+
 def test_parse_config_round_trip(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("a=-0.5\nb=0.2\ntheta=1 # threshold\n\n# comment line\nd=0.25\nworkers=2\n")
@@ -286,7 +360,15 @@ def test_sweep_deterministic_across_worker_flag(tmp_path):
 SCAN_GRID = ["--dmin", "0.2", "--dmax", "0.8", "--dn", "3", "--iamin", "0.5", "--iamax", "4", "--ian", "3"]
 
 
-@pytest.mark.parametrize("bad", [("--T", "-1"), ("--T", "1", "--cap", "0")])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("--T", "-1"),
+        ("--T", "1", "--cap", "0"),
+        ("--T", "1", "--workers", "0"),
+        ("--T", "1", "--workers", "-3"),
+    ],
+)
 def test_scan_rejects_out_of_domain_flags(bad, capsys):
     assert main(["scan", *MODEL, *bad, *SCAN_GRID]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

@@ -7,15 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifstrobe import (
+    BifurcationNotFound,
     DomainError,
     Forcing,
     GenericModel,
+    IntegrationError,
     LinearModel,
+    OrbitOptions,
     Region,
+    Side,
+    SpikeRunawayError,
+    StrobeMap,
+    attractor,
     averaged_time_to_threshold,
+    bif_T,
     classify_region,
     critical_dose,
     flow,
+    rate_limits,
     time_to_threshold,
     validate_hypotheses,
 )
@@ -88,6 +97,40 @@ def test_rest_point_rounded_onto_the_threshold_fails(a, b, theta):
     report = validate_hypotheses(model)
     assert report.failed_names() == {"attracting_equilibrium"}
     assert report.failures[0].witness == theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(-3.0, -0.05),
+    rest=st.floats(0.02, 0.98),
+    theta=st.sampled_from([1.0, 0.3, 4.0]) | st.floats(0.3, 4.0),
+    ulps=st.integers(1, 6),
+    T=st.floats(0.05, 50.0),
+    d=st.floats(0.01, 0.95),
+    share=st.floats(0.0, 0.999),
+)
+# the rest point -(b+A)/a rounds onto theta: log1p(-1) in the closed form
+@example(a=-0.5, rest=0.4, theta=1.0, ulps=1, T=1.0, d=0.5, share=0.0)
+def test_just_above_the_critical_dose_fails_as_a_numeric_error(a, rest, theta, ulps, T, d, share):
+    # A a few ulps above Q_c reaches the threshold in floats, but the closed
+    # form's rest point can round onto theta: that is an IntegrationError
+    # (exit 3 in the CLI, a failed scan node), never a bare ValueError
+    model = LinearModel(a=a, b=-a * theta * rest, theta=theta)
+    A = _ulps_from(critical_dose(model), ulps)
+    forcing = Forcing(A=A, T=T, d=d)
+    calls = [
+        lambda: time_to_threshold(model, A, 0.0),
+        lambda: time_to_threshold(model, A, share * theta),
+        lambda: StrobeMap(model, forcing).apply(share * theta),
+        lambda: attractor(model, forcing, OrbitOptions(transient=200, max_period=50)),
+        lambda: rate_limits(model, A, d),
+        lambda: bif_T(model, 1, Side.R, A, d),
+    ]
+    for call in calls:
+        try:
+            call()
+        except (IntegrationError, BifurcationNotFound, SpikeRunawayError):
+            pass
 
 
 def test_validate_generic_samples_grid():

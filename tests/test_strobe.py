@@ -1,4 +1,3 @@
-import logging
 import math
 import struct
 import sys
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from ifstrobe import (
     Forcing,
+    IntegrationError,
     LinearModel,
     OrbitOptions,
     attractor,
@@ -106,16 +106,60 @@ def test_boundary_is_the_exact_branch_edge(forcing):
     assert strobe(lif, forcing, math.nextafter(info.sigma, 0.0)).spikes == info.n - 1
 
 
-def test_boundary_fallback_logs_a_warning(lif, monkeypatch, caplog):
-    module = sys.modules["ifstrobe.strobe"]
-    monkeypatch.setattr(module, "_snap_to_branch_edge", lambda *args: None)
-    with caplog.at_level(logging.WARNING, logger="ifstrobe"):
-        info = boundary_sigma(lif, Forcing(**PULSED))
-    assert info.n == 1
-    assert info.sigma == pytest.approx(0.3619630970077372, abs=1e-9)
-    [record] = caplog.records
-    assert record.name.startswith("ifstrobe.") and record.levelno == logging.WARNING
-    assert "bisection" in record.getMessage()
+def _assert_boundary_contract(model, forcing):
+    """The boundary's n is the map's own count at the last double below theta."""
+    smap = StrobeMap(model, forcing)
+    top = math.nextafter(model.theta, 0.0)
+    info = smap.boundary()
+    if info is None:
+        assert smap.spike_count(0.0) >= smap.spike_count(top)
+        return
+    assert info.n == smap.spike_count(top)
+    below = math.nextafter(info.sigma, 0.0)
+    assert smap.spike_count(info.sigma) >= info.n > smap.spike_count(below)
+
+
+@st.composite
+def _near_multiple_forcings(draw, model):
+    """Forcings with the pulse d*T a few ulps from k*delta, where rounding decides the count."""
+    A = draw(st.floats(0.31, 30.0))
+    d = draw(st.floats(0.01, 0.95))
+    T = draw(st.integers(1, 40)) * time_to_threshold(model, A, 0.0) / d
+    for _ in range(draw(st.integers(0, 4))):
+        T = math.nextafter(T, draw(st.sampled_from([0.0, math.inf])))
+    return Forcing(A=A, T=T, d=d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    forcing=st.builds(
+        Forcing, A=st.floats(0.31, 30.0), T=st.floats(0.05, 100.0), d=st.floats(0.01, 0.95)
+    )
+    | _near_multiple_forcings(LinearModel(a=-0.5, b=0.2, theta=1.0))
+)
+@example(forcing=FORTY_SPIKES)
+# 0.0 spikes 24 times and the last double below theta 25 times
+@example(forcing=Forcing(A=0.5747450474363697, T=242.45119955641803, d=0.21379362912317817))
+@example(forcing=Forcing(A=10 / 3, T=42.72228452666078, d=0.2))
+@example(forcing=Forcing(A=0.25, T=1.0, d=0.5))
+def test_boundary_n_is_the_count_of_the_map(forcing):
+    _assert_boundary_contract(LinearModel(a=-0.5, b=0.2, theta=1.0), forcing)
+
+
+@pytest.mark.parametrize(
+    "A, k, d",
+    [
+        (10 / 3, 1, 0.2),
+        (10 / 3, 4, 0.2),
+        (0.5747450474363697, 25, 0.21379362912317817),
+        (2.0, 3, 0.5),
+    ],
+)
+def test_generic_boundary_n_is_the_count_of_the_map(lif_generic, A, k, d):
+    # the pulse d*T at k*delta and one ulp of T to either side
+    T = k * time_to_threshold(lif_generic, A, 0.0) / d
+    for period in (math.nextafter(T, 0.0), T, math.nextafter(T, math.inf)):
+        _assert_boundary_contract(lif_generic, Forcing(A=A, T=period, d=d))
 
 
 def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, monkeypatch):
@@ -247,7 +291,7 @@ def _outcome(fn):
     """Bit patterns of the image and the spike times plus the count, or the error type."""
     try:
         image, spikes, times = fn()
-    except (ValueError, SpikeRunawayError) as exc:
+    except (ValueError, SpikeRunawayError, IntegrationError) as exc:
         return type(exc)
     return _bits(image), spikes, tuple(map(_bits, times))
 

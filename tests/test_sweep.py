@@ -231,6 +231,20 @@ def test_scan_plane_checks_the_period_cap_before_any_pool_starts(lif, no_pool, p
         scan_plane(lif, 1.0, [0.2, 0.5], [0.5, 2.0], period_cap=period_cap, opts=FAST, workers=2)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_grids_check_the_worker_count_before_any_pool_starts(lif, no_pool, workers):
+    with pytest.raises(DomainError, match="workers must be at least 1"):
+        sweep_T(lif, WidthCorrection(A=10 / 3, d=0.2), (1.0, 2.0), 4, opts=FAST, workers=workers)
+    with pytest.raises(DomainError, match="workers must be at least 1"):
+        scan_plane(lif, 1.0, [0.2, 0.5], [0.5, 2.0], opts=FAST, workers=workers)
+
+
+def test_scan_plane_checks_the_amplitudes_before_any_pool_starts(lif, no_pool):
+    # 1/1e-320 overflows to inf: the forcing's A rule, applied to the grid
+    with pytest.raises(DomainError, match="amplitude A must be finite"):
+        scan_plane(lif, 1.0, [0.2, 0.5], [1e-320, 1.0], opts=FAST, workers=2)
+
+
 def test_sweep_T_checks_both_period_ends_before_any_pool_starts(lif, no_pool):
     with pytest.raises(DomainError, match="period T must be finite and > 0"):
         sweep_T(lif, WidthCorrection(A=10 / 3, d=0.2), (0.3, math.inf), 4, opts=FAST, workers=2)
@@ -250,6 +264,11 @@ def test_scan_plane_equal_across_workers(lif, grid, kwargs):
     assert scan1.capped.any() or scan1.failed.any()
     assert scan1 == scan3
     assert scan1 != scan_plane(lif, 2.0, *grid, workers=1, **kwargs)
+
+
+def test_scan_flags_a_drive_just_above_the_critical_dose_failed(lif):
+    # 1/3.3333333333333326 is Q_c + 1 ulp, whose rest point rounds onto theta
+    assert scan_plane(lif, 1.0, [0.5], [3.3333333333333326]).nodes == ((0, None, False, True),)
 
 
 def test_scan_plane_matrices_keep_their_dtypes_and_shapes(lif):
