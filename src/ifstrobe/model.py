@@ -325,10 +325,10 @@ def _blow_up(t: float, y0: float, drive: float) -> IntegrationError:
 
 
 def _unresolvable(x0: float, drive: float) -> IntegrationError:
-    """Error of a closed-form hit time whose rest point rounds to theta or below it."""
+    """Error of a closed-form hit time whose rest point rounds onto theta."""
     return IntegrationError(
         f"threshold crossing not resolvable: the rest point under drive={drive} rounds "
-        f"to the threshold or below it (x0={x0})"
+        f"onto the threshold (x0={x0})"
     )
 
 
@@ -410,7 +410,7 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
         xeq = model.equilibrium(drive)
         try:
             return math.log1p(-(theta - x0) / (xeq - x0)) / model.a
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise _unresolvable(x0, drive) from exc
     try:
         fth = model.f(theta) + drive

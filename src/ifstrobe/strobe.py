@@ -193,7 +193,7 @@ class StrobeMap:
         elif self._reachable:
             try:
                 t = math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise _unresolvable(x0, self.forcing.A) from exc
         else:
             t = None
