@@ -104,7 +104,11 @@ _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
 _SIDES = {side.value.lower(): side for side in Side}
 
 PARAMS: dict[str, Param] = {
-    "workers": Param(int, "parallel workers for grids", _check_workers),
+    "workers": Param(
+        int,
+        "most worker processes for a grid; it runs in process until the nodes left pay for a pool",
+        _check_workers,
+    ),
     "tol_state": Param(float, "attractor state-recurrence tolerance (> 0)"),
     "transient": Param(int, "attractor maps before the last cycle search (>= 0)"),
     "max_period": Param(

@@ -9,8 +9,9 @@ varies.  Two parametrizations are provided:
 
 A sweep samples the attractor at each period and optionally refines near
 firing-number steps by bisection, sharpening the staircase edges.  Node
-evaluations are pure, so grids can be mapped over worker processes with
-results merged by index; output is identical for any worker count.
+evaluations are pure, so a grid runs in process until the nodes left would
+pay for a worker pool, which then takes the rest; results are merged by
+index, so output is identical for any worker count and any split point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
 from .model import DomainError, Forcing, IntegrationError, Model, _check_forcing
 from .strobe import OrbitOptions, OrbitSummary, SpikeRunawayError, attractor, _least_rotation
@@ -171,13 +172,27 @@ def _to_sample(T: float, orbit: OrbitSummary) -> StaircaseSample:
     )
 
 
-def _eval_sweep_node(task: tuple[Model, DoseMode, float, OrbitOptions]) -> StaircaseSample:
+def _eval_sweep_node(
+    task: tuple[Model, DoseMode, float, OrbitOptions]
+) -> StaircaseSample | SpikeRunawayError | IntegrationError:
+    """One sweep node; a numeric failure comes back as the error naming the node.
+
+    ``sweep_T`` raises the first failure in grid order, which does not depend
+    on which nodes ran in process and which in a pool.
+    """
     model, mode, T, opts = task
     try:
         orbit = attractor(model, mode.forcing_at(T), opts)
     except (SpikeRunawayError, IntegrationError) as exc:
-        raise type(exc)(f"at node T={T}: {exc}") from exc
+        return type(exc)(f"at node T={T}: {exc}")
     return _to_sample(T, orbit)
+
+
+def _raise_first_failure(results: list) -> list[StaircaseSample]:
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _check_workers(workers: int) -> None:
@@ -186,23 +201,98 @@ def _check_workers(workers: int) -> None:
         raise DomainError("workers must be at least 1")
 
 
-def _pmap(fn, tasks: Sequence, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    import pickle  # only a pool needs these: importing ifstrobe loads neither
-    from concurrent.futures import ProcessPoolExecutor
+# What a pool costs before it saves anything, in seconds, measured in a fresh
+# process: about 0.024 s to import its modules, 0.016 s to start and shut down
+# two workers, and some 0.01 s for the workers' first nodes.
+_POOL_START_S = 0.05
+
+
+def _usable_cpus() -> int:
+    import os
 
     try:
-        pickle.dumps(tasks[0])
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+class _GridRunner:
+    """Evaluates ``fn`` over the nodes of one ``sweep_T`` or ``scan_plane`` call.
+
+    With ``workers > 1`` nodes run in process first, in a strided order: with
+    cap = min(workers, usable CPUs), node i is in stride i mod 4*cap, so the
+    nodes done sample the whole grid, whose node cost grows with d.  A pool of
+    w = min(cap, nodes left) processes starts once the time spent here
+    exceeds its start-up cost C and the nodes left, at the mean cost so far,
+    would save more than C on them: rest * (1 - 1/w) > C.  It takes the rest
+    in the same order and serves every later ``map``; at most one starts.
+    """
+
+    def __init__(self, fn: Callable, workers: int) -> None:
+        self.fn = fn
+        self.workers = workers
+        self.pool = None
+        self.size = 0
+        self.spent = 0.0  # seconds of nodes run in process
+        self.done = 0
+
+    def __enter__(self) -> _GridRunner:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def map(self, tasks: Sequence) -> list:
+        if self.workers <= 1:
+            return [self.fn(t) for t in tasks]
+        import time
+
+        _check_picklable(tasks[0])
+        cap = min(self.workers, _usable_cpus())
+        order = [i for s in range(4 * cap) for i in range(s, len(tasks), 4 * cap)]
+        results = [None] * len(tasks)
+        k = 0
+        last = time.perf_counter()
+        while k < len(order) and self._pool(len(order) - k, cap) is None:
+            results[order[k]] = self.fn(tasks[order[k]])
+            now = time.perf_counter()
+            self.spent += now - last
+            self.done += 1
+            last = now
+            k += 1
+        rest = order[k:]
+        if rest:
+            chunk = max(1, len(rest) // (4 * self.size))
+            pooled = self.pool.map(self.fn, [tasks[i] for i in rest], chunksize=chunk)
+            for i, result in zip(rest, pooled):
+                results[i] = result
+        return results
+
+    def _pool(self, left: int, cap: int):
+        """The pool, started now if the ``left`` nodes would pay for it; else None."""
+        if self.pool is None:
+            size = min(cap, left)
+            mean = self.spent / self.done if self.done else 0.0
+            if self.spent > _POOL_START_S and left * mean * (1.0 - 1.0 / size) > _POOL_START_S:
+                from concurrent.futures import ProcessPoolExecutor  # read now: tests patch it
+
+                self.pool = ProcessPoolExecutor(max_workers=size)
+                self.size = size
+        return self.pool
+
+
+def _check_picklable(task) -> None:
+    import pickle  # only workers > 1 needs it: importing ifstrobe does not load it
+
+    try:
+        pickle.dumps(task)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise TypeError(
             f"workers > 1 sends each node to a worker process, which needs a picklable model: "
             f"define a GenericModel's f and f_deriv at module level, not as lambdas or "
             f"nested functions, or use workers=1 ({exc})"
         ) from exc
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -227,6 +317,10 @@ def sweep_T(
     With ``refine`` the gap between neighbours of different firing-number is
     bisected until it shrinks below a hundredth of the initial spacing, which
     pins step edges to that width.  Samples come back sorted by period.
+    ``workers`` bounds the worker processes of the call's one pool, which
+    starts only when the nodes left would pay for it.  A node's numeric
+    failure raises, naming the node; the first failed node in the grid's
+    order is raised, whichever path ran it.
     """
     t_min, t_max = t_range
     _check_forcing(T=t_min)
@@ -243,35 +337,36 @@ def sweep_T(
         if t_min >= t_max:
             raise DomainError("period range lies at or below the pulse duration")
     grid = _linspace(t_min, t_max, resolution)
-    samples = _pmap(_eval_sweep_node, [(model, mode, T, opts) for T in grid], workers)
-    samples.sort(key=lambda s: s.T)
-    if not refine:
-        return samples
-    min_gap = (t_max - t_min) / (resolution - 1) / 100.0  # the grid spacing, to its bits
-    while True:
-        mids = []
-        for left, right in zip(samples, samples[1:]):
-            if left.eta != right.eta and (right.T - left.T) > min_gap:
-                mids.append(0.5 * (left.T + right.T))
-        if not mids:
+    with _GridRunner(_eval_sweep_node, workers) as runner:
+        samples = _raise_first_failure(runner.map([(model, mode, T, opts) for T in grid]))
+        samples.sort(key=lambda s: s.T)
+        if not refine:
             return samples
-        new = _pmap(_eval_sweep_node, [(model, mode, T, opts) for T in mids], workers)
-        samples = sorted(samples + new, key=lambda s: s.T)
+        min_gap = (t_max - t_min) / (resolution - 1) / 100.0  # the grid spacing, to its bits
+        while True:
+            mids = []
+            for left, right in zip(samples, samples[1:]):
+                if left.eta != right.eta and (right.T - left.T) > min_gap:
+                    mids.append(0.5 * (left.T + right.T))
+            if not mids:
+                return samples
+            new = _raise_first_failure(runner.map([(model, mode, T, opts) for T in mids]))
+            samples = sorted(samples + new, key=lambda s: s.T)
 
 
 def _eval_plane_node(
     task: tuple[Model, float, float, float, int, OrbitOptions]
-) -> tuple[int, float | None, bool, bool]:
+) -> tuple[tuple[int, float | None, bool, bool], str | None]:
+    """One scan node and, if it failed, the failure for ``scan_plane`` to log."""
     model, T, d, invA, cap, opts = task
     try:
         forcing = Forcing(A=1.0 / invA, T=T, d=d)
         orbit = attractor(model, forcing, opts)
     except (SpikeRunawayError, IntegrationError) as exc:
-        logger.warning("scan node d=%r, 1/A=%r failed: %s", d, invA, exc)
-        return 0, None, False, True
+        return (0, None, False, True), str(exc)
     if orbit.converged and orbit.period_p <= cap:
-        return orbit.period_p, float(orbit.eta), False, False
-    return 0, None, True, False
+        return (orbit.period_p, float(orbit.eta), False, False), None
+    return (0, None, True, False), None
 
 
 def _check_period_cap(period_cap: int) -> None:
@@ -293,7 +388,9 @@ def scan_plane(
 
     Node order is row-major over d then 1/A, so results are deterministic.
     Numeric per-node failures are recorded and the scan continues; invalid
-    input, such as a non-positive period, raises.
+    input, such as a non-positive period, raises.  ``workers`` bounds the
+    worker processes of a pool, which starts only when the nodes left
+    would pay for it.
     """
     d_vals = [float(d) for d in d_grid]
     a_vals = [float(invA) for invA in invA_grid]
@@ -310,8 +407,13 @@ def scan_plane(
     _check_workers(workers)
     opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
-    nodes = _pmap(_eval_plane_node, tasks, workers)
-    return PlaneScan(T=T, d_values=tuple(d_vals), invA_values=tuple(a_vals), nodes=tuple(nodes))
+    with _GridRunner(_eval_plane_node, workers) as runner:
+        results = runner.map(tasks)
+    for (_, _, d, invA, _, _), (_, failure) in zip(tasks, results):
+        if failure is not None:
+            logger.warning("scan node d=%r, 1/A=%r failed: %s", d, invA, failure)
+    nodes = tuple(node for node, _ in results)
+    return PlaneScan(T=T, d_values=tuple(d_vals), invA_values=tuple(a_vals), nodes=nodes)
 
 
 @dataclass(frozen=True)

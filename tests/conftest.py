@@ -1,3 +1,6 @@
+import concurrent.futures
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -40,3 +43,51 @@ def strobe_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(StrobeMap, "apply", counting)
     return calls
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a process pool starts (the grid runner imports the class to start one)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The ``max_workers`` of each process pool started from here on; the pools are real."""
+    real = concurrent.futures.ProcessPoolExecutor
+    sizes = []
+
+    def recording(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording)
+    return sizes
+
+
+@pytest.fixture(params=["first-node", "mid-grid", "none"])
+def pool_regime(request, monkeypatch, pool_sizes) -> tuple[str, list]:
+    """Drive the grid runner's pool decision instead of leaving it to the clock.
+
+    On two usable CPUs, a pool with ``workers > 1`` starts before the first
+    node (a negative start-up cost), after six nodes of one second each (a
+    clock that ticks once a read, against a 5.5 s start-up), or never (the
+    ``no_pool`` fixture, with an infinite start-up).  Returns the regime and
+    the sizes of the pools started.
+    """
+    sweep = sys.modules["ifstrobe.sweep"]
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    if request.param == "first-node":
+        monkeypatch.setattr(sweep, "_POOL_START_S", -1.0)
+    elif request.param == "mid-grid":
+        ticks = itertools.count()
+        monkeypatch.setattr("time.perf_counter", lambda: float(next(ticks)))
+        monkeypatch.setattr(sweep, "_POOL_START_S", 5.5)
+    else:
+        monkeypatch.setattr(sweep, "_POOL_START_S", math.inf)
+        request.getfixturevalue("no_pool")
+    return request.param, pool_sizes

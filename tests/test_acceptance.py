@@ -235,3 +235,10 @@ def test_criterion_10_outputs_byte_identical_across_workers(tmp_path):
                 assert code == 0
                 outputs.append(path.read_bytes())
             assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_criterion_10_in_each_pool_regime(pool_regime, tmp_path):
+    regime, pool_sizes = pool_regime
+    test_criterion_10_outputs_byte_identical_across_workers(tmp_path)
+    # one pool for each grid call on 4 and on 16 workers: the sweep's and the scan's
+    assert pool_sizes == ([] if regime == "none" else [2, 2, 2, 2])

@@ -1,11 +1,14 @@
 import itertools
 import logging
 import math
+import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifstrobe import (
     AmplitudeCorrection,
@@ -15,6 +18,7 @@ from ifstrobe import (
     LinearModel,
     OrbitOptions,
     Side,
+    SpikeRunawayError,
     WidthCorrection,
     bif_T,
     classify_region,
@@ -204,16 +208,6 @@ def test_scan_plane_raises_on_invalid_input(lif):
         scan_plane(lif, -1.0, [0.2, 0.5], [0.5, 2.0], opts=FAST)
 
 
-@pytest.fixture
-def no_pool(monkeypatch):
-    """Fail the test if a process pool starts (``_pmap`` imports the class when it needs one)."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
-
-
 def test_unpicklable_model_fails_before_any_pool_starts(no_pool):
     model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
     with pytest.raises(TypeError, match="module level"):
@@ -248,6 +242,174 @@ def test_scan_plane_checks_the_amplitudes_before_any_pool_starts(lif, no_pool):
 def test_sweep_T_checks_both_period_ends_before_any_pool_starts(lif, no_pool):
     with pytest.raises(DomainError, match="period T must be finite and > 0"):
         sweep_T(lif, WidthCorrection(A=10 / 3, d=0.2), (0.3, math.inf), 4, opts=FAST, workers=2)
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_unpicklable_model_fails_before_any_node_runs(monkeypatch, no_pool, size):
+    def no_node(*args):
+        raise AssertionError("a node ran")
+
+    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "attractor", no_node)
+    model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
+    grid = np.linspace(0.2, 0.8, size)
+    with pytest.raises(TypeError, match="module level"):
+        scan_plane(model, 1.0, grid, grid, opts=FAST, workers=2)
+    with pytest.raises(TypeError, match="module level"):
+        sweep_T(model, WidthCorrection(A=10 / 3, d=0.2), (1.0, 2.0), size + 1, workers=2)
+
+
+SCAN_5X5 = ([0.15, 0.325, 0.5, 0.675, 0.85], [0.3, 0.975, 1.65, 2.325, 3.0])
+
+
+def test_a_refined_sweep_starts_at_most_one_pool(lif, pool_regime):
+    regime, pool_sizes = pool_regime
+    mode = WidthCorrection(A=10 / 3, d=0.2)
+    serial = sweep_T(lif, mode, (0.5, 3.0), 40, refine=True, opts=FAST, workers=1)
+    assert len(serial) > 40  # so refinement rounds ran after the first
+    assert sweep_T(lif, mode, (0.5, 3.0), 40, refine=True, opts=FAST, workers=4) == serial
+    assert pool_sizes == ([] if regime == "none" else [2])
+
+
+def test_nodes_run_in_process_in_strided_order_until_the_pool_starts(lif, pool_regime, monkeypatch):
+    regime, pool_sizes = pool_regime
+    serial = scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=1)
+    sweep = sys.modules["ifstrobe.sweep"]
+    original = sweep.attractor
+    in_process = []
+
+    def recording(model, forcing, opts=None):
+        in_process.append((forcing.d, forcing.A))
+        return original(model, forcing, opts)
+
+    monkeypatch.setattr(sweep, "attractor", recording)
+    assert scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=2) == serial
+    nodes = [(d, 1.0 / invA) for d in SCAN_5X5[0] for invA in SCAN_5X5[1]]
+    # two CPUs give eight strides, node i in stride i mod 8, each spanning every d
+    order = [0, 8, 16, 24, 1, 9, 17, 2, 10, 18, 3, 11, 19, 4, 12, 20]
+    order += [5, 13, 21, 6, 14, 22, 7, 15, 23]
+    split = {"first-node": 0, "mid-grid": 6, "none": 25}[regime]
+    assert in_process == [nodes[i] for i in order[:split]]
+    assert pool_sizes == ([] if regime == "none" else [2])
+
+
+def test_the_pool_is_capped_at_the_nodes_left_and_the_usable_cpus(lif, monkeypatch):
+    sweep = sys.modules["ifstrobe.sweep"]
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and runs every node here: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sweep, "_POOL_START_S", -1.0)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    serial = scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=1)
+    assert scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=16) == serial
+    assert scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=2) == serial
+    scan_plane(lif, 1.0, [0.2], [0.5, 1.0], opts=FAST, workers=16)
+    assert sizes == [3, 2, 2]
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    usable_cpus = sys.modules["ifstrobe.sweep"]._usable_cpus
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+def test_a_failed_sweep_node_reads_the_same_on_either_path(lif, pool_regime):
+    # nodes from T=1.75 on spike twice a period; the strided order reaches T=2.5 first
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(SpikeRunawayError) as info:
+            sweep_T(
+                lif, WidthCorrection(A=10 / 3, d=0.2), (0.5, 6.0), 23,
+                opts=OrbitOptions(spike_cap=1), workers=workers,
+            )  # fmt: skip
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("at node T=1.75: more than 1 spikes")
+
+
+def test_a_failed_scan_node_reads_the_same_on_either_path(lif, pool_regime, caplog):
+    scans, messages = [], []
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ifstrobe.sweep"):
+            scan = scan_plane(lif, 1.0, *SCAN_5X5, opts=OrbitOptions(spike_cap=1), workers=workers)
+        scans.append(scan)
+        messages.append([record.getMessage() for record in caplog.records])
+    assert scans[0] == scans[1]
+    assert messages[0] == messages[1]
+    assert len(messages[0]) == int(scans[0].failed.sum()) == 4
+    assert messages[0][0].startswith("scan node d=0.325, 1/A=0.3 failed: more than 1 spikes")
+
+
+def _split_at_random(monkeypatch, split: int) -> None:
+    """Make each node take 1 s and a pool cost split - 0.5 s on three CPUs.
+
+    The pool then starts after ``split`` nodes, if the nodes left pay for it.
+    """
+    sweep = sys.modules["ifstrobe.sweep"]
+    ticks = itertools.count()
+    monkeypatch.setattr("time.perf_counter", lambda: float(next(ticks)))
+    monkeypatch.setattr(sweep, "_POOL_START_S", split - 0.5)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    d_grid=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+    invA_grid=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=4),
+    period_cap=st.integers(1, 20),
+    workers=st.sampled_from([2, 3]),
+    split=st.integers(0, 8),
+)
+def test_random_scan_grids_equal_one_worker_at_any_split(
+    d_grid, invA_grid, period_cap, workers, split
+):
+    lif = LinearModel(a=-0.5, b=0.2, theta=1.0)
+    serial = scan_plane(lif, 1.0, d_grid, invA_grid, period_cap=period_cap, opts=FAST)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_at_random(monkeypatch, split)
+        scan = scan_plane(
+            lif, 1.0, d_grid, invA_grid, period_cap=period_cap, opts=FAST, workers=workers
+        )
+    assert scan == serial
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    t_min=st.floats(0.3, 3.0),
+    span=st.floats(0.5, 5.0),
+    resolution=st.integers(2, 24),
+    refine=st.booleans(),
+    workers=st.sampled_from([2, 3]),
+    split=st.integers(0, 12),
+)
+def test_random_sweeps_equal_one_worker_at_any_split(
+    t_min, span, resolution, refine, workers, split
+):
+    lif = LinearModel(a=-0.5, b=0.2, theta=1.0)
+    mode = WidthCorrection(A=10 / 3, d=0.2)
+    t_range = (t_min, t_min + span)
+    serial = sweep_T(lif, mode, t_range, resolution, refine=refine, opts=FAST)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_at_random(monkeypatch, split)
+        samples = sweep_T(lif, mode, t_range, resolution, refine=refine, opts=FAST, workers=workers)
+    assert samples == serial
 
 
 @pytest.mark.parametrize(
