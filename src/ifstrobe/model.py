@@ -11,11 +11,17 @@ decreasing on [0, theta].  I(t) is a square wave of amplitude ``A``, period
 Two model flavours are supported:
 
 * :class:`LinearModel` with f(x) = a*x + b; every quantity has a closed form.
-* :class:`GenericModel` with user-supplied f and f'; flows come from
-  :func:`solve_ivp`, a scalar Dormand-Prince 5(4) stepper in plain floats
-  with the step control of scipy's RK45 (rtol 1e-10, atol 1e-14), and
-  threshold crossings are located on its quartic dense output by Brent's
-  method.  A non-finite stage raises :class:`IntegrationError`.
+* :class:`GenericModel` with user-supplied f and f'; flows come from one
+  step iterator, a scalar Dormand-Prince 5(4) stepper in plain floats with
+  the step control of scipy's RK45 (rtol 1e-10, atol 1e-14), and threshold
+  crossings are located on its quartic dense output by Brent's method.  A
+  non-finite stage, or a run past :data:`MAX_STEPS` steps, raises
+  :class:`IntegrationError`.  :func:`flow` and :func:`time_to_threshold`
+  start one run per call (:func:`solve_ivp`).  The stroboscopic map instead
+  stores, per drive, the orbit from 0 and the orbit from theta
+  (:class:`_DriveOrbits`): every other trajectory of that drive is a time
+  shift of one of them, so a map reads its flows and hit times off these
+  orbits.
 
 All functions here treat constant drive only; the pulsed dynamics (spikes,
 stroboscopic map) live in :mod:`ifstrobe.strobe`.
@@ -24,8 +30,9 @@ stroboscopic map) live in :mod:`ifstrobe.strobe`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from ._brent import EPS, brentq
 
@@ -51,6 +58,14 @@ __all__ = [
 # documented contract; the absolute one just keeps tiny states honest.
 _RTOL = 1e-10
 _ATOL = 1e-14
+
+#: Most steps, accepted or rejected, that one integrator run may attempt:
+#: 2 + 6*MAX_STEPS evaluations of f.  On f' = -0.5 the steps near the rest
+#: point reach about 5.6 time units, so a run spans about 1.1e5 at most.
+MAX_STEPS = 20_000
+
+# Newton iterations an orbit lookup tries before it falls back to Brent's method.
+_NEWTON_ITER = 8
 
 #: Number of grid points used for the sampled monotonicity check of generic f.
 HYPOTHESIS_GRID = 1024
@@ -224,16 +239,14 @@ def validate_hypotheses(model: Model, grid_points: int = HYPOTHESIS_GRID) -> Hyp
     return HypothesisReport(passed=not failures, failures=tuple(failures))
 
 
-def solve_ivp(
-    f: Callable[[float], float], drive: float, y0: float, t_end: float, theta: float | None = None
-) -> float | None:
-    """Dormand-Prince 5(4) run of x' = f(x) + drive from x(0) = y0 up to t_end > 0.
+def _steps(
+    f: Callable[[float], float], drive: float, y0: float, t_end: float
+) -> Iterator[tuple[float, float, float, float, tuple[float, ...]]]:
+    """Accepted Dormand-Prince 5(4) steps of x' = f(x) + drive from x(0) = y0.
 
-    Without ``theta`` it returns x(t_end).  With ``theta`` it stops in the
-    first step that ends at or above ``theta`` and returns the crossing time,
-    located on that step's quartic dense output by Brent's method
-    (xtol = rtol = 4 eps), or None when the state stays below ``theta`` up
-    to t_end.
+    Yields ``(t, t_new, y, y_new, stages)`` per accepted step, ``stages``
+    being the step's stages 1 and 3 to 7 (stage 2 has weight 0), and stops
+    after the step that reaches ``t_end`` (which may be infinite).
 
     The tableau, the dense output and the step control are those of scipy's
     RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett
@@ -242,9 +255,9 @@ def solve_ivp(
     safety 0.9, step factors clamped to [0.2, 10] with exponent -1/5, no
     growth after a rejection, a minimum step of 10 ulps of t and the last
     step clipped to t_end.  A non-finite stage raises IntegrationError at
-    once instead of shrinking the step to its minimum.  The benchmark's
-    per-layer counters (``perfbench/tracer.py``) count integrator runs under
-    this name, ``model.solve_ivp``.
+    once instead of shrinking the step to its minimum, and so does the
+    attempt past :data:`MAX_STEPS`, so one run evaluates f at most
+    ``2 + 6*MAX_STEPS`` times.
     """
     rtol, atol = _RTOL, _ATOL
     t = 0.0
@@ -265,6 +278,7 @@ def solve_ivp(
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h_abs = min(100 * h0, h1, t_end)
+        attempts = 0
         while True:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             if h_abs < min_step:
@@ -275,6 +289,11 @@ def solve_ivp(
                     raise IntegrationError(
                         f"step size fell below 10 ulps at t={t} (x0={y0}, drive={drive})"
                     )
+                if attempts == MAX_STEPS:
+                    raise IntegrationError(
+                        f"more than {MAX_STEPS} steps by t={t} (x0={y0}, drive={drive})"
+                    )
+                attempts += 1
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
                 h_abs = h
@@ -311,13 +330,32 @@ def solve_ivp(
                     break
                 h_abs *= max(0.2, 0.9 * error_norm**-0.2)
                 rejected = True
-            if theta is not None and y_new >= theta:
-                return _dense_crossing(t, t_new, y, theta, (k1, k3, k4, k5, k6, k7))
+            yield t, t_new, y, y_new, (k1, k3, k4, k5, k6, k7)
             t, y, k1 = t_new, y_new, k7
             if t >= t_end:
-                return y if theta is None else None
+                return
     except (OverflowError, FloatingPointError) as exc:
         raise _blow_up(t, y0, drive) from exc
+
+
+def solve_ivp(
+    f: Callable[[float], float], drive: float, y0: float, t_end: float, theta: float | None = None
+) -> float | None:
+    """Dormand-Prince 5(4) run of x' = f(x) + drive from x(0) = y0 up to t_end > 0.
+
+    Without ``theta`` it returns x(t_end).  With ``theta`` it stops in the
+    first step that ends at or above ``theta`` and returns the crossing time,
+    located on that step's quartic dense output by Brent's method
+    (xtol = rtol = 4 eps), or None when the state stays below ``theta`` up
+    to t_end.  The steps are those of :func:`_steps`, with its step cap.
+    The benchmark's per-layer counters (``perfbench/tracer.py``) count
+    integrator runs under this name, ``model.solve_ivp``.
+    """
+    y = y0
+    for t, t_new, y_old, y, stages in _steps(f, drive, y0, t_end):
+        if theta is not None and y >= theta:
+            return _dense_crossing(t, t_new, y_old, theta, stages)
+    return y if theta is None else None
 
 
 def _blow_up(t: float, y0: float, drive: float) -> IntegrationError:
@@ -332,15 +370,15 @@ def _unresolvable(x0: float, drive: float) -> IntegrationError:
     )
 
 
-def _dense_crossing(
-    t: float, t_new: float, y: float, theta: float, stages: tuple[float, ...]
-) -> float:
-    """Time in [t, t_new] where the step's quartic dense output from y reaches theta.
+def _dense_poly(
+    t: float, t_new: float, y: float, stages: tuple[float, ...]
+) -> tuple[float, ...]:
+    """The quartic dense output of the step from (t, y) to t_new with these stages.
 
-    ``stages`` are the step's stages 1 and 3 to 7 (stage 2 has weight 0).
+    ``stages`` are the step's stages 1 and 3 to 7 (stage 2 has weight 0); the
+    result ``(t, t_new, h, y, k1, q2, q3, q4)`` is read by :func:`_dense_value`.
     """
     k1, k3, k4, k5, k6, k7 = stages
-    h = t_new - t
     q2 = (
         -8048581381 / 2820520608 * k1
         + 131558114200 / 32700410799 * k3
@@ -365,18 +403,210 @@ def _dense_crossing(
         - 1453857185 / 822651844 * k6
         + 69997945 / 29380423 * k7
     )
+    return t, t_new, t_new - t, y, k1, q2, q3, q4
 
-    def above(s: float) -> float:
-        x = (s - t) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return h * (k1 * x + q2 * x2 + q3 * x3 + q4 * x4) + y - theta
 
+def _dense_value(poly: tuple[float, ...], s: float) -> float:
+    """The dense output ``poly`` of :func:`_dense_poly` at time s (y exactly at s = t)."""
+    t, _, h, y, k1, q2, q3, q4 = poly
+    x = (s - t) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return h * (k1 * x + q2 * x2 + q3 * x3 + q4 * x4) + y
+
+
+def _dense_time(poly: tuple[float, ...], target: float) -> float:
+    """Time in the step where its dense output equals target, by Brent's method
+    (xtol = rtol = 4 eps); ValueError when the step's ends do not bracket it."""
+    return brentq(lambda s: _dense_value(poly, s) - target, poly[0], poly[1], 4 * EPS, 4 * EPS)
+
+
+def _dense_inverse(poly: tuple[float, ...], y_new: float, target: float) -> float:
+    """Time in a monotone step from y to y_new where its dense output equals target.
+
+    Newton's method from the chord converges in a few iterations; Brent's
+    method (:func:`_dense_time`) takes over when an iterate leaves the step
+    or none has converged after ``_NEWTON_ITER``.  A target within rounding
+    of y_new that the quartic misses gives the step's end time.
+    """
+    t, t_new, h, y, k1, q2, q3, q4 = poly
+    s = t + h * ((target - y) / (y_new - y))
+    for _ in range(_NEWTON_ITER):
+        r = (s - t) / h
+        slope = k1 + r * (2.0 * q2 + r * (3.0 * q3 + r * 4.0 * q4))
+        if not slope:
+            break
+        correction = (_dense_value(poly, s) - target) / slope
+        s -= correction
+        if not t <= s <= t_new:
+            break
+        if abs(correction) <= 2 * EPS * (1.0 + abs(s)):  # Brent's tolerance
+            return s
     try:
-        return brentq(above, t, t_new, xtol=4 * EPS, rtol=4 * EPS)
+        return _dense_time(poly, target)
+    except ValueError:
+        return t_new
+
+
+def _dense_crossing(
+    t: float, t_new: float, y: float, theta: float, stages: tuple[float, ...]
+) -> float:
+    """Time in [t, t_new] where the step's quartic dense output from y reaches theta."""
+    try:
+        return _dense_time(_dense_poly(t, t_new, y, stages), theta)
     except ValueError as exc:  # the quartic misses theta at the step end by rounding
         raise IntegrationError(f"threshold crossing not bracketed on [{t}, {t_new}]") from exc
+
+
+class _Orbit:
+    """One stored DP5(4) run of x' = f(x) + drive, monotone from its start state.
+
+    It keeps its accepted steps, read through their quartic dense output,
+    and takes more steps only when a lookup reaches past them.  With
+    ``threshold`` it is the reset orbit: it runs to ``t_end`` at most (the
+    analytic bound of the hit) and ends in the step that reaches the
+    threshold, whose crossing time it keeps as ``delta``.  Otherwise it comes to rest at the first
+    step that moves the state toward the rest point by no more than the
+    integrator's error scale, ``atol + rtol*max(|x|, |x_new|)``: that step
+    is dropped, and from then on the orbit stays at its last state.  Either
+    way one orbit is one run of :func:`_steps`, with its step cap.
+    """
+
+    def __init__(
+        self,
+        f: Callable[[float], float],
+        drive: float,
+        start: float,
+        upward: bool,
+        t_end: float = math.inf,
+        threshold: float | None = None,
+    ) -> None:
+        self._run = _steps(f, drive, start, t_end)
+        self._start, self._drive = start, drive
+        self._sign = 1.0 if upward else -1.0
+        self._threshold = threshold
+        self._times = [0.0]  # step ends, from the start
+        self._keys = [self._sign * start]  # sign * state at the step ends: increasing
+        self._accepted: list[tuple] = []  # as yielded by _steps
+        self._last = start
+        self._open = True
+        self.delta: float | None = None
+        if threshold is not None:
+            while self._extend():
+                pass
+
+    def _extend(self) -> bool:
+        """Store one more step; False when the orbit has ended instead."""
+        if not self._open:
+            return False
+        try:
+            step = next(self._run)
+        except StopIteration:  # only a finite t_end stops a run: the reset orbit's bound
+            raise IntegrationError(
+                "threshold crossing not located within its analytic bound "
+                f"(x0={self._start}, drive={self._drive})"
+            ) from None
+        t, t_new, y, y_new, stages = step
+        theta = self._threshold
+        if theta is None and self._sign * (y_new - y) <= _ATOL + _RTOL * max(abs(y), abs(y_new)):
+            self._open = False
+            return False
+        self._accepted.append(step)
+        self._times.append(t_new)
+        self._keys.append(self._sign * y_new)
+        self._last = y_new
+        if theta is not None and y_new >= theta:
+            self.delta = _dense_crossing(t, t_new, y, theta, stages)
+            self._open = False
+        return self._open
+
+    def time_of(self, x: float) -> float | None:
+        """Time at which the orbit passes x, 0.0 at or behind its start; None
+        when it ends short of x."""
+        key = self._sign * x
+        keys = self._keys
+        while keys[-1] < key:
+            if not self._extend():
+                return None
+        i = bisect_left(keys, key)
+        if i == 0:
+            return 0.0
+        t, t_new, y, y_new, stages = self._accepted[i - 1]
+        return _dense_inverse(_dense_poly(t, t_new, y, stages), y_new, x)
+
+    def at(self, s: float) -> float:
+        """State at time s >= 0; the last state when the orbit came to rest before s."""
+        times = self._times
+        while times[-1] < s and self._extend():
+            pass
+        i = bisect_left(times, s)
+        if i == 0:
+            return self._start
+        if i == len(times):
+            if self.delta is None:
+                return self._last
+            i -= 1  # past the reset orbit's crossing by rounding: that step's quartic
+        t, t_new, y, _, stages = self._accepted[i - 1]
+        return _dense_value(_dense_poly(t, t_new, y, stages), s)
+
+
+class _DriveOrbits:
+    """The flow of x' = f(x) + drive on [0, theta] as time shifts along stored orbits.
+
+    Under the standing hypotheses f + drive has at most one zero, the rest
+    point, and every trajectory is a time shift of one monotone orbit on its
+    side of it: the orbit from 0 where f(x) + drive > 0, the orbit from
+    theta where it is < 0.  Each is an :class:`_Orbit`, built when first
+    needed and extended on demand.  With ``threshold`` and f(theta) + drive
+    > 0 the orbit from 0 is the reset orbit: every state of [0, theta) lies
+    on it, and ``delta`` is its hit time, bit for bit that of
+    ``time_to_threshold(model, drive, 0.0)``.
+
+    The rest-point rule: a state where f(x) + drive is 0, or that the orbit
+    of its side does not pass before that orbit comes to rest, lies within
+    about the integrator's error scale of the rest point.  It is at rest:
+    it does not move, and no orbit is extended further for it.
+    """
+
+    def __init__(
+        self, f: Callable[[float], float], drive: float, theta: float, threshold: bool
+    ) -> None:
+        self._f, self._drive, self._theta = f, drive, theta
+        horizon = _hit_horizon(f, drive, theta, 0.0) if threshold else None
+        if horizon is None:
+            self._up = _Orbit(f, drive, 0.0, True)
+        else:
+            self._up = _Orbit(f, drive, 0.0, True, horizon, theta)
+        self.delta = self._up.delta
+        self._down: _Orbit | None = None
+
+    def hit_time(self, x: float) -> float | None:
+        """Time from x in [0, theta) to the threshold, None when unreachable."""
+        if self.delta is None:
+            return None
+        return max(self.delta - self._up.time_of(x), 0.0)
+
+    def flow(self, x: float, s: float) -> float:
+        """State after time s >= 0 from x, as ``flow(model, drive, s, x)``."""
+        if s == 0.0:
+            return x
+        if self.delta is not None:
+            orbit = self._up
+        else:
+            speed = self._f(x) + self._drive
+            if not math.isfinite(speed):
+                raise IntegrationError(f"f(x) + drive = {speed} at x={x}")
+            if speed == 0.0:
+                return x
+            if speed > 0.0:
+                orbit = self._up
+            else:
+                if self._down is None:
+                    self._down = _Orbit(self._f, self._drive, self._theta, False)
+                orbit = self._down
+        u = orbit.time_of(x)
+        return x if u is None else orbit.at(u + s)
 
 
 def flow(model: Model, drive: float, t: float, x0: float) -> float:
@@ -412,8 +642,23 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
             return math.log1p(-(theta - x0) / (xeq - x0)) / model.a
         except ValueError as exc:
             raise _unresolvable(x0, drive) from exc
+    horizon = _hit_horizon(model.f, drive, theta, x0)
+    if horizon is None:
+        return None
+    hit = solve_ivp(model.f, drive, x0, horizon, theta)
+    if hit is None:
+        raise IntegrationError(
+            f"threshold crossing not located within its analytic bound (x0={x0}, drive={drive})"
+        )
+    return hit
+
+
+def _hit_horizon(
+    f: Callable[[float], float], drive: float, theta: float, x0: float
+) -> float | None:
+    """Time by which x' = f(x) + drive reaches theta from x0 <= theta, None when it never does."""
     try:
-        fth = model.f(theta) + drive
+        fth = f(theta) + drive
     except OverflowError as exc:
         raise IntegrationError(f"f(theta) overflows at theta={theta}") from exc
     if fth <= 0.0:
@@ -421,13 +666,7 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
     if not fth < math.inf:
         raise IntegrationError(f"f(theta) + drive = {fth} at theta={theta}")
     # f decreasing => speed >= fth on [x0, theta], so the hit occurs by then.
-    horizon = (theta - x0) / fth * (1.0 + 1e-6) + 1e-12
-    hit = solve_ivp(model.f, drive, x0, horizon, theta)
-    if hit is None:
-        raise IntegrationError(
-            f"threshold crossing not located within its analytic bound (x0={x0}, drive={drive})"
-        )
-    return hit
+    return (theta - x0) / fth * (1.0 + 1e-6) + 1e-12
 
 
 def critical_dose(model: Model) -> float:

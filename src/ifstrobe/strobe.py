@@ -24,7 +24,17 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from ._brent import brentq
-from .model import DomainError, Forcing, LinearModel, Model, _unresolvable, flow, time_to_threshold
+from .model import (
+    DomainError,
+    Forcing,
+    GenericModel,
+    LinearModel,
+    Model,
+    _DriveOrbits,
+    _unresolvable,
+    flow,
+    time_to_threshold,
+)
 
 __all__ = [
     "SpikeRunawayError",
@@ -128,28 +138,43 @@ class StrobeMap:
     """The stroboscopic map of one forcing, set up once and applied many times.
 
     Built once per ``(model, forcing, spike_cap)``.  ``delta`` is the reset
-    hit time ``time_to_threshold(model, forcing.A, 0.0)``, None when the
-    threshold is unreachable; every spike after the first starts from the
-    reset state and takes that time, so one map solves the threshold only
-    from its start state.  For a linear model with ``a < 0`` (the standing
-    hypothesis) the constants of the closed form are computed here and each
-    application repeats the float operations of ``time_to_threshold`` and
-    ``flow`` in their order, so images, spike counts and errors equal theirs
-    bit for bit.  Any other model calls the two functions; for a linear
-    ``a >= 0`` they also keep the errors (a division by zero, an overflow)
-    where they raise them.
+    hit time ``time_to_threshold(model, forcing.A, 0.0)``, bit for bit, None
+    when the threshold is unreachable; every spike after the first starts
+    from the reset state and takes that time.
+
+    For a linear model with ``a < 0`` (the standing hypothesis) the
+    constants of the closed form are computed here and each application
+    repeats the float operations of ``time_to_threshold`` and ``flow`` in
+    their order, so images, spike counts and errors equal theirs bit for
+    bit.  For a generic model every trajectory of a constant drive is a time
+    shift of a stored orbit (``model._DriveOrbits``), one per drive and side
+    of its rest point, integrated once and extended on demand: the hit time
+    from x0 is ``delta - u_A(x0)``, u_A being the time at which the reset
+    orbit passes x0, and the image is read off the orbit of drive 0 at
+    ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after
+    construction its maps, spike counts and edge probes start no integrator
+    run beyond extending those orbits.  A linear model with ``a >= 0``
+    calls ``flow`` and ``time_to_threshold`` in each application, which
+    keep its errors (a division by zero, an overflow) where they raise them.
     """
 
     def __init__(self, model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP) -> None:
         self.model = model
         self.forcing = forcing
         self.spike_cap = spike_cap
-        self.delta = time_to_threshold(model, forcing.A, 0.0)
         self._theta = model.theta
         self._pulse = pulse = forcing.pulse_width
         self._rest = rest = forcing.T - pulse
         self._closed_form = isinstance(model, LinearModel) and model.a < 0.0
-        if self._closed_form:
+        if isinstance(model, GenericModel):
+            self._on = _DriveOrbits(model.f, forcing.A, model.theta, threshold=True)
+            self._off = _DriveOrbits(model.f, 0.0, model.theta, threshold=False)
+            self.delta = self._on.delta
+            return
+        self.delta = time_to_threshold(model, forcing.A, 0.0)
+        if not self._closed_form:
+            self._on, self._off = _Flows(model, forcing.A), _Flows(model, 0.0)
+        else:
             self._a = a = model.a
             self._reachable = a * model.theta + model.b + forcing.A > 0.0
             self._xeq_on = model.equilibrium(forcing.A)
@@ -170,8 +195,8 @@ class StrobeMap:
             raise ValueError(f"x0 = {x0} outside the map domain [0, {self._theta})")
         spikes, elapsed = self._spikes(x0, times)
         if not self._closed_form:
-            x = flow(self.model, self.forcing.A, self._pulse - elapsed, 0.0 if spikes else x0)
-            return flow(self.model, 0.0, self._rest, x), spikes
+            x = self._on.flow(0.0 if spikes else x0, self._pulse - elapsed)
+            return self._off.flow(x, self._rest), spikes
         # flow(model, A, pulse - elapsed, x), then flow(model, 0.0, rest, x)
         if spikes:
             t = self._pulse - elapsed
@@ -189,7 +214,7 @@ class StrobeMap:
     def _spikes(self, x0: float, times: list[float] | None = None) -> tuple[int, float]:
         """Number of spikes within the pulse from x0 and the time of the last one (0.0 without)."""
         if not self._closed_form:
-            t = time_to_threshold(self.model, self.forcing.A, x0)
+            t = self._on.hit_time(x0)
         elif self._reachable:
             try:
                 t = math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
@@ -222,9 +247,26 @@ class StrobeMap:
             return None
         delta = self.delta
         t_first = self._pulse - (n - 1) * delta
-        guess = flow(self.model, self.forcing.A, max(delta - t_first, 0.0), 0.0)
+        s = max(delta - t_first, 0.0)
+        if self._closed_form:
+            guess = flow(self.model, self.forcing.A, s, 0.0)
+        else:
+            guess = self._on.flow(0.0, s)
         sigma = _snap_to_branch_edge(self, min(max(guess, 0.0), top), n)
         return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
+
+
+class _Flows:
+    """One drive's flows of a linear model with ``a >= 0``, through the public functions."""
+
+    def __init__(self, model: LinearModel, drive: float) -> None:
+        self._model, self._drive = model, drive
+
+    def hit_time(self, x: float) -> float | None:
+        return time_to_threshold(self._model, self._drive, x)
+
+    def flow(self, x: float, s: float) -> float:
+        return flow(self._model, self._drive, s, x)
 
 
 def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP) -> StrobeResult:

@@ -32,6 +32,18 @@ def lif_generic() -> GenericModel:
 
 
 @pytest.fixture
+def counted_generic() -> tuple[GenericModel, list]:
+    """The ``lif_generic`` field and a list with one entry per evaluation of its f."""
+    evaluations = []
+
+    def f(x: float) -> float:
+        evaluations.append(None)
+        return linear_f(x)
+
+    return GenericModel(f=f, f_deriv=linear_f_deriv, theta=1.0), evaluations
+
+
+@pytest.fixture
 def strobe_calls(monkeypatch) -> list:
     """One entry per map application (``StrobeMap.apply``) from here on."""
     original = StrobeMap.apply

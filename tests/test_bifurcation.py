@@ -9,6 +9,7 @@ from ifstrobe import (
     BifurcationNotFound,
     DomainError,
     Forcing,
+    IntegrationError,
     LinearModel,
     Side,
     attractor,
@@ -23,6 +24,7 @@ from ifstrobe import (
 )
 
 import oracle
+from ifstrobe.model import MAX_STEPS
 
 
 def hand_onset_amplitude(T: float, d: float) -> float:
@@ -246,3 +248,13 @@ def test_generic_margin_sign_matches_linear(lif, lif_generic):
         gen = contraction_margin(lif_generic, forcing)
         assert math.copysign(1.0, lin) == math.copysign(1.0, gen)
         assert gen == pytest.approx(lin, abs=1e-5)
+
+
+def test_generic_bif_A_stops_at_the_step_cap(counted_generic):
+    # the first probe, Q_c*(1 + 1e-12), puts the rest point below what rtol
+    # resolves above theta; its hit run used to crawl to a horizon of 3e12
+    model, evaluations = counted_generic
+    with pytest.raises(IntegrationError, match=f"more than {MAX_STEPS} steps"):
+        bif_A(model, 1, Side.R, d=0.5, T=2.0)
+    # one capped run, after the off-phase flow to the probe's start state
+    assert len(evaluations) <= 2 * (2 + 6 * MAX_STEPS)

@@ -30,6 +30,7 @@ from ifstrobe import (
 )
 
 import oracle
+from ifstrobe.model import MAX_STEPS
 
 
 def test_validate_accepts_reference_model(lif):
@@ -295,6 +296,20 @@ def test_generic_hit_time_matches_closed_form(lif, lif_generic):
 
 def test_generic_unreachable_threshold(lif_generic):
     assert time_to_threshold(lif_generic, 0.25, 0.0) is None
+
+
+def test_generic_hit_just_above_the_critical_dose_stops_at_the_step_cap(counted_generic):
+    # the rest point lies about 6e-12 above theta, below what rtol resolves:
+    # without a cap the run would crawl in steps of about 7 time units to its
+    # horizon of about 3e11
+    model, evaluations = counted_generic
+    with pytest.raises(IntegrationError, match=f"more than {MAX_STEPS} steps"):
+        time_to_threshold(model, 0.3 * (1.0 + 1e-11), 0.0)
+    assert len(evaluations) == 1 + 2 + 6 * MAX_STEPS  # f(theta), the initial step, the cap
+    evaluations.clear()
+    with pytest.raises(IntegrationError, match=f"more than {MAX_STEPS} steps"):
+        flow(model, 0.0, 1e7, 0.5)
+    assert len(evaluations) == 2 + 6 * MAX_STEPS
 
 
 def test_generic_flow_blowup_raises():

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ifstrobe import (
     Forcing,
+    GenericModel,
     IntegrationError,
     LinearModel,
     OrbitOptions,
@@ -17,6 +18,7 @@ from ifstrobe import (
     bif_T,
     boundary_sigma,
     contraction_margin,
+    critical_dose,
     fixed_point,
     rotation_number,
     strobe,
@@ -27,6 +29,7 @@ from ifstrobe import (
     flow,
     time_to_threshold,
 )
+from ifstrobe.model import MAX_STEPS
 from ifstrobe.strobe import SPIKE_CAP, _least_rotation
 
 import oracle
@@ -162,33 +165,61 @@ def test_generic_boundary_n_is_the_count_of_the_map(lif_generic, A, k, d):
         _assert_boundary_contract(lif_generic, Forcing(A=A, T=period, d=d))
 
 
-def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, monkeypatch):
-    sigma = boundary_sigma(lif_generic, FORTY_SPIKES).sigma
-    sigma_linear = boundary_sigma(lif, FORTY_SPIKES).sigma
-    # ifstrobe.strobe is the re-exported function, so patch the module itself
-    module = sys.modules["ifstrobe.strobe"]
-    calls = {"time_to_threshold": 0, "flow": 0}
-    for name in calls:
-        original = getattr(module, name)
+@pytest.fixture
+def stepper_runs(monkeypatch) -> list:
+    """One ``(drive, start)`` entry per integrator run started from here on.
+
+    Every run goes through the step iterator ``model._steps``: each
+    ``flow`` and ``time_to_threshold`` of a generic model, and each orbit a
+    generic map stores.  ``flow`` and ``time_to_threshold`` called from
+    ``ifstrobe.strobe`` (the module; ``ifstrobe.strobe`` is the re-exported
+    function) are recorded as ``("flow", ...)`` and ``("time_to_threshold",
+    ...)``.
+    """
+    model_module = sys.modules["ifstrobe.model"]
+    strobe_module = sys.modules["ifstrobe.strobe"]
+    runs = []
+    steps = model_module._steps
+
+    def counting_steps(f, drive, y0, t_end):
+        runs.append((drive, y0))
+        return steps(f, drive, y0, t_end)
+
+    monkeypatch.setattr(model_module, "_steps", counting_steps)
+    for name in ("flow", "time_to_threshold"):
+        original = getattr(strobe_module, name)
 
         def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
+            runs.append((_name, args[1:]))
             return _original(*args)
 
-        monkeypatch.setattr(module, name, counting)
-    assert strobe(lif_generic, FORTY_SPIKES, sigma).spikes == 40
-    assert calls["time_to_threshold"] == 2
-    calls.update(time_to_threshold=0, flow=0)
-    assert boundary_sigma(lif_generic, FORTY_SPIKES).sigma == sigma
-    assert calls["flow"] == 1  # the guess; the edge search only counts spikes
+        monkeypatch.setattr(strobe_module, name, counting)
+    return runs
+
+
+def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, stepper_runs):
+    A, theta = FORTY_SPIKES.A, lif_generic.theta
+    # a generic map integrates once per stored orbit: the reset orbit when it
+    # is built, each other orbit when a lookup first needs it; its maps,
+    # spike counts and edge probes then start no run beyond those orbits
+    smap = StrobeMap(lif_generic, FORTY_SPIKES)
+    assert stepper_runs == [(A, 0.0), (0.0, 0.0)]
+    sigma = smap.boundary().sigma
+    assert smap.apply(sigma)[1] == 40
+    assert smap.spike_count(math.nextafter(sigma, 0.0)) == 39
+    for x0 in np.linspace(0.0, 0.99, 12):
+        smap.apply(x0)
+    assert len(set(stepper_runs)) == len(stepper_runs)
+    assert set(stepper_runs) <= {(A, 0.0), (0.0, 0.0), (0.0, theta)}
     # the linear closed form solves delta once per map object and calls
     # neither function per application
-    calls.update(time_to_threshold=0, flow=0)
+    sigma_linear = boundary_sigma(lif, FORTY_SPIKES).sigma
+    stepper_runs.clear()
     assert strobe(lif, FORTY_SPIKES, sigma_linear).spikes == 40
-    assert calls == {"time_to_threshold": 1, "flow": 0}
-    calls.update(time_to_threshold=0, flow=0)
+    assert stepper_runs == [("time_to_threshold", (A, 0.0))]
+    stepper_runs.clear()
     assert boundary_sigma(lif, FORTY_SPIKES).sigma == sigma_linear
-    assert calls == {"time_to_threshold": 1, "flow": 1}
+    assert [name for name, _ in stepper_runs] == ["time_to_threshold", "flow"]
 
 
 def test_boundary_absent_without_spiking(lif):
@@ -239,23 +270,34 @@ def test_strobe_given_delta_is_bit_identical(kind, lif, lif_generic):
         assert smap.spike_count(x0) == spikes
 
 
-def test_generic_attractor_solves_the_reset_hit_time_once(lif_generic, monkeypatch):
-    module = sys.modules["ifstrobe.strobe"]
-    original = module.time_to_threshold
-    starts = []
-
-    def counting(model, drive, x0):
-        starts.append(x0)
-        return original(model, drive, x0)
-
-    monkeypatch.setattr(module, "time_to_threshold", counting)
-    # seeded off 0.0, so every solve from 0.0 is the reset hit time delta
+def test_generic_attractor_solves_the_reset_hit_time_once(lif_generic, stepper_runs):
+    # seeded off 0.0, so the maps start from states the old per-map solves
+    # would each have integrated from
     orbit = attractor(lif_generic, Forcing(**PULSED), OrbitOptions(seed=0.5))
     assert orbit.converged and orbit.period_p == 8
-    # once, when attractor builds its map object; the maps, the boundary's
-    # guess and edge probes and the margin all reuse it
-    assert starts.count(0.0) == 1
-    assert len(starts) > 100
+    # one run per stored orbit: the reset orbit (its hit time is delta) and
+    # the two orbits of drive 0; the maps, the boundary's guess and edge
+    # probes and the margin all read them
+    A, theta = PULSED["A"], lif_generic.theta
+    assert sorted(stepper_runs) == sorted([(A, 0.0), (0.0, 0.0), (0.0, theta)])
+
+
+def test_generic_attractor_evaluates_the_field_within_budget(counted_generic):
+    model, evaluations = counted_generic
+    orbit = attractor(model, Forcing(**PULSED))
+    assert orbit.converged and (orbit.period_p, orbit.eta) == (8, Fraction(5, 8))
+    # about 1,500 with stored orbits; about 21,500 with three runs per map
+    assert len(evaluations) <= 4_300
+
+
+def test_generic_attractor_just_above_the_critical_dose_stops_at_the_step_cap(counted_generic):
+    # the rest point lies about 6e-12 above theta, below what rtol resolves, so
+    # the reset run settles under theta on its way to a horizon of about 3e11
+    model, evaluations = counted_generic
+    with pytest.raises(IntegrationError, match=f"more than {MAX_STEPS} steps"):
+        attractor(model, Forcing(A=0.3 * (1.0 + 1e-11), T=2.0, d=0.5))
+    # f(theta) for the horizon, then one capped run
+    assert len(evaluations) <= 1 + 2 + 6 * MAX_STEPS
 
 
 def _bits(x: float) -> bytes:
@@ -334,6 +376,65 @@ def test_linear_map_is_bit_identical_to_the_flows(a, rest, theta, forcing, share
         image, spikes = smap.apply(x0)
         assert (_bits(image), spikes) == expected[:2]
         assert smap.spike_count(x0) == spikes
+
+
+@st.composite
+def _generic_cases(draw):
+    """A linear field, a forcing and a start state: anywhere, 0.0, or a few ulps from a rest point."""
+    a = draw(st.floats(-3.0, -0.05))
+    theta = draw(st.floats(0.3, 4.0))
+    model = LinearModel(a=a, b=-a * theta * draw(st.floats(0.02, 0.98)), theta=theta)
+    start = draw(st.sampled_from(["anywhere", "zero", "rest of A", "rest of 0"]))
+    # A / Q_c: the rest point of A lies in the map domain only up to 1
+    ratio = st.floats(0.0, 1.0) if start == "rest of A" else st.floats(0.0, 6.0)
+    A = critical_dose(model) * draw(st.one_of(ratio, st.sampled_from([0.0, 1.0])))
+    forcing = Forcing(A=A, T=draw(st.floats(0.05, 100.0)), d=draw(st.floats(0.05, 0.95)))
+    if start == "anywhere":
+        x0 = draw(st.floats(0.0, 1.0, exclude_max=True)) * theta
+    elif start == "zero":
+        x0 = 0.0
+    else:
+        x0 = model.equilibrium(A if start == "rest of A" else 0.0)
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            x0 = math.nextafter(x0, math.copysign(math.inf, ulps))
+    return model, forcing, min(x0, math.nextafter(theta, 0.0))
+
+
+def _spikes_near_the_pulse_end(model, forcing, x0):
+    """Whether the closed-form spike train from x0 has a spike within 1e-7 of the pulse end."""
+    t = time_to_threshold(model, forcing.A, x0)
+    if t is None:
+        return False
+    pulse, delta = forcing.pulse_width, time_to_threshold(model, forcing.A, 0.0)
+    k = max(round((pulse - t) / delta), 0)
+    return abs(t + k * delta - pulse) < 1e-7 * max(1.0, pulse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_generic_cases())
+# a pulse and a rest long enough for the pulse-end state and the image to
+# settle within a few ulps of each rest point
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), Forcing(A=0.25, T=200.0, d=0.5), 0.0))
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), Forcing(A=0.0, T=1.0, d=0.5), 0.4))
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), Forcing(**PULSED), 0.0))
+def test_generic_map_agrees_with_the_closed_form(case):
+    model, forcing, x0 = case
+    assume(not _spikes_near_the_pulse_end(model, forcing, x0))  # away from sigma
+    evaluations = []
+
+    def f(x):
+        evaluations.append(None)
+        return model.f(x)
+
+    generic = GenericModel(f=f, f_deriv=model.f_deriv, theta=model.theta)
+    image, spikes = StrobeMap(generic, forcing).apply(x0)
+    expected_image, expected_spikes = StrobeMap(model, forcing).apply(x0)
+    assert spikes == expected_spikes
+    assert abs(image - expected_image) < 1e-8
+    # four orbits at most, each stopped at the threshold or at rest; about
+    # 4,700 evaluations at most over 3,000 samples of these cases
+    assert len(evaluations) <= 10_000
 
 
 def test_linear_field_without_decay_keeps_the_errors_of_the_flows():

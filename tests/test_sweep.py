@@ -26,6 +26,7 @@ from ifstrobe import (
     sweep_T,
     verify_adding,
 )
+from ifstrobe.model import MAX_STEPS
 from ifstrobe.sweep import StaircaseSample, _extract_windows
 
 FAST = OrbitOptions(transient=4000, max_period=2000)
@@ -431,6 +432,15 @@ def test_scan_plane_equal_across_workers(lif, grid, kwargs):
 def test_scan_flags_a_drive_just_above_the_critical_dose_failed(lif):
     # 1/3.3333333333333326 is Q_c + 1 ulp, whose rest point rounds onto theta
     assert scan_plane(lif, 1.0, [0.5], [3.3333333333333326]).nodes == ((0, None, False, True),)
+
+
+def test_a_generic_scan_flags_a_capped_run_failed(counted_generic, caplog):
+    model, evaluations = counted_generic
+    # 1/A for A = Q_c*(1 + 1e-11), where the reset run stops at the step cap
+    scan = scan_plane(model, 2.0, [0.5], [1.0 / (0.3 * (1.0 + 1e-11)), 1.0], opts=FAST)
+    assert scan.nodes[0] == (0, None, False, True) and scan.nodes[1][1:] == (1.0, False, False)
+    assert f"more than {MAX_STEPS} steps" in caplog.text
+    assert len(evaluations) < 2 * (2 + 6 * MAX_STEPS)
 
 
 def test_scan_plane_matrices_keep_their_dtypes_and_shapes(lif):
