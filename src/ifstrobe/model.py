@@ -13,15 +13,16 @@ Two model flavours are supported:
 * :class:`LinearModel` with f(x) = a*x + b; every quantity has a closed form.
 * :class:`GenericModel` with user-supplied f and f'; flows come from one
   step iterator, a scalar Dormand-Prince 5(4) stepper in plain floats with
-  the step control of scipy's RK45 (rtol 1e-10, atol 1e-14), and threshold
-  crossings are located on its quartic dense output by Brent's method.  A
-  non-finite stage, or a run past :data:`MAX_STEPS` steps, raises
-  :class:`IntegrationError`.  :func:`flow` and :func:`time_to_threshold`
-  start one run per call (:func:`solve_ivp`).  The stroboscopic map instead
-  stores, per drive, the orbit from 0 and the orbit from theta
-  (:class:`_DriveOrbits`): every other trajectory of that drive is a time
-  shift of one of them, so a map reads its flows and hit times off these
-  orbits.
+  the step control of scipy's RK45 (rtol 1e-10, atol 1e-14).  A non-finite
+  stage, or a run past :data:`MAX_STEPS` steps, raises
+  :class:`IntegrationError`.  One class, :class:`_Orbit`, locates threshold
+  crossings, on a step's quartic dense output by Brent's method: a
+  :func:`time_to_threshold` is the ``delta`` of one orbit run from x0, and
+  a :func:`flow` is one fixed-time run (:func:`solve_ivp`).  The
+  stroboscopic map stores, per drive, the orbit from 0 and the orbit from
+  theta (:class:`_DriveOrbits`): every other trajectory of that drive is a
+  time shift of one of them, so a map reads its flows and hit times off
+  these orbits.
 
 All functions here treat constant drive only; the pulsed dynamics (spikes,
 stroboscopic map) live in :mod:`ifstrobe.strobe`.
@@ -338,24 +339,19 @@ def _steps(
         raise _blow_up(t, y0, drive) from exc
 
 
-def solve_ivp(
-    f: Callable[[float], float], drive: float, y0: float, t_end: float, theta: float | None = None
-) -> float | None:
-    """Dormand-Prince 5(4) run of x' = f(x) + drive from x(0) = y0 up to t_end > 0.
+def solve_ivp(f: Callable[[float], float], drive: float, y0: float, t_end: float) -> float:
+    """Dormand-Prince 5(4) run of x' = f(x) + drive from x(0) = y0; x(t_end) for t_end > 0.
 
-    Without ``theta`` it returns x(t_end).  With ``theta`` it stops in the
-    first step that ends at or above ``theta`` and returns the crossing time,
-    located on that step's quartic dense output by Brent's method
-    (xtol = rtol = 4 eps), or None when the state stays below ``theta`` up
-    to t_end.  The steps are those of :func:`_steps`, with its step cap.
-    The benchmark's per-layer counters (``perfbench/tracer.py``) count
-    integrator runs under this name, ``model.solve_ivp``.
+    The steps are those of :func:`_steps`, with its step cap.  This is the
+    fixed-time run behind a generic :func:`flow`; a hit time is the run of
+    an :class:`_Orbit` instead.  The benchmark's per-layer counters
+    (``perfbench/tracer.py``) count these runs under this name,
+    ``model.solve_ivp``.
     """
     y = y0
-    for t, t_new, y_old, y, stages in _steps(f, drive, y0, t_end):
-        if theta is not None and y >= theta:
-            return _dense_crossing(t, t_new, y_old, theta, stages)
-    return y if theta is None else None
+    for _, _, _, y, _ in _steps(f, drive, y0, t_end):
+        pass
+    return y
 
 
 def _blow_up(t: float, y0: float, drive: float) -> IntegrationError:
@@ -449,28 +445,21 @@ def _dense_inverse(poly: tuple[float, ...], y_new: float, target: float) -> floa
         return t_new
 
 
-def _dense_crossing(
-    t: float, t_new: float, y: float, theta: float, stages: tuple[float, ...]
-) -> float:
-    """Time in [t, t_new] where the step's quartic dense output from y reaches theta."""
-    try:
-        return _dense_time(_dense_poly(t, t_new, y, stages), theta)
-    except ValueError as exc:  # the quartic misses theta at the step end by rounding
-        raise IntegrationError(f"threshold crossing not bracketed on [{t}, {t_new}]") from exc
-
-
 class _Orbit:
     """One stored DP5(4) run of x' = f(x) + drive, monotone from its start state.
 
-    It keeps its accepted steps, read through their quartic dense output,
-    and takes more steps only when a lookup reaches past them.  With
-    ``threshold`` it is the reset orbit: it runs to ``t_end`` at most (the
-    analytic bound of the hit) and ends in the step that reaches the
-    threshold, whose crossing time it keeps as ``delta``.  Otherwise it comes to rest at the first
-    step that moves the state toward the rest point by no more than the
-    integrator's error scale, ``atol + rtol*max(|x|, |x_new|)``: that step
-    is dropped, and from then on the orbit stays at its last state.  Either
-    way one orbit is one run of :func:`_steps`, with its step cap.
+    It keeps its accepted steps and takes more only when a lookup reaches
+    past them; a step's quartic dense output is built on its first lookup
+    and kept.  With a ``threshold`` that the drive reaches (f(threshold) +
+    drive > 0) it is a hit run: it runs at most to the analytic bound of the
+    hit (:func:`_hit_horizon`), ends in the step that reaches the threshold
+    and keeps the crossing time on that step's quartic, found by Brent's
+    method (xtol = rtol = 4 eps), as ``delta``.  Otherwise ``delta`` is None
+    and the orbit comes to rest at the first step that moves the state
+    toward the rest point by no more than the integrator's error scale,
+    ``atol + rtol*max(|x|, |x_new|)``: that step is dropped, and from then
+    on the orbit stays at its last state.  Either way one orbit is one run
+    of :func:`_steps`, with its step cap.
     """
 
     def __init__(
@@ -479,20 +468,21 @@ class _Orbit:
         drive: float,
         start: float,
         upward: bool,
-        t_end: float = math.inf,
         threshold: float | None = None,
     ) -> None:
-        self._run = _steps(f, drive, start, t_end)
+        horizon = None if threshold is None else _hit_horizon(f, drive, threshold, start)
+        self._threshold = None if horizon is None else threshold
+        self._run = _steps(f, drive, start, math.inf if horizon is None else horizon)
         self._start, self._drive = start, drive
         self._sign = 1.0 if upward else -1.0
-        self._threshold = threshold
         self._times = [0.0]  # step ends, from the start
         self._keys = [self._sign * start]  # sign * state at the step ends: increasing
         self._accepted: list[tuple] = []  # as yielded by _steps
+        self._polys: list[tuple | None] = []  # each step's _dense_poly, once looked up
         self._last = start
         self._open = True
         self.delta: float | None = None
-        if threshold is not None:
+        if self._threshold is not None:
             while self._extend():
                 pass
 
@@ -502,7 +492,7 @@ class _Orbit:
             return False
         try:
             step = next(self._run)
-        except StopIteration:  # only a finite t_end stops a run: the reset orbit's bound
+        except StopIteration:  # only a hit run has a finite end: the hit's analytic bound
             raise IntegrationError(
                 "threshold crossing not located within its analytic bound "
                 f"(x0={self._start}, drive={self._drive})"
@@ -513,13 +503,27 @@ class _Orbit:
             self._open = False
             return False
         self._accepted.append(step)
+        self._polys.append(None)
         self._times.append(t_new)
         self._keys.append(self._sign * y_new)
         self._last = y_new
         if theta is not None and y_new >= theta:
-            self.delta = _dense_crossing(t, t_new, y, theta, stages)
+            try:
+                self.delta = _dense_time(self._poly(-1), theta)
+            except ValueError as exc:  # the quartic misses theta at the step end by rounding
+                raise IntegrationError(
+                    f"threshold crossing not bracketed on [{t}, {t_new}]"
+                ) from exc
             self._open = False
         return self._open
+
+    def _poly(self, i: int) -> tuple[float, ...]:
+        """The quartic dense output of stored step i, built on its first lookup."""
+        poly = self._polys[i]
+        if poly is None:
+            t, t_new, y, _, stages = self._accepted[i]
+            poly = self._polys[i] = _dense_poly(t, t_new, y, stages)
+        return poly
 
     def time_of(self, x: float) -> float | None:
         """Time at which the orbit passes x, 0.0 at or behind its start; None
@@ -532,8 +536,7 @@ class _Orbit:
         i = bisect_left(keys, key)
         if i == 0:
             return 0.0
-        t, t_new, y, y_new, stages = self._accepted[i - 1]
-        return _dense_inverse(_dense_poly(t, t_new, y, stages), y_new, x)
+        return _dense_inverse(self._poly(i - 1), self._accepted[i - 1][3], x)
 
     def at(self, s: float) -> float:
         """State at time s >= 0; the last state when the orbit came to rest before s."""
@@ -546,9 +549,8 @@ class _Orbit:
         if i == len(times):
             if self.delta is None:
                 return self._last
-            i -= 1  # past the reset orbit's crossing by rounding: that step's quartic
-        t, t_new, y, _, stages = self._accepted[i - 1]
-        return _dense_value(_dense_poly(t, t_new, y, stages), s)
+            i -= 1  # past the hit run's crossing by rounding: that step's quartic
+        return _dense_value(self._poly(i - 1), s)
 
 
 class _DriveOrbits:
@@ -560,7 +562,7 @@ class _DriveOrbits:
     theta where it is < 0.  Each is an :class:`_Orbit`, built when first
     needed and extended on demand.  With ``threshold`` and f(theta) + drive
     > 0 the orbit from 0 is the reset orbit: every state of [0, theta) lies
-    on it, and ``delta`` is its hit time, bit for bit that of
+    on it, and ``delta`` is its hit time, the same run as
     ``time_to_threshold(model, drive, 0.0)``.
 
     The rest-point rule: a state where f(x) + drive is 0, or that the orbit
@@ -573,11 +575,7 @@ class _DriveOrbits:
         self, f: Callable[[float], float], drive: float, theta: float, threshold: bool
     ) -> None:
         self._f, self._drive, self._theta = f, drive, theta
-        horizon = _hit_horizon(f, drive, theta, 0.0) if threshold else None
-        if horizon is None:
-            self._up = _Orbit(f, drive, 0.0, True)
-        else:
-            self._up = _Orbit(f, drive, 0.0, True, horizon, theta)
+        self._up = _Orbit(f, drive, 0.0, True, theta if threshold else None)
         self.delta = self._up.delta
         self._down: _Orbit | None = None
 
@@ -625,7 +623,8 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
     """Smallest t >= 0 with flow(t; x0) = theta, or None when unreachable.
 
     The threshold is unreachable exactly when f(theta) + drive <= 0, since f
-    is decreasing and the motion stalls at the rest point below theta.
+    is decreasing and the motion stalls at the rest point below theta.  A
+    generic hit time is the ``delta`` of one :class:`_Orbit` run from x0.
     """
     theta = model.theta
     if x0 > theta:
@@ -642,15 +641,7 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
             return math.log1p(-(theta - x0) / (xeq - x0)) / model.a
         except ValueError as exc:
             raise _unresolvable(x0, drive) from exc
-    horizon = _hit_horizon(model.f, drive, theta, x0)
-    if horizon is None:
-        return None
-    hit = solve_ivp(model.f, drive, x0, horizon, theta)
-    if hit is None:
-        raise IntegrationError(
-            f"threshold crossing not located within its analytic bound (x0={x0}, drive={drive})"
-        )
-    return hit
+    return _Orbit(model.f, drive, x0, True, theta).delta
 
 
 def _hit_horizon(

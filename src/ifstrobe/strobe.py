@@ -148,14 +148,16 @@ class StrobeMap:
     their order, so images, spike counts and errors equal theirs bit for
     bit.  For a generic model every trajectory of a constant drive is a time
     shift of a stored orbit (``model._DriveOrbits``), one per drive and side
-    of its rest point, integrated once and extended on demand: the hit time
-    from x0 is ``delta - u_A(x0)``, u_A being the time at which the reset
+    of its rest point, integrated once and extended on demand: the reset
+    orbit is the run ``time_to_threshold(model, A, 0.0)`` starts, the hit
+    time from x0 is ``delta - u_A(x0)``, u_A being the time at which that
     orbit passes x0, and the image is read off the orbit of drive 0 at
     ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after
     construction its maps, spike counts and edge probes start no integrator
     run beyond extending those orbits.  A linear model with ``a >= 0``
     calls ``flow`` and ``time_to_threshold`` in each application, which
-    keep its errors (a division by zero, an overflow) where they raise them.
+    keep its errors (a division by zero, an overflow) where they raise them,
+    except that ``delta`` is solved, and may raise, at construction.
     """
 
     def __init__(self, model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP) -> None:

@@ -30,7 +30,7 @@ from ifstrobe import (
 )
 
 import oracle
-from ifstrobe.model import MAX_STEPS
+from ifstrobe.model import MAX_STEPS, _dense_poly, _dense_time, _steps
 
 
 def test_validate_accepts_reference_model(lif):
@@ -292,6 +292,70 @@ def test_generic_hit_time_matches_closed_form(lif, lif_generic):
             assert numeric is None
         else:
             assert abs(numeric - exact) < 1e-9
+
+
+def _fixed_horizon_hit_time(model: GenericModel, drive: float, x0: float) -> float | None:
+    """Reference generic hit time: one run of the stepper to the hit's analytic bound.
+
+    It stops in the first step that ends at or above theta and finds the
+    crossing on that step's quartic dense output by Brent's method.
+    """
+    theta = model.theta
+    if x0 == theta:
+        return 0.0
+    speed = model.f(theta) + drive
+    if speed <= 0.0:
+        return None
+    horizon = (theta - x0) / speed * (1.0 + 1e-6) + 1e-12
+    for t, t_new, y, y_new, stages in _steps(model.f, drive, x0, horizon):
+        if y_new >= theta:
+            try:
+                return _dense_time(_dense_poly(t, t_new, y, stages), theta)
+            except ValueError as exc:
+                raise IntegrationError(f"threshold crossing not bracketed on [{t}, {t_new}]") from exc
+    raise IntegrationError(
+        f"threshold crossing not located within its analytic bound (x0={x0}, drive={drive})"
+    )
+
+
+def _outcome(call) -> object:
+    """The bits of a float result, None, or the type and message of the error raised."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value if value is None else value.hex()
+
+
+def _cubic_f(x: float) -> float:
+    return 0.3 - x - 0.5 * x**3
+
+
+CUBIC = GenericModel(f=_cubic_f, f_deriv=lambda x: -1.0 - 1.5 * x * x)
+LINEAR = GenericModel(f=lambda x: 0.2 - 0.5 * x, f_deriv=lambda x: -0.5)
+
+
+@st.composite
+def generic_hits(draw) -> tuple[GenericModel, float, float]:
+    """A field, a drive in [0, 6*Q_c] or within 1e-9 of Q_c, and a start in [0, theta)."""
+    model = draw(st.sampled_from([LINEAR, CUBIC]))
+    qc = critical_dose(model)
+    drive = draw(st.floats(0.0, 6.0 * qc) | st.sampled_from([qc * (1 + 1e-9), qc * (1 - 1e-9)]))
+    top = math.nextafter(model.theta, 0.0)
+    x0 = draw(st.sampled_from([0.0, top]) | st.floats(0.0, top))
+    return model, drive, x0
+
+
+@settings(max_examples=150, deadline=None)
+@given(generic_hits())
+# the one capped case: the rest point lies about 6e-12 above theta
+@example((LINEAR, 0.3 * (1 + 1e-11), 0.0))
+def test_generic_hit_time_is_the_fixed_horizon_run_bit_for_bit(case):
+    model, drive, x0 = case
+    expected = _outcome(lambda: _fixed_horizon_hit_time(model, drive, x0))
+    assert _outcome(lambda: time_to_threshold(model, drive, x0)) == expected
+    delta = _outcome(lambda: StrobeMap(model, Forcing(A=drive, T=1.0, d=0.5)).delta)
+    assert delta == _outcome(lambda: time_to_threshold(model, drive, 0.0))
 
 
 def test_generic_unreachable_threshold(lif_generic):
