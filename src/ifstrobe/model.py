@@ -624,7 +624,10 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
 
     The threshold is unreachable exactly when f(theta) + drive <= 0, since f
     is decreasing and the motion stalls at the rest point below theta.  A
-    generic hit time is the ``delta`` of one :class:`_Orbit` run from x0.
+    linear field with ``a > 0``, outside the hypotheses, also never reaches
+    it from an x0 where f(x0) + drive <= 0: the state rests or moves away
+    from its repelling rest point.  A generic hit time is the ``delta`` of
+    one :class:`_Orbit` run from x0.
     """
     theta = model.theta
     if x0 > theta:
@@ -634,7 +637,7 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
     if x0 < 0.0:
         raise ValueError(f"x0 = {x0} negative")
     if isinstance(model, LinearModel):
-        if model.a * theta + model.b + drive <= 0.0:
+        if model.a * theta + model.b + drive <= 0.0 or model.a * x0 + model.b + drive <= 0.0:
             return None
         xeq = model.equilibrium(drive)
         try:

@@ -146,18 +146,21 @@ class StrobeMap:
     constants of the closed form are computed here and each application
     repeats the float operations of ``time_to_threshold`` and ``flow`` in
     their order, so images, spike counts and errors equal theirs bit for
-    bit.  For a generic model every trajectory of a constant drive is a time
-    shift of a stored orbit (``model._DriveOrbits``), one per drive and side
-    of its rest point, integrated once and extended on demand: the reset
-    orbit is the run ``time_to_threshold(model, A, 0.0)`` starts, the hit
-    time from x0 is ``delta - u_A(x0)``, u_A being the time at which that
-    orbit passes x0, and the image is read off the orbit of drive 0 at
-    ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after
-    construction its maps, spike counts and edge probes start no integrator
-    run beyond extending those orbits.  A linear model with ``a >= 0``
-    calls ``flow`` and ``time_to_threshold`` in each application, which
-    keep its errors (a division by zero, an overflow) where they raise them,
-    except that ``delta`` is solved, and may raise, at construction.
+    bit.  That arithmetic lives in :meth:`iterate`, which applies the map
+    many times in one loop; :meth:`apply` is one step of it.  For a generic
+    model every trajectory of a constant drive is a time shift of a stored
+    orbit (``model._DriveOrbits``), one per drive and side of its rest
+    point, integrated once and extended on demand: the reset orbit is the
+    run ``time_to_threshold(model, A, 0.0)`` starts, the hit time from x0
+    is ``delta - u_A(x0)``, u_A being the time at which that orbit passes
+    x0, and the image is read off the orbit of drive 0 at ``u_0(y) + (1 -
+    d)*T`` from the pulse-end state y.  So after construction its maps,
+    spike counts and edge probes start no integrator run beyond extending
+    those orbits.  A linear model with ``a >= 0`` calls ``flow`` and
+    ``time_to_threshold`` in each application, which keep its errors (a
+    division by zero, an overflow) where they raise them, except that
+    ``delta`` is solved, and may raise, at construction.  For both, the
+    map's :meth:`iterate` is a loop over :meth:`apply`.
     """
 
     def __init__(self, model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP) -> None:
@@ -193,28 +196,93 @@ class StrobeMap:
         outside the map domain [0, theta) and SpikeRunawayError past
         ``spike_cap`` spikes.
         """
+        if self._closed_form:
+            states, counts = [x0], []
+            self.iterate(states, counts, 1, 0.0, 0.0)
+            if times is not None:
+                self._spikes(x0, times)
+            return states[1], counts[0]
         if not 0.0 <= x0 < self._theta:
             raise ValueError(f"x0 = {x0} outside the map domain [0, {self._theta})")
         spikes, elapsed = self._spikes(x0, times)
+        x = self._on.flow(0.0 if spikes else x0, self._pulse - elapsed)
+        return self._off.flow(x, self._rest), spikes
+
+    def iterate(
+        self, states: list[float], counts: list[int], stop: int, target: float, tol: float
+    ) -> None:
+        """Apply the map from ``states[-1]`` until ``len(counts) == stop`` or a return.
+
+        Appends each image to ``states`` and its spike count to ``counts``,
+        and stops early after an image within ``tol`` of ``target`` (never
+        when ``tol`` is 0).  Each map equals :meth:`apply`'s, errors included;
+        the maps before an error stay appended.  The linear closed form runs
+        here, in one loop with no call per map.
+        """
+        n = len(counts)
+        x = states[-1]
         if not self._closed_form:
-            x = self._on.flow(0.0 if spikes else x0, self._pulse - elapsed)
-            return self._off.flow(x, self._rest), spikes
-        # flow(model, A, pulse - elapsed, x), then flow(model, 0.0, rest, x)
-        if spikes:
-            t = self._pulse - elapsed
-            x = 0.0 if t == 0.0 else 0.0 + (0.0 - self._xeq_on) * math.expm1(self._a * t)
-        else:
-            x = x0 if self._pulse == 0.0 else x0 + (x0 - self._xeq_on) * self._expm1_pulse
-        if self._rest == 0.0:
-            return x, spikes
-        return x + (x - self._xeq_off) * self._expm1_rest, spikes
+            apply = self.apply
+            while n < stop:
+                x, spikes = apply(x)
+                states.append(x)
+                counts.append(spikes)
+                n += 1
+                if abs(x - target) < tol:
+                    return
+            return
+        theta, pulse, rest, delta, cap = (
+            self._theta, self._pulse, self._rest, self.delta, self.spike_cap
+        )
+        a, reachable, xeq_on, xeq_off = self._a, self._reachable, self._xeq_on, self._xeq_off
+        expm1_pulse, expm1_rest = self._expm1_pulse, self._expm1_rest
+        log1p, expm1 = math.log1p, math.expm1
+        push_state, push_count = states.append, counts.append
+        while n < stop:
+            if not 0.0 <= x < theta:
+                raise ValueError(f"x0 = {x} outside the map domain [0, {theta})")
+            # the spikes of _spikes: the hit time of time_to_threshold, then delta apart
+            spikes = 0
+            if reachable:
+                try:
+                    t = log1p(-(theta - x) / (xeq_on - x)) / a
+                except ValueError as exc:
+                    raise _unresolvable(x, self.forcing.A) from exc
+                if not t > pulse:
+                    spikes = 1
+                    while spikes <= cap:
+                        after = t + delta
+                        if after > pulse:
+                            break
+                        spikes += 1
+                        t = after
+                    else:
+                        raise self._runaway()
+            # flow(model, A, pulse - elapsed, x), then flow(model, 0.0, rest, x)
+            if spikes:
+                s = pulse - t
+                x = 0.0 if s == 0.0 else 0.0 + (0.0 - xeq_on) * expm1(a * s)
+            elif pulse != 0.0:
+                x = x + (x - xeq_on) * expm1_pulse
+            if rest != 0.0:
+                x = x + (x - xeq_off) * expm1_rest
+            push_state(x)
+            push_count(spikes)
+            n += 1
+            if abs(x - target) < tol:
+                return
 
     def spike_count(self, x0: float) -> int:
         """Spikes of one map application from x0 in [0, theta), without its image."""
         return self._spikes(x0)[0]
 
     def _spikes(self, x0: float, times: list[float] | None = None) -> tuple[int, float]:
-        """Number of spikes within the pulse from x0 and the time of the last one (0.0 without)."""
+        """Number of spikes within the pulse from x0 and the time of the last one (0.0 without).
+
+        Without ``delta`` (a reset state that moves away from theta, only
+        possible for a linear field with ``a > 0``) a state that spikes does
+        so once.
+        """
         if not self._closed_form:
             t = self._on.hit_time(x0)
         elif self._reachable:
@@ -228,6 +296,8 @@ class StrobeMap:
         if t is None or t > pulse:
             return 0, 0.0
         first, delta, cap = t, self.delta, self.spike_cap
+        if delta is None:
+            delta = math.inf
         spikes = 1
         while spikes <= cap:
             after = t + delta
@@ -237,8 +307,12 @@ class StrobeMap:
                 return spikes, t
             spikes += 1
             t = after
-        raise SpikeRunawayError(
-            f"more than {cap} spikes in one period (A={self.forcing.A}, T={self.forcing.T})"
+        raise self._runaway()
+
+    def _runaway(self) -> SpikeRunawayError:
+        return SpikeRunawayError(
+            f"more than {self.spike_cap} spikes in one period "
+            f"(A={self.forcing.A}, T={self.forcing.T})"
         )
 
     def boundary(self) -> BoundaryInfo | None:
@@ -248,12 +322,15 @@ class StrobeMap:
         if n == 0:
             return None
         delta = self.delta
-        t_first = self._pulse - (n - 1) * delta
-        s = max(delta - t_first, 0.0)
-        if self._closed_form:
-            guess = flow(self.model, self.forcing.A, s, 0.0)
+        if delta is None:  # only states past a repelling rest point spike, once
+            guess = top
         else:
-            guess = self._on.flow(0.0, s)
+            t_first = self._pulse - (n - 1) * delta
+            s = max(delta - t_first, 0.0)
+            if self._closed_form:
+                guess = flow(self.model, self.forcing.A, s, 0.0)
+            else:
+                guess = self._on.flow(0.0, s)
         sigma = _snap_to_branch_edge(self, min(max(guess, 0.0), top), n)
         return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
 
@@ -419,8 +496,9 @@ def _least_rotation(word: str) -> str:
 
 def _best_candidate(states: list[float], max_period: int) -> int:
     """Length of the closest return to ``states[0]``, at most max_period (the first on ties)."""
-    lengths = range(1, min(len(states) - 1, max_period) + 1)
-    return min(lengths, key=lambda p: abs(states[p] - states[0]))
+    x = states[0]
+    gaps = [abs(y - x) for y in states[1 : min(len(states) - 1, max_period) + 1]]
+    return gaps.index(min(gaps)) + 1
 
 
 def _repeats(states: list[float], counts: list[int], start: int, p: int, tol: float) -> bool:
@@ -484,11 +562,12 @@ def contraction_margin(model: Model, forcing: Forcing) -> float:
 def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) -> OrbitSummary:
     """Iterate the map to the periodic attractor and summarize it.
 
-    One loop applies the map at most ``transient + 2*max_period`` times
-    (``opts``).  Each state is compared with an anchor that moves after 1, 2,
-    4, ... maps without a return (Brent's cycle detection), once more when
-    ``transient`` maps are spent, and to the current state after a failed
-    verification.  A return within ``state_tol`` at distance p, the only
+    The map is applied at most ``transient + 2*max_period`` times
+    (``opts``), by one :meth:`StrobeMap.iterate` call between checkpoints of
+    the detector.  Each state is compared with an anchor that moves after 1,
+    2, 4, ... maps without a return (Brent's cycle detection), once more
+    when ``transient`` maps are spent, and to the current state after a
+    failed verification.  A return within ``state_tol`` at distance p, the only
     candidate since shorter ones failed from the same anchor, is verified by
     p more maps: states repeat within 10*state_tol with equal per-step spike
     counts.  A cycle longer than ``max_period``, or none within the budget,
@@ -497,28 +576,33 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     """
     if opts is None:
         opts = OrbitOptions()
-    tol = opts.state_tol
+    tol, transient = opts.state_tol, opts.transient
+    budget = transient + 2 * opts.max_period
     smap = StrobeMap(model, forcing, opts.spike_cap)
-    step = smap.apply
     states = [opts.seed]
     counts: list[int] = []
     anchor, power = 0, 1  # index of the anchor; maps it waits before it moves
     lam = 0  # distance of the return under verification, 0 when none
     period = 0  # length of the verified cycle, 0 when none
-    while len(counts) < opts.transient + 2 * opts.max_period:
-        image, spikes = step(states[-1])
-        states.append(image)
-        counts.append(spikes)
-        i = len(counts)
+    i = 0  # maps applied
+    # one iterate call per checkpoint: a return to the anchor, an anchor move,
+    # the end of a verification or the budget
+    while i < budget:
         if lam:
+            smap.iterate(states, counts, min(anchor + 2 * lam, budget), 0.0, 0.0)
+            i = len(counts)
             if i == anchor + 2 * lam:
                 if _repeats(states, counts, anchor, lam, tol):
                     period = lam
                     break
                 anchor, power, lam = i, 1, 0
-        elif abs(states[i] - states[anchor]) < tol:
+            continue
+        stop = min(anchor + power, transient) if i < transient else budget
+        smap.iterate(states, counts, stop, states[anchor], tol)
+        i = len(counts)
+        if abs(states[i] - states[anchor]) < tol:
             lam = i - anchor
-        elif i == opts.transient or (i < opts.transient and i - anchor == power):
+        elif i == transient or (i < transient and i - anchor == power):
             anchor, power = i, 2 * power
 
     converged = 0 < period <= opts.max_period
@@ -526,8 +610,11 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
         p = period
         start = len(counts) - p
     else:
-        start = len(counts) - 2 * opts.max_period
-        p = _best_candidate(states[start:], opts.max_period)
+        # keep the last 2*max_period maps alone: the states before them are
+        # freed before the candidate search builds its gaps
+        window = len(counts) - 2 * opts.max_period
+        states, counts, start = states[window:], counts[window:], 0
+        p = _best_candidate(states, opts.max_period)
     points = tuple(states[start : start + p])
     n_spikes = sum(counts[start : start + p])
 

@@ -45,15 +45,37 @@ def counted_generic() -> tuple[GenericModel, list]:
 
 @pytest.fixture
 def strobe_calls(monkeypatch) -> list:
-    """One entry per map application (``StrobeMap.apply``) from here on."""
-    original = StrobeMap.apply
-    calls = []
+    """One entry per map application, by ``StrobeMap.apply`` or ``StrobeMap.iterate``, from here on.
 
-    def counting(self, *args, **kwargs):
-        calls.append(None)
-        return original(self, *args, **kwargs)
+    Each method can run the other (a closed-form ``apply`` is one step of
+    ``iterate``, a generic ``iterate`` loops over ``apply``), so only the
+    outermost call counts: one entry per ``apply`` and one per state that
+    ``iterate`` appends.
+    """
+    apply, iterate = StrobeMap.apply, StrobeMap.iterate
+    calls, running = [], []
 
-    monkeypatch.setattr(StrobeMap, "apply", counting)
+    def counting_apply(self, *args, **kwargs):
+        if not running:
+            calls.append(None)
+        running.append(None)
+        try:
+            return apply(self, *args, **kwargs)
+        finally:
+            running.pop()
+
+    def counting_iterate(self, states, counts, *args):
+        outermost, before = not running, len(counts)
+        running.append(None)
+        try:
+            return iterate(self, states, counts, *args)
+        finally:
+            running.pop()
+            if outermost:
+                calls.extend([None] * (len(counts) - before))
+
+    monkeypatch.setattr(StrobeMap, "apply", counting_apply)
+    monkeypatch.setattr(StrobeMap, "iterate", counting_iterate)
     return calls
 
 

@@ -179,6 +179,20 @@ def test_time_to_threshold_examples(lif):
         time_to_threshold(lif, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("x0", [0.0, 0.3, 0.5])
+def test_linear_hit_time_is_none_where_the_drive_moves_the_state_away(x0):
+    # a > 0 breaks the hypotheses: under drive 1.932 the rest point
+    # 0.457/1.188 = 0.385 repels, so states below it move away from theta
+    model, drive = LinearModel(a=1.188, b=-2.389), 1.932
+    t = time_to_threshold(model, drive, x0)
+    if model.f(x0) + drive <= 0.0:
+        assert t is None
+    else:
+        xeq = model.equilibrium(drive)
+        assert t == math.log1p(-(1.0 - x0) / (xeq - x0)) / model.a
+        assert 0.0 < t < math.inf and abs(flow(model, drive, t, x0) - 1.0) < 1e-12
+
+
 def test_critical_dose_examples(lif):
     assert critical_dose(lif) == pytest.approx(0.3, abs=0)
     assert critical_dose(LinearModel(a=-2.0, b=1.0, theta=1.0)) == pytest.approx(1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import sys
@@ -14,6 +15,7 @@ from ifstrobe import (
     IntegrationError,
     LinearModel,
     OrbitOptions,
+    OrbitSummary,
     attractor,
     bif_T,
     boundary_sigma,
@@ -30,7 +32,14 @@ from ifstrobe import (
     time_to_threshold,
 )
 from ifstrobe.model import MAX_STEPS
-from ifstrobe.strobe import SPIKE_CAP, _least_rotation
+from ifstrobe.strobe import (
+    SPIKE_CAP,
+    STATE_TOL,
+    _best_candidate,
+    _contraction_margin,
+    _least_rotation,
+    _repeats,
+)
 
 import oracle
 
@@ -448,6 +457,30 @@ def test_linear_field_without_decay_keeps_the_errors_of_the_flows():
         strobe(model, forcing, 0.5)
 
 
+@pytest.mark.parametrize("x0", [0.0, 0.3, 0.5])
+def test_linear_map_past_a_repelling_rest_point_spikes_once(x0):
+    # a > 0: the reset state 0 lies below the repelling rest point 0.385 of
+    # drive 1.932, so it never reaches theta and delta is None; a state past
+    # that rest point spikes once and then drifts away from theta
+    model, forcing = LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5)
+    smap = StrobeMap(model, forcing)
+    assert smap.delta is None
+    t = time_to_threshold(model, forcing.A, x0)
+    pulse = forcing.pulse_width
+    if t is None:
+        expected = flow(model, 0.0, 2.0, flow(model, forcing.A, pulse, x0)), 0, ()
+    else:
+        assert t < pulse
+        expected = flow(model, 0.0, 2.0, flow(model, forcing.A, pulse - t, 0.0)), 1, (t,)
+    res = strobe(model, forcing, x0)
+    assert (_bits(res.image), res.spikes, res.spike_times) == (_bits(expected[0]), *expected[1:])
+    assert smap.spike_count(x0) == res.spikes
+    info = smap.boundary()
+    assert info.n == 1
+    assert smap.spike_count(info.sigma) == 1
+    assert smap.spike_count(math.nextafter(info.sigma, 0.0)) == 0
+
+
 def test_fixed_point_subthreshold(lif):
     forcing = Forcing(A=0.25, T=2.0, d=0.5)
     u = math.exp(-0.5)
@@ -573,12 +606,14 @@ def test_orbit_options_reject_out_of_domain_values(bad):
         OrbitOptions(**bad)
 
 
+# the last doubling anchor before a transient of 4000 maps (2047) lies off
+# the cycle and the next one (4095) comes after it, so only the anchor placed
+# at the transient sees the cycle return
+ANCHOR_AT_TRANSIENT = Forcing(A=2.6741647000591087, T=0.07739807593168964, d=0.8272023821560168)
+
+
 def test_attractor_anchors_once_more_when_the_transient_is_spent(lif):
-    # the last doubling anchor before the transient (2047) lies off the cycle
-    # and the next one (4095) comes after it, so only the anchor placed at the
-    # transient sees the cycle return
-    forcing = Forcing(A=2.6741647000591087, T=0.07739807593168964, d=0.8272023821560168)
-    orbit = attractor(lif, forcing, OrbitOptions(transient=4000, max_period=20))
+    orbit = attractor(lif, ANCHOR_AT_TRANSIENT, OrbitOptions(transient=4000, max_period=20))
     assert orbit.converged
     assert (orbit.period_p, orbit.eta, orbit.word) == (6, Fraction(1, 6), "LLLLLR")
 
@@ -595,6 +630,157 @@ def test_attractor_budget_bounds_the_map_applications(lif, strobe_calls, opts):
     assert not orbit.converged
     assert 1 <= orbit.period_p <= opts.max_period
     assert len(strobe_calls) == opts.transient + 2 * opts.max_period
+
+
+def _attractor_map_by_map(model, forcing, opts):
+    """``attractor`` with its detector stepped one ``StrobeMap.apply`` per map."""
+    tol = opts.state_tol
+    smap = StrobeMap(model, forcing, opts.spike_cap)
+    states, counts = [opts.seed], []
+    anchor, power, lam, period = 0, 1, 0, 0
+    while len(counts) < opts.transient + 2 * opts.max_period:
+        image, spikes = smap.apply(states[-1])
+        states.append(image)
+        counts.append(spikes)
+        i = len(counts)
+        if lam:
+            if i == anchor + 2 * lam:
+                if _repeats(states, counts, anchor, lam, tol):
+                    period = lam
+                    break
+                anchor, power, lam = i, 1, 0
+        elif abs(states[i] - states[anchor]) < tol:
+            lam = i - anchor
+        elif i == opts.transient or (i < opts.transient and i - anchor == power):
+            anchor, power = i, 2 * power
+    converged = 0 < period <= opts.max_period
+    if converged:
+        p, start = period, len(counts) - period
+    else:
+        start = len(counts) - 2 * opts.max_period
+        lengths = range(1, min(len(counts) - start, opts.max_period) + 1)
+        p = min(lengths, key=lambda q: abs(states[start + q] - states[start]))
+    points = tuple(states[start : start + p])
+    n_spikes = sum(counts[start : start + p])
+    info = smap.boundary()
+    word = "L" * p if info is None else "".join("R" if x >= info.sigma else "L" for x in points)
+    word = _least_rotation(word)
+    return OrbitSummary(
+        period_p=p,
+        spikes_n=n_spikes,
+        word=word,
+        eta=Fraction(n_spikes, p),
+        rho=Fraction(word.count("R"), p),
+        rate=n_spikes / (p * forcing.T),
+        points=points,
+        converged=converged,
+        contraction_margin=_contraction_margin(smap, info) if opts.compute_margin else math.nan,
+        single_branch=info is None,
+    )
+
+
+def _summary_bits(fn):
+    """Every field of an OrbitSummary, floats as bit patterns, or the error's type and message."""
+    try:
+        orbit = fn()
+    except (ValueError, SpikeRunawayError, IntegrationError) as exc:
+        return type(exc), str(exc)
+    return tuple(
+        tuple(map(_bits, v)) if isinstance(v, tuple) else _bits(v) if isinstance(v, float) else v
+        for v in dataclasses.astuple(orbit)
+    )
+
+
+@st.composite
+def _attractor_cases(draw):
+    """A linear field, a forcing of it and orbit options, some of them raising."""
+    a = draw(st.floats(-3.0, -0.05))
+    theta = draw(st.floats(0.3, 4.0))
+    model = LinearModel(a=a, b=-a * theta * draw(st.floats(0.02, 0.98)), theta=theta)
+    A = critical_dose(model)
+    if draw(st.booleans()):
+        A *= draw(st.floats(0.0, 12.0))
+    else:  # within ulps of the critical dose, where the rest point can round onto theta
+        ulps = draw(st.integers(-2, 6))
+        for _ in range(abs(ulps)):
+            A = math.nextafter(A, math.copysign(math.inf, ulps))
+    forcing = Forcing(A=A, T=draw(st.floats(1e-3, 100.0)), d=draw(st.floats(0.001, 0.999)))
+    seed = draw(st.sampled_from([0.0, math.nextafter(theta, 0.0), None]))
+    if seed is None:
+        seed = min(draw(st.floats(0.0, 1.0, exclude_max=True)) * theta, math.nextafter(theta, 0.0))
+    opts = OrbitOptions(
+        transient=draw(st.sampled_from([0, 1, 300, 10_000])),
+        max_period=draw(st.sampled_from([1, 2, 20, 10_000])),
+        seed=seed,
+        state_tol=draw(st.sampled_from([STATE_TOL, 1e-6])),
+        spike_cap=draw(st.sampled_from([SPIKE_CAP, 1, 2, 5])),
+        compute_margin=draw(st.booleans()),
+    )
+    return model, forcing, opts
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases())
+@example(case=(LinearModel(a=-0.5, b=0.2), UNCONVERGED, OrbitOptions()))
+@example(case=(LinearModel(a=-0.5, b=0.2), UNCONVERGED, OrbitOptions(transient=0, max_period=1)))
+@example(
+    case=(LinearModel(a=-0.5, b=0.2), ANCHOR_AT_TRANSIENT, OrbitOptions(transient=4000, max_period=20))
+)
+def test_attractor_equals_its_detector_stepped_map_by_map(case):
+    model, forcing, opts = case
+    expected = _summary_bits(lambda: _attractor_map_by_map(model, forcing, opts))
+    assert _summary_bits(lambda: attractor(model, forcing, opts)) == expected
+
+
+def _appended(run, x0):
+    """The states (as bit patterns) and counts ``run(states, counts)`` appends from x0, and its error."""
+    states, counts = [x0], []
+    try:
+        run(states, counts)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return list(map(_bits, states)), counts, (type(exc), str(exc))
+    return list(map(_bits, states)), counts, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(st.floats(-3.0, -0.05), st.floats(0.0, 3.0)),
+    b=st.floats(-3.0, 3.0),
+    forcing=st.builds(
+        Forcing, A=st.floats(0.0, 20.0), T=st.floats(1e-3, 100.0), d=st.floats(0.001, 0.999)
+    ),
+    share=st.floats(-0.25, 1.25),
+    stop=st.integers(0, 60),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.2]),
+    spike_cap=st.sampled_from([SPIKE_CAP, 1, 3]),
+)
+def test_iterate_is_apply_map_by_map(a, b, forcing, share, stop, tol, spike_cap):
+    # a >= 0 takes the loop over apply, a < 0 the closed form's own loop
+    model = LinearModel(a=a, b=b)
+    try:
+        smap = StrobeMap(model, forcing, spike_cap)
+    except (ZeroDivisionError, IntegrationError):
+        assume(False)
+    x0 = share * model.theta
+
+    def applied(states, counts):
+        while len(counts) < stop:
+            image, spikes = smap.apply(states[-1])
+            states.append(image)
+            counts.append(spikes)
+            if abs(image - x0) < tol:
+                return
+
+    iterated = _appended(lambda states, counts: smap.iterate(states, counts, stop, x0, tol), x0)
+    assert iterated == _appended(applied, x0)
+
+
+def test_best_candidate_takes_the_first_of_equally_close_returns():
+    window = [0.5, 0.75, 0.25, 0.75, 0.25, 0.5]
+    assert _best_candidate(window, 4) == 1  # four returns 0.25 away
+    assert _best_candidate(window, 5) == 5
+    assert _best_candidate(window[:5], 10) == 1  # lengths end with the window
+    assert _best_candidate([0.5, 1.0, 0.25, 0.75, 0.5], 3) == 2
 
 
 def test_attractor_eta_equals_spikes_plus_rotation(lif):
