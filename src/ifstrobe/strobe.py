@@ -283,15 +283,7 @@ class StrobeMap:
         possible for a linear field with ``a > 0``) a state that spikes does
         so once.
         """
-        if not self._closed_form:
-            t = self._on.hit_time(x0)
-        elif self._reachable:
-            try:
-                t = math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
-            except ValueError as exc:
-                raise _unresolvable(x0, self.forcing.A) from exc
-        else:
-            t = None
+        t = self._first_spike(x0)
         pulse = self._pulse
         if t is None or t > pulse:
             return 0, 0.0
@@ -309,6 +301,38 @@ class StrobeMap:
             t = after
         raise self._runaway()
 
+    def _first_spike(self, x0: float) -> float | None:
+        """Hit time of the threshold from x0 under the drive, None when unreachable."""
+        if not self._closed_form:
+            return self._on.hit_time(x0)
+        if not self._reachable:
+            return None
+        try:
+            return math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
+        except ValueError as exc:
+            raise _unresolvable(x0, self.forcing.A) from exc
+
+    def _spikes_at_least(self, x0: float, n: int, limit: float) -> bool:
+        """Whether ``spike_count(x0) >= n``, with ``limit = _fit_limit(pulse, delta, n)``.
+
+        One hit time and two additions of the spike loop: x0 spikes at least
+        n times when its spike min(n, 2) comes at or before ``limit``.  A
+        probe with room for spike n + 1 takes the full count instead, which
+        raises :class:`SpikeRunawayError` past ``spike_cap`` as the map does;
+        n is at most ``spike_cap``, as is a count the map returned.
+        """
+        t = self._first_spike(x0)
+        if t is None or t > self._pulse:
+            return False
+        delta = math.inf if self.delta is None else self.delta
+        if n > 1:
+            t += delta
+            if t > limit:
+                return False
+        if not t + delta > limit:  # the loop's own stop test, which a NaN never passes
+            return self.spike_count(x0) >= n
+        return True
+
     def _runaway(self) -> SpikeRunawayError:
         return SpikeRunawayError(
             f"more than {self.spike_cap} spikes in one period "
@@ -316,7 +340,13 @@ class StrobeMap:
         )
 
     def boundary(self) -> BoundaryInfo | None:
-        """The map's discontinuity; see :func:`boundary_sigma`."""
+        """The map's discontinuity; see :func:`boundary_sigma`.
+
+        Its cost is O(n) once, for the count of the last double below theta
+        and the limit on the second spike time, plus one hit time per edge
+        probe, so sigma and n are those of an edge search that counts every
+        probe's spikes, bit for bit.
+        """
         top = math.nextafter(self._theta, 0.0)
         n = self.spike_count(top)
         if n == 0:
@@ -369,6 +399,34 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
+def _fit_limit(pulse: float, delta: float | None, n: int) -> float:
+    """Latest time of spike min(n, 2) from which the spike loop fits n spikes in the pulse.
+
+    The loop's spike times are ``t + delta`` repeated in floating point,
+    and correctly rounded addition is monotone in t, so n spikes fit
+    exactly when the second spike comes at or before the double reached by
+    stepping back from the pulse end n - 2 times, each step the largest c
+    with ``c + delta`` at or below the last (for n = 1, when the first
+    spike comes at or before the pulse end).  The steps stop at the second
+    spike: the first can lie binades below delta, where correcting ``lim -
+    delta`` one ulp at a time takes arbitrarily long, while from delta up
+    each step corrects a few ulps.  A step below delta gives -inf, since no
+    second spike comes before delta.  O(n), once per boundary.
+    """
+    lim = pulse
+    nextafter, inf = math.nextafter, math.inf
+    for _ in range(n - 2):
+        c = lim - delta
+        if c < delta:
+            return -inf
+        while c + delta > lim:
+            c = nextafter(c, -inf)
+        while (up := nextafter(c, inf)) + delta <= lim:
+            c = up
+        lim = c
+    return lim
+
+
 def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     """The double in (0, theta) spiking at least n times whose predecessor spikes fewer.
 
@@ -376,23 +434,30 @@ def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     spike at least n times and up while they spike fewer, until the count
     crosses n, then bisects the bracket, so the cost grows with the log of
     the distance.  Going up it stops by the last double below theta, which
-    spikes n times; None when it goes down to 0.0 without a crossing.
+    spikes n times; None when it goes down to 0.0 without a crossing.  Each
+    probe tests ``spike_count(probe) >= n`` exactly, against the map's own
+    rounded spike times, but by one hit time and one comparison with the
+    limit of :func:`_fit_limit`, computed once; only a probe with room for
+    more than n spikes runs the spike loop, so that a count past
+    ``spike_cap`` raises as it does in the map.
     """
     top = _ordinal(math.nextafter(smap.model.theta, 0.0))
     k = _ordinal(sigma)
-    above = smap.spike_count(sigma) >= n
+    limit = _fit_limit(smap._pulse, smap.delta, n)
+    fits = smap._spikes_at_least
+    above = fits(sigma, n, limit)
     step = -1 if above else 1
     while True:
         if above and k == 0:
             return None
         probe = min(max(k + step, 0), top)
-        if (smap.spike_count(_from_ordinal(probe)) >= n) != above:
+        if fits(_from_ordinal(probe), n, limit) != above:
             break
         k, step = probe, 2 * step
     lo, hi = sorted((k, probe))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if smap.spike_count(_from_ordinal(mid)) >= n:
+        if fits(_from_ordinal(mid), n, limit):
             hi = mid
         else:
             lo = mid
@@ -413,8 +478,11 @@ def boundary_sigma(
     so sigma is one edge of a band of mixed counts that can be a few
     thousand ulps wide.  The guess is the point of the reset trajectory
     ``t_first`` = pulse - (n-1)*delta short of the threshold, the time of
-    the first of the n spikes.  :meth:`StrobeMap.boundary` computes it for
-    a map already built.
+    the first of the n spikes.  The search tests each probe's count against
+    n with the map's own rounded spike times: O(n) once per boundary for
+    the count of ``top`` and the limit on the second spike time, then one
+    hit time per probe (see :func:`_snap_to_branch_edge`).
+    :meth:`StrobeMap.boundary` computes it for a map already built.
     """
     return StrobeMap(model, forcing, spike_cap).boundary()
 
@@ -518,6 +586,8 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
     sampled sup of the central-difference derivative, a heuristic bound.
     Without a boundary (``info`` is None, as returned by
     :meth:`StrobeMap.boundary`) the single branch is measured the same way.
+    A linear branch with spikes but no ``delta`` (the reset state never
+    reaches theta, only possible for ``a > 0``) raises DomainError.
     """
     model, forcing = smap.model, smap.forcing
     theta = model.theta
@@ -529,6 +599,12 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
         n = info.n
     span = theta - lo
     if isinstance(model, LinearModel):
+        if n and smap.delta is None:
+            raise DomainError(
+                f"contraction margin undefined: delta is None, the reset state never reaches "
+                f"theta under A={forcing.A}, so the slope exp(a*(T - n*delta)) of the "
+                f"{n}-spike branch is undefined"
+            )
         ndelta = n * smap.delta if n else 0.0
         slope = math.exp(model.a * (forcing.T - ndelta))
         return span * (1.0 - slope)

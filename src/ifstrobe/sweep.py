@@ -316,7 +316,10 @@ def sweep_T(
 
     With ``refine`` the gap between neighbours of different firing-number is
     bisected until it shrinks below a hundredth of the initial spacing, which
-    pins step edges to that width.  Samples come back sorted by period.
+    pins step edges to that width, or until the neighbours are adjacent
+    doubles.  Each pass evaluates its midpoints in period order and compares
+    only the pairs next to the last pass's nodes.  Samples come back sorted
+    by period.
     ``workers`` bounds the worker processes of the call's one pool, which
     starts only when the nodes left would pay for it.  A node's numeric
     failure raises, naming the node; the first failed node in the grid's
@@ -343,15 +346,25 @@ def sweep_T(
         if not refine:
             return samples
         min_gap = (t_max - t_min) / (resolution - 1) / 100.0  # the grid spacing, to its bits
+        # only the pairs next to a new node can need a midpoint in the next pass
+        pairs = list(zip(samples, samples[1:]))
         while True:
-            mids = []
-            for left, right in zip(samples, samples[1:]):
-                if left.eta != right.eta and (right.T - left.T) > min_gap:
-                    mids.append(0.5 * (left.T + right.T))
-            if not mids:
+            split = []
+            for left, right in pairs:
+                if left.eta != right.eta and right.T - left.T > min_gap:
+                    mid = 0.5 * (left.T + right.T)
+                    if left.T < mid < right.T:  # no midpoint between adjacent doubles
+                        split.append((left, right, mid))
+            if not split:
+                samples.sort(key=lambda s: s.T)
                 return samples
-            new = _raise_first_failure(runner.map([(model, mode, T, opts) for T in mids]))
-            samples = sorted(samples + new, key=lambda s: s.T)
+            new = _raise_first_failure(runner.map([(model, mode, T, opts) for _, _, T in split]))
+            samples += new
+            pairs = [
+                pair
+                for (left, right, _), node in zip(split, new)
+                for pair in ((left, node), (node, right))
+            ]
 
 
 def _eval_plane_node(

@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ifstrobe import (
+    BoundaryInfo,
+    DomainError,
     Forcing,
     GenericModel,
     IntegrationError,
@@ -37,11 +39,15 @@ from ifstrobe.strobe import (
     STATE_TOL,
     _best_candidate,
     _contraction_margin,
+    _fit_limit,
+    _from_ordinal,
     _least_rotation,
+    _ordinal,
     _repeats,
 )
 
 import oracle
+from conftest import linear_f, linear_f_deriv
 
 PULSED = dict(A=10 / 3, T=1.0, d=0.2)
 
@@ -172,6 +178,192 @@ def test_generic_boundary_n_is_the_count_of_the_map(lif_generic, A, k, d):
     T = k * time_to_threshold(lif_generic, A, 0.0) / d
     for period in (math.nextafter(T, 0.0), T, math.nextafter(T, math.inf)):
         _assert_boundary_contract(lif_generic, Forcing(A=A, T=period, d=d))
+
+
+def _boundary_by_spike_count(smap):
+    """``StrobeMap.boundary`` with every edge probe tested by ``spike_count(probe) >= n``."""
+    forcing, delta = smap.forcing, smap.delta
+    top = math.nextafter(smap.model.theta, 0.0)
+    n = smap.spike_count(top)
+    if n == 0:
+        return None
+    if delta is None:
+        guess = top
+    else:
+        s = max(delta - (forcing.pulse_width - (n - 1) * delta), 0.0)
+        if isinstance(smap.model, LinearModel):
+            guess = flow(smap.model, forcing.A, s, 0.0)
+        else:
+            guess = smap._on.flow(0.0, s)
+    k, last = _ordinal(min(max(guess, 0.0), top)), _ordinal(top)
+    above = smap.spike_count(_from_ordinal(k)) >= n
+    step = -1 if above else 1
+    while True:
+        if above and k == 0:
+            return None
+        probe = min(max(k + step, 0), last)
+        if (smap.spike_count(_from_ordinal(probe)) >= n) != above:
+            break
+        k, step = probe, 2 * step
+    lo, hi = sorted((k, probe))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if smap.spike_count(_from_ordinal(mid)) >= n:
+            hi = mid
+        else:
+            lo = mid
+    return BoundaryInfo(sigma=_from_ordinal(hi), n=n)
+
+
+def _returned_or_raised(fn):
+    """What fn returns, or the type and message of its error."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _edge(info):
+    """sigma as hex and n, or None."""
+    return None if info is None else (info.sigma.hex(), info.n)
+
+
+@st.composite
+def _boundary_cases(draw):
+    """A map with up to thousands of spikes, often at a near multiple, and its spike cap."""
+    kind = draw(st.sampled_from(["lif", "linear", "any-sign", "generic"]))
+    if kind == "any-sign":  # a > 0 included, where delta can be None
+        model = LinearModel(a=draw(st.floats(-3.0, 3.0)), b=draw(st.floats(-3.0, 3.0)))
+        A = draw(st.floats(0.0, 6.0))
+    else:
+        if kind == "linear":
+            a, theta = draw(st.floats(-3.0, -0.05)), draw(st.floats(0.3, 4.0))
+            model = LinearModel(a=a, b=-a * theta * draw(st.floats(0.02, 0.98)), theta=theta)
+        else:
+            model = LinearModel(a=-0.5, b=0.2, theta=1.0)
+        A = critical_dose(model) * (1.0 + draw(st.floats(1e-3, 3.0)))
+    d = draw(st.floats(0.01, 0.95))
+    try:
+        delta = time_to_threshold(model, A, 0.0)
+    except (ArithmeticError, IntegrationError):
+        delta = None
+    if not (delta and math.isfinite(delta)):  # a field outside the hypotheses: no spacing
+        delta = None
+    if kind == "generic":
+        model = GenericModel(f=linear_f, f_deriv=linear_f_deriv, theta=1.0)
+    # at most about 6000 spikes per map and T up to 1e4
+    t_max = 1e4 if delta is None else min(1e4, 6000.0 * delta / d)
+    if delta is not None and draw(st.booleans()):
+        T = draw(st.integers(1, max(1, int(t_max * d / delta)))) * delta / d
+        for _ in range(draw(st.integers(0, 4))):
+            T = math.nextafter(T, draw(st.sampled_from([0.0, math.inf])))
+        assume(0.0 < T < math.inf)
+    else:
+        T = draw(st.floats(0.05, max(t_max, 0.05)))
+    forcing = Forcing(A=A, T=T, d=d)
+    cap = SPIKE_CAP
+    shift = draw(st.sampled_from([None, 0, 1]))  # the cap at n or at n - 1
+    if shift is not None:
+        try:
+            cap = max(StrobeMap(model, forcing).spike_count(math.nextafter(model.theta, 0.0)), 1)
+        except Exception:  # a map that raises keeps the default cap
+            pass
+        cap = max(cap - shift, 1)
+    return model, forcing, cap
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_boundary_cases())
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), FORTY_SPIKES, SPIKE_CAP))
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), FORTY_SPIKES, 40))
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), FORTY_SPIKES, 39))
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), Forcing(A=10 / 3, T=3e4, d=0.2), SPIKE_CAP))
+@example(case=(LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5), SPIKE_CAP))
+# delta is inf, so the guess and its hit time are NaN, which the spike loop
+# counts without end: both searches raise at the cap
+@example(case=(LinearModel(a=1.0, b=5e-324), Forcing(A=0.0, T=1.0, d=0.5), SPIKE_CAP))
+@example(
+    case=(
+        LinearModel(a=-0.5, b=0.2, theta=1.0),
+        Forcing(A=0.5747450474363697, T=242.45119955641803, d=0.21379362912317817),
+        SPIKE_CAP,
+    )
+)
+def test_boundary_equals_an_edge_search_by_spike_count(case):
+    model, forcing, cap = case
+    found = _returned_or_raised(lambda: _edge(StrobeMap(model, forcing, cap).boundary()))
+    expected = _returned_or_raised(
+        lambda: _edge(_boundary_by_spike_count(StrobeMap(model, forcing, cap)))
+    )
+    assert found == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_cases(), where=st.floats(0.0, 1.0), shift=st.integers(-2, 2))
+@example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), FORTY_SPIKES, 39), where=1.0, shift=-1)
+def test_probe_test_is_the_spike_count_at_least_n(case, where, shift):
+    model, forcing, cap = case
+    try:
+        smap = StrobeMap(model, forcing, cap)
+    except Exception:  # a field outside the hypotheses whose delta raises
+        assume(False)
+    x0 = min(where * model.theta, math.nextafter(model.theta, 0.0))
+    try:
+        count = StrobeMap(model, forcing).spike_count(x0)
+    except Exception:
+        count = cap
+    n = min(max(count + shift, 1), cap)  # a count past the cap raises in both
+    assume(smap.delta is not None or n == 1)  # without delta a state spikes at most once
+    limit = _fit_limit(smap._pulse, smap.delta, n)
+    found = _returned_or_raised(lambda: smap._spikes_at_least(x0, n, limit))
+    assert found == _returned_or_raised(lambda: smap.spike_count(x0) >= n)
+
+
+def _fits_by_the_spike_loop(t, pulse, delta, n):
+    """Whether spike min(n, 2) at t leads the spike loop to spike n by the pulse end."""
+    if t > pulse:
+        return False
+    for _ in range(n - 2):
+        t += delta
+        if t > pulse:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    delta=st.floats(1e-3, 10.0),
+    n=st.integers(1, 2000),
+    data=st.data(),
+)
+def test_fit_limit_agrees_with_the_spike_loop(delta, n, data):
+    if data.draw(st.booleans()):  # the pulse end within ulps of the n-th spike
+        pulse = (n - 1 + data.draw(st.integers(-2, 1))) * delta
+        for _ in range(data.draw(st.integers(0, 4))):
+            pulse = math.nextafter(pulse, data.draw(st.sampled_from([0.0, math.inf])))
+        pulse = max(pulse, 0.0)
+    else:
+        pulse = data.draw(st.floats(0.0, (n + 1) * delta))
+    limit = _fit_limit(pulse, delta, n)
+    # a second spike comes at delta or later, so below delta the limit is only
+    # exact when finite
+    centre = limit if math.isfinite(limit) else delta
+    probes = [_from_ordinal(max(_ordinal(centre) + j, 0)) for j in range(-64, 65)]
+    probes += data.draw(st.lists(st.floats(0.0, pulse + delta), max_size=8))
+    for t in probes:
+        if t >= delta or math.isfinite(limit):
+            assert (t <= limit) == _fits_by_the_spike_loop(t, pulse, delta, n), t
+
+
+def test_contraction_margin_without_delta_names_the_undefined_slope():
+    # a > 0: the reset state 0 never reaches theta (delta is None), yet the
+    # states past the repelling rest point spike once, so the right branch
+    # has n = 1 and no slope exp(a*(T - n*delta))
+    model, forcing = LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5)
+    with pytest.raises(DomainError, match="delta is None"):
+        contraction_margin(model, forcing)
+    with pytest.raises(ValueError, match="outside the map domain"):
+        attractor(model, forcing)
 
 
 @pytest.fixture

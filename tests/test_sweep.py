@@ -27,7 +27,7 @@ from ifstrobe import (
     verify_adding,
 )
 from ifstrobe.model import MAX_STEPS
-from ifstrobe.sweep import StaircaseSample, _extract_windows
+from ifstrobe.sweep import StaircaseSample, _eval_sweep_node, _extract_windows
 
 FAST = OrbitOptions(transient=4000, max_period=2000)
 
@@ -88,6 +88,51 @@ def test_sweep_refinement_sharpens_edges(lif):
     for left, right in zip(fine, fine[1:]):
         if left.eta != right.eta:
             assert right.T - left.T <= spacing / 100 * (1 + 1e-9)
+
+
+def _refined_by_rescan(model, mode, t_range, resolution, opts):
+    """A refined sweep that re-compares every neighbour pair and re-sorts after each pass."""
+    samples = sweep_T(model, mode, t_range, resolution, opts=opts)
+    min_gap = (t_range[1] - t_range[0]) / (resolution - 1) / 100.0
+    while True:
+        mids = [
+            0.5 * (left.T + right.T)
+            for left, right in zip(samples, samples[1:])
+            if left.eta != right.eta and right.T - left.T > min_gap
+        ]
+        if not mids:
+            return samples
+        new = [_eval_sweep_node((model, mode, T, opts)) for T in mids]
+        samples = sorted(samples + new, key=lambda s: s.T)
+
+
+@pytest.mark.parametrize(
+    "mode, t_range, resolution",
+    [
+        (WidthCorrection(A=10 / 3, d=0.2), (0.3, 30.0), 120),
+        (WidthCorrection(A=1.7, d=0.45), (0.2, 9.0), 37),
+        (AmplitudeCorrection(delta=3.0, Q=0.6667), (3.5, 60.0), 50),
+    ],
+)
+def test_refinement_equals_a_rescan_of_every_pair(lif, mode, t_range, resolution):
+    refined = sweep_T(lif, mode, t_range, resolution, refine=True, opts=FAST)
+    assert len(refined) > resolution
+    assert refined == _refined_by_rescan(lif, mode, t_range, resolution, FAST)
+
+
+def test_refinement_stops_at_adjacent_doubles(lif):
+    # the 3/4 step ends between these two doubles, and a grid spacing of
+    # 2e-15 makes a hundredth of it smaller than their gap: a refinement that
+    # bisected by the gap alone would put its midpoint onto one of them forever
+    edge = float.fromhex("0x1.34b4ae72c8f95p+0")
+    mode = WidthCorrection(A=10 / 3, d=0.2)
+    samples = sweep_T(lif, mode, (edge - 1e-13, edge + 1e-13), 100, refine=True, opts=FAST)
+    periods = [s.T for s in samples]
+    assert periods == sorted(set(periods))
+    assert any(
+        left.eta != right.eta and math.nextafter(left.T, math.inf) == right.T
+        for left, right in zip(samples, samples[1:])
+    )
 
 
 def test_sweep_matches_window_solves(lif):
