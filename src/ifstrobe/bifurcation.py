@@ -30,6 +30,7 @@ from ._brent import brentq
 from .model import (
     DomainError,
     Model,
+    _check_count,
     _check_forcing,
     averaged_time_to_threshold,
     classify_region,
@@ -127,8 +128,7 @@ def _check_time_tol(time_tol: float) -> None:
 
 def _normalize_side(n: int, side: Side) -> tuple[Side, int]:
     """Map (n, side) onto the solver's alignment count k."""
-    if n < 0:
-        raise DomainError("spike count n must be >= 0")
+    _check_count("spike count n", n, 0)
     if side is Side.ZERO or (side is Side.L and n == 0):
         return Side.ZERO, 0
     if n == 0:

@@ -31,6 +31,7 @@ stroboscopic map) live in :mod:`ifstrobe.strobe`.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
@@ -144,6 +145,19 @@ def _check_forcing(A: float | None = None, T: float | None = None, d: float | No
         raise DomainError("duty cycle d must lie in the open interval (0, 1)")
 
 
+def _check_count(name: str, value: int, least: int | None = None) -> None:
+    """Apply the one domain rule of a count: an integer, and at least ``least`` when given.
+
+    Raises DomainError naming the parameter.  A float is no count, even
+    with an integral value.  Callers whose range message is worded
+    otherwise leave out ``least`` and test the range themselves.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class Forcing:
     """Square-wave input: amplitude ``A`` on (nT, nT + dT], zero otherwise."""
@@ -213,13 +227,15 @@ def validate_hypotheses(model: Model, grid_points: int = HYPOTHESIS_GRID) -> Hyp
     * ``monotone_decreasing``: f'(x) < 0 on [0, theta].
 
     Every field goes through the same check: the derivative condition is
-    sampled on a uniform grid (``grid_points`` nodes), which is exact for a
-    linear field, whose f' is constant, and a heuristic, not a proof, for a
-    generic one.  For a linear field the verdict is therefore ``a < 0 and
-    b > 0 and critical_dose(model) > 0``, in floats.  Failures are reported
-    with a witness point (for the equilibrium, the end of [0, theta] where f
-    has the wrong sign), never raised.
+    sampled on a uniform grid of ``grid_points`` nodes (an integer >= 2,
+    else DomainError), which is exact for a linear field, whose f' is
+    constant, and a heuristic, not a proof, for a generic one.  For a
+    linear field the verdict is therefore ``a < 0 and b > 0 and
+    critical_dose(model) > 0``, in floats.  Failures are reported with a
+    witness point (for the equilibrium, the end of [0, theta] where f has
+    the wrong sign), never raised.
     """
+    _check_count("grid_points", grid_points, 2)
     failures: list[HypothesisFailure] = []
     theta = model.theta
     f0 = model.f(0.0)

@@ -31,6 +31,7 @@ from .model import (
     LinearModel,
     Model,
     _DriveOrbits,
+    _check_count,
     _unresolvable,
     flow,
     time_to_threshold,
@@ -62,6 +63,10 @@ class SpikeRunawayError(RuntimeError):
     """Spike count exceeded the guard cap within a single map application."""
 
 
+def _outside_domain(x0: float, theta: float) -> ValueError:
+    return ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
+
+
 @dataclass(frozen=True)
 class StrobeResult:
     """One application of the map: image point, spike count, spike times."""
@@ -85,8 +90,8 @@ class OrbitOptions:
 
     :func:`attractor` applies the map at most ``transient + 2*max_period``
     times from ``seed`` and reports cycles of at most ``max_period`` maps;
-    ``spike_cap`` bounds the spikes of one map.  Out-of-domain values raise
-    :class:`~ifstrobe.model.DomainError`.
+    ``spike_cap`` bounds the spikes of one map.  The three counts are
+    integers; out-of-domain values raise :class:`~ifstrobe.model.DomainError`.
     """
 
     transient: int = 10_000
@@ -97,14 +102,13 @@ class OrbitOptions:
     compute_margin: bool = True
 
     def __post_init__(self) -> None:
-        if self.transient < 0:
-            raise DomainError(f"transient must be >= 0, got {self.transient!r}")
-        if self.max_period < 1:
-            raise DomainError(f"max_period must be >= 1, got {self.max_period!r}")
+        for name, least in (("transient", 0), ("max_period", 1), ("spike_cap", 1)):
+            value = getattr(self, name)
+            _check_count(name, value)
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value!r}")
         if not (math.isfinite(self.state_tol) and self.state_tol > 0.0):
             raise DomainError(f"state_tol must be finite and > 0, got {self.state_tol!r}")
-        if self.spike_cap < 1:
-            raise DomainError(f"spike_cap must be >= 1, got {self.spike_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,12 @@ class StrobeMap:
     Built once per ``(model, forcing, spike_cap)``.  ``delta`` is the reset
     hit time ``time_to_threshold(model, forcing.A, 0.0)``, bit for bit, None
     when the threshold is unreachable; every spike after the first starts
-    from the reset state and takes that time.
+    from the reset state and takes that time.  The spike loop, the edge
+    search and the contraction margin read one spacing, ``delta`` or inf
+    when it is None: a ``delta`` that is None or infinite (a reset hit time
+    that overflows) means no second spike, so a state spikes at most once
+    per period.  :meth:`apply`, :meth:`iterate` and :meth:`spike_count`
+    share one domain, [0, theta), and raise ValueError outside it.
 
     For a linear model with ``a < 0`` (the standing hypothesis) the
     constants of the closed form are computed here and each application
@@ -174,18 +183,21 @@ class StrobeMap:
         if isinstance(model, GenericModel):
             self._on = _DriveOrbits(model.f, forcing.A, model.theta, threshold=True)
             self._off = _DriveOrbits(model.f, 0.0, model.theta, threshold=False)
-            self.delta = self._on.delta
-            return
-        self.delta = time_to_threshold(model, forcing.A, 0.0)
-        if not self._closed_form:
-            self._on, self._off = _Flows(model, forcing.A), _Flows(model, 0.0)
+            delta = self._on.delta
         else:
-            self._a = a = model.a
-            self._reachable = a * model.theta + model.b + forcing.A > 0.0
-            self._xeq_on = model.equilibrium(forcing.A)
-            self._xeq_off = model.equilibrium(0.0)
-            self._expm1_pulse = math.expm1(a * pulse)
-            self._expm1_rest = math.expm1(a * rest)
+            delta = time_to_threshold(model, forcing.A, 0.0)
+            if not self._closed_form:
+                self._on, self._off = _Flows(model, forcing.A), _Flows(model, 0.0)
+            else:
+                self._a = a = model.a
+                self._reachable = a * model.theta + model.b + forcing.A > 0.0
+                self._xeq_on = model.equilibrium(forcing.A)
+                self._xeq_off = model.equilibrium(0.0)
+                self._expm1_pulse = math.expm1(a * pulse)
+                self._expm1_rest = math.expm1(a * rest)
+        self.delta = delta
+        # the time between spikes after the first, inf when no second spike comes
+        self._spacing = math.inf if delta is None else delta
 
     def apply(self, x0: float, times: list[float] | None = None) -> tuple[float, int]:
         """Image of x0 after one period and the number of spikes on the way.
@@ -203,7 +215,7 @@ class StrobeMap:
                 self._spikes(x0, times)
             return states[1], counts[0]
         if not 0.0 <= x0 < self._theta:
-            raise ValueError(f"x0 = {x0} outside the map domain [0, {self._theta})")
+            raise _outside_domain(x0, self._theta)
         spikes, elapsed = self._spikes(x0, times)
         x = self._on.flow(0.0 if spikes else x0, self._pulse - elapsed)
         return self._off.flow(x, self._rest), spikes
@@ -232,7 +244,7 @@ class StrobeMap:
                     return
             return
         theta, pulse, rest, delta, cap = (
-            self._theta, self._pulse, self._rest, self.delta, self.spike_cap
+            self._theta, self._pulse, self._rest, self._spacing, self.spike_cap
         )
         a, reachable, xeq_on, xeq_off = self._a, self._reachable, self._xeq_on, self._xeq_off
         expm1_pulse, expm1_rest = self._expm1_pulse, self._expm1_rest
@@ -240,7 +252,7 @@ class StrobeMap:
         push_state, push_count = states.append, counts.append
         while n < stop:
             if not 0.0 <= x < theta:
-                raise ValueError(f"x0 = {x} outside the map domain [0, {theta})")
+                raise _outside_domain(x, theta)
             # the spikes of _spikes: the hit time of time_to_threshold, then delta apart
             spikes = 0
             if reachable:
@@ -273,23 +285,26 @@ class StrobeMap:
                 return
 
     def spike_count(self, x0: float) -> int:
-        """Spikes of one map application from x0 in [0, theta), without its image."""
+        """Spikes of one map application from x0, without its image.
+
+        The domain is :meth:`apply`'s: ValueError outside [0, theta), NaN
+        included.
+        """
+        if not 0.0 <= x0 < self._theta:
+            raise _outside_domain(x0, self._theta)
         return self._spikes(x0)[0]
 
     def _spikes(self, x0: float, times: list[float] | None = None) -> tuple[int, float]:
         """Number of spikes within the pulse from x0 and the time of the last one (0.0 without).
 
-        Without ``delta`` (a reset state that moves away from theta, only
-        possible for a linear field with ``a > 0``) a state that spikes does
-        so once.
+        Spikes after the first come the spacing apart, so with an infinite
+        spacing (``delta`` None or infinite) a state that spikes does so once.
         """
         t = self._first_spike(x0)
         pulse = self._pulse
         if t is None or t > pulse:
             return 0, 0.0
-        first, delta, cap = t, self.delta, self.spike_cap
-        if delta is None:
-            delta = math.inf
+        first, delta, cap = t, self._spacing, self.spike_cap
         spikes = 1
         while spikes <= cap:
             after = t + delta
@@ -324,13 +339,13 @@ class StrobeMap:
         t = self._first_spike(x0)
         if t is None or t > self._pulse:
             return False
-        delta = math.inf if self.delta is None else self.delta
+        delta = self._spacing
         if n > 1:
             t += delta
             if t > limit:
                 return False
         if not t + delta > limit:  # the loop's own stop test, which a NaN never passes
-            return self.spike_count(x0) >= n
+            return self._spikes(x0)[0] >= n
         return True
 
     def _runaway(self) -> SpikeRunawayError:
@@ -345,14 +360,16 @@ class StrobeMap:
         Its cost is O(n) once, for the count of the last double below theta
         and the limit on the second spike time, plus one hit time per edge
         probe, so sigma and n are those of an edge search that counts every
-        probe's spikes, bit for bit.
+        probe's spikes, bit for bit.  With an infinite spacing (``delta``
+        None or infinite) a state spikes at most once and the search starts
+        from the last double below theta.
         """
         top = math.nextafter(self._theta, 0.0)
         n = self.spike_count(top)
         if n == 0:
             return None
-        delta = self.delta
-        if delta is None:  # only states past a repelling rest point spike, once
+        delta = self._spacing
+        if delta == math.inf:  # no second spike: n is 1
             guess = top
         else:
             t_first = self._pulse - (n - 1) * delta
@@ -399,7 +416,7 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
-def _fit_limit(pulse: float, delta: float | None, n: int) -> float:
+def _fit_limit(pulse: float, delta: float, n: int) -> float:
     """Latest time of spike min(n, 2) from which the spike loop fits n spikes in the pulse.
 
     The loop's spike times are ``t + delta`` repeated in floating point,
@@ -443,7 +460,7 @@ def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     """
     top = _ordinal(math.nextafter(smap.model.theta, 0.0))
     k = _ordinal(sigma)
-    limit = _fit_limit(smap._pulse, smap.delta, n)
+    limit = _fit_limit(smap._pulse, smap._spacing, n)
     fits = smap._spikes_at_least
     above = fits(sigma, n, limit)
     step = -1 if above else 1
@@ -495,8 +512,7 @@ def fixed_point(
     Absent when the requested branch does not exist or its fixed point has
     moved outside the branch domain.
     """
-    if n < 0:
-        raise DomainError("spike count n must be >= 0")
+    _check_count("spike count n", n, 0)
     theta = model.theta
     top = math.nextafter(theta, 0.0)
     smap = StrobeMap(model, forcing, spike_cap)
@@ -586,8 +602,9 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
     sampled sup of the central-difference derivative, a heuristic bound.
     Without a boundary (``info`` is None, as returned by
     :meth:`StrobeMap.boundary`) the single branch is measured the same way.
-    A linear branch with spikes but no ``delta`` (the reset state never
-    reaches theta, only possible for ``a > 0``) raises DomainError.
+    A linear branch with spikes but an infinite spacing (``delta`` None or
+    infinite: the reset state never reaches theta in floats, only possible
+    for ``a > 0``) raises DomainError.
     """
     model, forcing = smap.model, smap.forcing
     theta = model.theta
@@ -599,13 +616,13 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
         n = info.n
     span = theta - lo
     if isinstance(model, LinearModel):
-        if n and smap.delta is None:
+        if n and smap._spacing == math.inf:
             raise DomainError(
-                f"contraction margin undefined: delta is None, the reset state never reaches "
-                f"theta under A={forcing.A}, so the slope exp(a*(T - n*delta)) of the "
-                f"{n}-spike branch is undefined"
+                f"contraction margin undefined: delta is None or infinite (delta = {smap.delta}), "
+                f"the reset state never reaches theta under A={forcing.A} in floats, so the "
+                f"slope exp(a*(T - n*delta)) of the {n}-spike branch is undefined"
             )
-        ndelta = n * smap.delta if n else 0.0
+        ndelta = n * smap._spacing if n else 0.0
         slope = math.exp(model.a * (forcing.T - ndelta))
         return span * (1.0 - slope)
     h = min(1e-6, span * 1e-3)

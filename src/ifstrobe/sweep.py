@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
-from .model import DomainError, Forcing, IntegrationError, Model, _check_forcing
+from .model import DomainError, Forcing, IntegrationError, Model, _check_count, _check_forcing
 from .strobe import OrbitOptions, OrbitSummary, SpikeRunawayError, attractor, _least_rotation
 
 if TYPE_CHECKING:
@@ -197,6 +197,7 @@ def _raise_first_failure(results: list) -> list[StaircaseSample]:
 
 def _check_workers(workers: int) -> None:
     """Apply the one domain rule of a grid's worker count; raises DomainError."""
+    _check_count("workers", workers)
     if not workers >= 1:
         raise DomainError("workers must be at least 1")
 
@@ -330,6 +331,7 @@ def sweep_T(
     _check_forcing(T=t_max)
     if not t_min < t_max:
         raise DomainError("period range must satisfy 0 < t_min < t_max")
+    _check_count("resolution", resolution)
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
     _check_workers(workers)
@@ -384,6 +386,7 @@ def _eval_plane_node(
 
 def _check_period_cap(period_cap: int) -> None:
     """Apply the one domain rule of a scan's period cap; raises DomainError."""
+    _check_count("period_cap", period_cap)
     if not period_cap >= 1:
         raise DomainError("period cap must be at least 1")
 

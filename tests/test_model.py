@@ -18,13 +18,18 @@ from ifstrobe import (
     Side,
     SpikeRunawayError,
     StrobeMap,
+    WidthCorrection,
     attractor,
     averaged_time_to_threshold,
+    bif_A,
     bif_T,
     classify_region,
     critical_dose,
+    fixed_point,
     flow,
     rate_limits,
+    scan_plane,
+    sweep_T,
     time_to_threshold,
     validate_hypotheses,
 )
@@ -35,6 +40,41 @@ from ifstrobe.model import MAX_STEPS, _dense_poly, _dense_time, _steps
 
 def test_validate_accepts_reference_model(lif):
     assert validate_hypotheses(lif).passed
+
+
+_WIDTH = WidthCorrection(A=10 / 3, d=0.2)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("spike count n", lambda m: bif_T(m, 1.5, Side.R, 10 / 3, 0.2)),
+        ("spike count n", lambda m: bif_A(m, 1.5, Side.R, 0.2, 2.0)),
+        ("spike count n", lambda m: fixed_point(m, Forcing(10 / 3, 1.6, 0.2), 1.5)),
+        ("period_cap", lambda m: scan_plane(m, 1.0, [0.2], [0.5], period_cap=2.5)),
+        ("workers", lambda m: scan_plane(m, 1.0, [0.2], [0.5], workers=1.5)),
+        ("resolution", lambda m: sweep_T(m, _WIDTH, (1.0, 2.0), 2.5)),
+        ("workers", lambda m: sweep_T(m, _WIDTH, (1.0, 2.0), 4, workers=1.5)),
+        ("grid_points", lambda m: validate_hypotheses(m, grid_points=8.0)),
+    ],
+)
+def test_counts_are_integers(lif, name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        call(lif)
+
+
+def test_validate_needs_two_grid_points(lif):
+    with pytest.raises(DomainError, match="^grid_points must be >= 2$"):
+        validate_hypotheses(lif, grid_points=1)
+
+
+def test_spike_counts_below_zero_keep_their_message(lif):
+    with pytest.raises(DomainError) as exc:
+        bif_T(lif, -1, Side.R, 10 / 3, 0.2)
+    assert str(exc.value) == "spike count n must be >= 0"
+    with pytest.raises(DomainError) as exc:
+        fixed_point(lif, Forcing(10 / 3, 1.6, 0.2), -1)
+    assert str(exc.value) == "spike count n must be >= 0"
 
 
 def test_validate_rejects_positive_decay_rate():

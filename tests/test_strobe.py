@@ -37,6 +37,7 @@ from ifstrobe.model import MAX_STEPS
 from ifstrobe.strobe import (
     SPIKE_CAP,
     STATE_TOL,
+    _Flows,
     _best_candidate,
     _contraction_margin,
     _fit_limit,
@@ -187,7 +188,7 @@ def _boundary_by_spike_count(smap):
     n = smap.spike_count(top)
     if n == 0:
         return None
-    if delta is None:
+    if delta is None or delta == math.inf:  # no second spike: n is 1
         guess = top
     else:
         s = max(delta - (forcing.pulse_width - (n - 1) * delta), 0.0)
@@ -279,8 +280,8 @@ def _boundary_cases(draw):
 @example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), FORTY_SPIKES, 39))
 @example(case=(LinearModel(a=-0.5, b=0.2, theta=1.0), Forcing(A=10 / 3, T=3e4, d=0.2), SPIKE_CAP))
 @example(case=(LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5), SPIKE_CAP))
-# delta is inf, so the guess and its hit time are NaN, which the spike loop
-# counts without end: both searches raise at the cap
+# delta overflows to inf, which means no second spike, as None does: both
+# searches start from the last double below theta and find sigma = e**-0.5
 @example(case=(LinearModel(a=1.0, b=5e-324), Forcing(A=0.0, T=1.0, d=0.5), SPIKE_CAP))
 @example(
     case=(
@@ -791,6 +792,9 @@ def test_attractor_computes_the_boundary_once(lif, monkeypatch):
         dict(state_tol=math.nan),
         dict(state_tol=math.inf),
         dict(spike_cap=0),
+        dict(transient=10.0),
+        dict(max_period=2.5),
+        dict(spike_cap=2.5),
     ],
 )
 def test_orbit_options_reject_out_of_domain_values(bad):
@@ -965,6 +969,95 @@ def test_iterate_is_apply_map_by_map(a, b, forcing, share, stop, tol, spike_cap)
 
     iterated = _appended(lambda states, counts: smap.iterate(states, counts, stop, x0, tol), x0)
     assert iterated == _appended(applied, x0)
+
+
+def _flows_twin(smap):
+    """The same map on the general path that generic and ``a >= 0`` maps take: two _Flows."""
+    twin = StrobeMap(smap.model, smap.forcing, smap.spike_cap)
+    twin._closed_form = False
+    twin._on, twin._off = _Flows(smap.model, smap.forcing.A), _Flows(smap.model, 0.0)
+    return twin
+
+
+def _map_outcomes(smap, x0, stop, tol):
+    """Bit patterns of apply with spike times, iterate, spike_count and boundary, or the errors."""
+
+    def applied():
+        times = []
+        image, spikes = smap.apply(x0, times)
+        return _bits(image), spikes, list(map(_bits, times))
+
+    return (
+        _returned_or_raised(applied),
+        _appended(lambda states, counts: smap.iterate(states, counts, stop, x0, tol), x0),
+        _returned_or_raised(lambda: smap.spike_count(x0)),
+        _returned_or_raised(lambda: _edge(smap.boundary())),
+    )
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """A linear map with ``a < 0`` and its spike cap: a boundary case or a random forcing."""
+    if draw(st.booleans()):
+        model, forcing, cap = draw(_boundary_cases())
+        assume(isinstance(model, LinearModel) and model.a < 0.0)
+        return model, forcing, cap
+    a, theta = draw(st.floats(-3.0, -0.05)), draw(st.floats(0.3, 4.0))
+    model = LinearModel(a=a, b=-a * theta * draw(st.floats(0.02, 0.98)), theta=theta)
+    forcing = Forcing(
+        A=draw(st.floats(0.0, 40.0)), T=draw(st.floats(1e-3, 200.0)), d=draw(st.floats(0.001, 0.999))
+    )
+    return model, forcing, draw(st.sampled_from([SPIKE_CAP, 1, 3, 40]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_closed_form_cases(),
+    share=st.one_of(st.floats(-0.25, 1.25), st.just(math.nan)),
+    stop=st.integers(0, 30),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.2]),
+)
+@example(case=(LinearModel(a=-0.5, b=0.2), FORTY_SPIKES, 39), share=0.5, stop=5, tol=0.0)
+@example(case=(LinearModel(a=-0.5, b=0.2), FORTY_SPIKES, SPIKE_CAP), share=0.99, stop=30, tol=1e-9)
+def test_closed_form_equals_its_flows_twin(case, share, stop, tol):
+    # the closed form's loop in iterate against the map's general path, which
+    # applies time_to_threshold and flow map by map, for several maps in a row
+    model, forcing, cap = case
+    try:
+        smap = StrobeMap(model, forcing, cap)
+    except IntegrationError:  # a rest point that rounds onto theta: delta raises
+        assume(False)
+    assert smap._closed_form
+    x0 = share * model.theta
+    found = _map_outcomes(smap, x0, stop, tol)
+    assert found == _map_outcomes(_flows_twin(smap), x0, stop, tol)
+
+
+@pytest.mark.parametrize("x0", [math.nan, 1.0, 1.5, math.inf, -1e-300])
+@pytest.mark.parametrize("kind", ["linear", "generic"])
+def test_spike_count_rejects_what_apply_rejects(lif, lif_generic, kind, x0):
+    model = lif if kind == "linear" else lif_generic
+    smap = StrobeMap(model, Forcing(A=10 / 3, T=1.6, d=0.2))
+    with pytest.raises(ValueError, match="outside the map domain") as applied:
+        smap.apply(x0)
+    with pytest.raises(ValueError, match="outside the map domain") as counted:
+        smap.spike_count(x0)
+    assert type(counted.value) is type(applied.value) is ValueError
+    assert str(counted.value) == str(applied.value)
+
+
+def test_an_overflowing_delta_means_no_second_spike():
+    # the reset state leaves the repelling rest point -5e-324 so slowly that
+    # its hit time overflows: delta is inf, so a state spikes at most once,
+    # and the edge lies where the hit time from it, log(1/x), is the pulse
+    model, forcing = LinearModel(a=1.0, b=5e-324), Forcing(A=0.0, T=1.0, d=0.5)
+    smap = StrobeMap(model, forcing, spike_cap=1)  # a spike loop past one spike raises
+    assert smap.delta == math.inf == time_to_threshold(model, 0.0, 0.0)
+    assert smap.boundary() == BoundaryInfo(sigma=0.6065306597126334, n=1)
+    assert smap.spike_count(0.6065306597126334) == 1
+    assert smap.spike_count(math.nextafter(0.6065306597126334, 0.0)) == 0
+    with pytest.raises(DomainError, match="delta is None or infinite"):
+        contraction_margin(model, forcing)
 
 
 def test_best_candidate_takes_the_first_of_equally_close_returns():
