@@ -152,7 +152,7 @@ def _check_count(name: str, value: int, least: int | None = None) -> None:
     with an integral value.  Callers whose range message is worded
     otherwise leave out ``least`` and test the range themselves.
     """
-    if not isinstance(value, numbers.Integral):
+    if not isinstance(value, (int, numbers.Integral)):  # int first: the ABC check is slow
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise DomainError(f"{name} must be >= {least}")

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from typing import Callable
 
 from ._brent import brentq
 from .model import (
@@ -141,15 +142,19 @@ class OrbitSummary:
 class StrobeMap:
     """The stroboscopic map of one forcing, set up once and applied many times.
 
-    Built once per ``(model, forcing, spike_cap)``.  ``delta`` is the reset
-    hit time ``time_to_threshold(model, forcing.A, 0.0)``, bit for bit, None
-    when the threshold is unreachable; every spike after the first starts
-    from the reset state and takes that time.  The spike loop, the edge
-    search and the contraction margin read one spacing, ``delta`` or inf
+    Built once per ``(model, forcing, spike_cap)``, ``spike_cap`` an integer
+    of at least 1.  ``delta`` is the reset hit time ``time_to_threshold(model,
+    forcing.A, 0.0)``, bit for bit, None when the threshold is unreachable.
+    One rule times the spikes: spike k from x0 comes at ``t1 + (k-1)*delta``,
+    t1 the hit time from x0, if that is at or before the pulse end.  The
+    count, found in closed form, the edge probes, the boundary's guess and
+    the contraction margin all read it, with one spacing, ``delta`` or inf
     when it is None: a ``delta`` that is None or infinite (a reset hit time
-    that overflows) means no second spike, so a state spikes at most once
-    per period.  :meth:`apply`, :meth:`iterate` and :meth:`spike_count`
-    share one domain, [0, theta), and raise ValueError outside it.
+    that overflows) means no second spike.  A count past ``spike_cap``,
+    endless for a zero spacing or a NaN hit time, raises
+    :class:`SpikeRunawayError` at once.  :meth:`apply`, :meth:`iterate` and
+    :meth:`spike_count` share one domain, [0, theta), and raise ValueError
+    outside it.
 
     For a linear model with ``a < 0`` (the standing hypothesis) the
     constants of the closed form are computed here and each application
@@ -173,6 +178,7 @@ class StrobeMap:
     """
 
     def __init__(self, model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP) -> None:
+        _check_count("spike_cap", spike_cap, 1)
         self.model = model
         self.forcing = forcing
         self.spike_cap = spike_cap
@@ -197,7 +203,10 @@ class StrobeMap:
                 self._expm1_rest = math.expm1(a * rest)
         self.delta = delta
         # the time between spikes after the first, inf when no second spike comes
-        self._spacing = math.inf if delta is None else delta
+        self._spacing = spacing = math.inf if delta is None else delta
+        # the offset of spike spike_cap + 1 from the first, which must not come
+        # (a cap past the largest double bounds nothing more)
+        self._cap_span = min(spike_cap, sys.float_info.max) * spacing
 
     def apply(self, x0: float, times: list[float] | None = None) -> tuple[float, int]:
         """Image of x0 after one period and the number of spikes on the way.
@@ -229,7 +238,8 @@ class StrobeMap:
         and stops early after an image within ``tol`` of ``target`` (never
         when ``tol`` is 0).  Each map equals :meth:`apply`'s, errors included;
         the maps before an error stay appended.  The linear closed form runs
-        here, in one loop with no call per map.
+        here, in one loop with no call per map and a spike count whose cost
+        does not grow with the count.
         """
         n = len(counts)
         x = states[-1]
@@ -243,9 +253,10 @@ class StrobeMap:
                 if abs(x - target) < tol:
                     return
             return
-        theta, pulse, rest, delta, cap = (
-            self._theta, self._pulse, self._rest, self._spacing, self.spike_cap
+        theta, pulse, rest, delta, cap, cap_span = (
+            self._theta, self._pulse, self._rest, self._spacing, self.spike_cap, self._cap_span
         )
+        delta2 = 2.0 * delta
         a, reachable, xeq_on, xeq_off = self._a, self._reachable, self._xeq_on, self._xeq_off
         expm1_pulse, expm1_rest = self._expm1_pulse, self._expm1_rest
         log1p, expm1 = math.log1p, math.expm1
@@ -253,7 +264,7 @@ class StrobeMap:
         while n < stop:
             if not 0.0 <= x < theta:
                 raise _outside_domain(x, theta)
-            # the spikes of _spikes: the hit time of time_to_threshold, then delta apart
+            # the count of _spikes, spikes 2 and 3 tested first; t ends at the last spike
             spikes = 0
             if reachable:
                 try:
@@ -261,15 +272,22 @@ class StrobeMap:
                 except ValueError as exc:
                     raise _unresolvable(x, self.forcing.A) from exc
                 if not t > pulse:
-                    spikes = 1
-                    while spikes <= cap:
-                        after = t + delta
-                        if after > pulse:
-                            break
-                        spikes += 1
-                        t = after
+                    if t + delta > pulse:
+                        spikes = 1
+                    elif t + delta2 > pulse and cap > 1:  # a cap of 1 raises below
+                        spikes, t = 2, t + delta
                     else:
-                        raise self._runaway()
+                        if not t + cap_span > pulse:
+                            raise self._runaway()
+                        k = int((pulse - t) / delta)
+                        last = t + k * delta
+                        if last > pulse:
+                            k -= 1
+                            last = t + k * delta
+                        elif not (after := t + (k + 1) * delta) > pulse:
+                            k += 1
+                            last = after
+                        spikes, t = k + 1, last
             # flow(model, A, pulse - elapsed, x), then flow(model, 0.0, rest, x)
             if spikes:
                 s = pulse - t
@@ -297,24 +315,30 @@ class StrobeMap:
     def _spikes(self, x0: float, times: list[float] | None = None) -> tuple[int, float]:
         """Number of spikes within the pulse from x0 and the time of the last one (0.0 without).
 
-        Spikes after the first come the spacing apart, so with an infinite
-        spacing (``delta`` None or infinite) a state that spikes does so once.
+        The count of the spike rule is ``floor((pulse - t1)/delta) + 1``,
+        settled on the rule by one correction up or down.  A zero spacing or
+        a NaN, which no spike time stops, meets the cap test first.
         """
         t = self._first_spike(x0)
-        pulse = self._pulse
+        pulse, delta = self._pulse, self._spacing
         if t is None or t > pulse:
             return 0, 0.0
-        first, delta, cap = t, self._spacing, self.spike_cap
-        spikes = 1
-        while spikes <= cap:
-            after = t + delta
-            if after > pulse:
-                if times is not None:
-                    times.extend(accumulate(repeat(delta, spikes - 1), initial=first))
-                return spikes, t
-            spikes += 1
-            t = after
-        raise self._runaway()
+        spikes, last = 1, t
+        if not t + delta > pulse:
+            if not t + self._cap_span > pulse:
+                raise self._runaway()
+            k = int((pulse - t) / delta)  # the last spike is spike k + 1
+            last = t + k * delta
+            if last > pulse:
+                k -= 1
+                last = t + k * delta
+            elif not (after := t + (k + 1) * delta) > pulse:
+                k += 1
+                last = after
+            spikes = k + 1
+        if times is not None:
+            times.extend(t + k * delta if k else t for k in range(spikes))
+        return spikes, last
 
     def _first_spike(self, x0: float) -> float | None:
         """Hit time of the threshold from x0 under the drive, None when unreachable."""
@@ -327,26 +351,25 @@ class StrobeMap:
         except ValueError as exc:
             raise _unresolvable(x0, self.forcing.A) from exc
 
-    def _spikes_at_least(self, x0: float, n: int, limit: float) -> bool:
-        """Whether ``spike_count(x0) >= n``, with ``limit = _fit_limit(pulse, delta, n)``.
+    def _at_least(self, n: int) -> Callable[[float], bool]:
+        """The edge probe ``x0 -> spike_count(x0) >= n``, for n from 1 to ``spike_cap``.
 
-        One hit time and two additions of the spike loop: x0 spikes at least
-        n times when its spike min(n, 2) comes at or before ``limit``.  A
-        probe with room for spike n + 1 takes the full count instead, which
-        raises :class:`SpikeRunawayError` past ``spike_cap`` as the map does;
-        n is at most ``spike_cap``, as is a count the map returned.
+        It compares the times of spikes n and n + 1, ``t1 + (n-1)*delta`` and
+        ``t1 + n*delta``, with the pulse end, the products taken once.  A
+        probe with room for spike n + 1, or with a NaN hit time, takes the
+        full count, which raises past ``spike_cap`` as the map does.
         """
-        t = self._first_spike(x0)
-        if t is None or t > self._pulse:
-            return False
-        delta = self._spacing
-        if n > 1:
-            t += delta
-            if t > limit:
+        first, pulse, delta = self._first_spike, self._pulse, self._spacing
+        span = (n - 1) * delta if n > 1 else 0.0
+        beyond = n * delta
+
+        def fits(x0: float) -> bool:
+            t = first(x0)
+            if t is None or t + span > pulse:
                 return False
-        if not t + delta > limit:  # the loop's own stop test, which a NaN never passes
-            return self._spikes(x0)[0] >= n
-        return True
+            return t + beyond > pulse or self._spikes(x0)[0] >= n
+
+        return fits
 
     def _runaway(self) -> SpikeRunawayError:
         return SpikeRunawayError(
@@ -357,12 +380,13 @@ class StrobeMap:
     def boundary(self) -> BoundaryInfo | None:
         """The map's discontinuity; see :func:`boundary_sigma`.
 
-        Its cost is O(n) once, for the count of the last double below theta
-        and the limit on the second spike time, plus one hit time per edge
-        probe, so sigma and n are those of an edge search that counts every
-        probe's spikes, bit for bit.  With an infinite spacing (``delta``
-        None or infinite) a state spikes at most once and the search starts
-        from the last double below theta.
+        Its cost does not grow with the spike count: the count of the last
+        double below theta is closed-form, and each edge probe is one hit
+        time tested against the times of spikes n and n + 1, so sigma and n
+        are those of an edge search that counts every probe's spikes, bit
+        for bit.  With an infinite spacing (``delta`` None or infinite) a
+        state spikes at most once and the search starts from the last double
+        below theta.
         """
         top = math.nextafter(self._theta, 0.0)
         n = self.spike_count(top)
@@ -416,34 +440,6 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
-def _fit_limit(pulse: float, delta: float, n: int) -> float:
-    """Latest time of spike min(n, 2) from which the spike loop fits n spikes in the pulse.
-
-    The loop's spike times are ``t + delta`` repeated in floating point,
-    and correctly rounded addition is monotone in t, so n spikes fit
-    exactly when the second spike comes at or before the double reached by
-    stepping back from the pulse end n - 2 times, each step the largest c
-    with ``c + delta`` at or below the last (for n = 1, when the first
-    spike comes at or before the pulse end).  The steps stop at the second
-    spike: the first can lie binades below delta, where correcting ``lim -
-    delta`` one ulp at a time takes arbitrarily long, while from delta up
-    each step corrects a few ulps.  A step below delta gives -inf, since no
-    second spike comes before delta.  O(n), once per boundary.
-    """
-    lim = pulse
-    nextafter, inf = math.nextafter, math.inf
-    for _ in range(n - 2):
-        c = lim - delta
-        if c < delta:
-            return -inf
-        while c + delta > lim:
-            c = nextafter(c, -inf)
-        while (up := nextafter(c, inf)) + delta <= lim:
-            c = up
-        lim = c
-    return lim
-
-
 def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     """The double in (0, theta) spiking at least n times whose predecessor spikes fewer.
 
@@ -452,29 +448,28 @@ def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     crosses n, then bisects the bracket, so the cost grows with the log of
     the distance.  Going up it stops by the last double below theta, which
     spikes n times; None when it goes down to 0.0 without a crossing.  Each
-    probe tests ``spike_count(probe) >= n`` exactly, against the map's own
-    rounded spike times, but by one hit time and one comparison with the
-    limit of :func:`_fit_limit`, computed once; only a probe with room for
-    more than n spikes runs the spike loop, so that a count past
-    ``spike_cap`` raises as it does in the map.
+    probe tests ``spike_count(probe) >= n`` exactly, by the map's own spike
+    times ``t1 + (n-1)*delta`` and ``t1 + n*delta`` (see
+    :meth:`StrobeMap._at_least`); only a probe with room for more than n
+    spikes takes the full count, so that a count past ``spike_cap`` raises
+    as it does in the map.
     """
     top = _ordinal(math.nextafter(smap.model.theta, 0.0))
     k = _ordinal(sigma)
-    limit = _fit_limit(smap._pulse, smap._spacing, n)
-    fits = smap._spikes_at_least
-    above = fits(sigma, n, limit)
+    fits = smap._at_least(n)
+    above = fits(sigma)
     step = -1 if above else 1
     while True:
         if above and k == 0:
             return None
         probe = min(max(k + step, 0), top)
-        if fits(_from_ordinal(probe), n, limit) != above:
+        if fits(_from_ordinal(probe)) != above:
             break
         k, step = probe, 2 * step
     lo, hi = sorted((k, probe))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fits(_from_ordinal(mid), n, limit):
+        if fits(_from_ordinal(mid)):
             hi = mid
         else:
             lo = mid
@@ -495,10 +490,10 @@ def boundary_sigma(
     so sigma is one edge of a band of mixed counts that can be a few
     thousand ulps wide.  The guess is the point of the reset trajectory
     ``t_first`` = pulse - (n-1)*delta short of the threshold, the time of
-    the first of the n spikes.  The search tests each probe's count against
-    n with the map's own rounded spike times: O(n) once per boundary for
-    the count of ``top`` and the limit on the second spike time, then one
-    hit time per probe (see :func:`_snap_to_branch_edge`).
+    the first of the n spikes by the map's spike rule.  The search tests
+    each probe's count against n with the map's own spike times, one hit
+    time per probe, and the count of ``top`` is closed-form, so the cost
+    does not grow with n (see :func:`_snap_to_branch_edge`).
     :meth:`StrobeMap.boundary` computes it for a map already built.
     """
     return StrobeMap(model, forcing, spike_cap).boundary()

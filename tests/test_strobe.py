@@ -40,7 +40,6 @@ from ifstrobe.strobe import (
     _Flows,
     _best_candidate,
     _contraction_margin,
-    _fit_limit,
     _from_ordinal,
     _least_rotation,
     _ordinal,
@@ -314,46 +313,8 @@ def test_probe_test_is_the_spike_count_at_least_n(case, where, shift):
     except Exception:
         count = cap
     n = min(max(count + shift, 1), cap)  # a count past the cap raises in both
-    assume(smap.delta is not None or n == 1)  # without delta a state spikes at most once
-    limit = _fit_limit(smap._pulse, smap.delta, n)
-    found = _returned_or_raised(lambda: smap._spikes_at_least(x0, n, limit))
+    found = _returned_or_raised(lambda: smap._at_least(n)(x0))
     assert found == _returned_or_raised(lambda: smap.spike_count(x0) >= n)
-
-
-def _fits_by_the_spike_loop(t, pulse, delta, n):
-    """Whether spike min(n, 2) at t leads the spike loop to spike n by the pulse end."""
-    if t > pulse:
-        return False
-    for _ in range(n - 2):
-        t += delta
-        if t > pulse:
-            return False
-    return True
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    delta=st.floats(1e-3, 10.0),
-    n=st.integers(1, 2000),
-    data=st.data(),
-)
-def test_fit_limit_agrees_with_the_spike_loop(delta, n, data):
-    if data.draw(st.booleans()):  # the pulse end within ulps of the n-th spike
-        pulse = (n - 1 + data.draw(st.integers(-2, 1))) * delta
-        for _ in range(data.draw(st.integers(0, 4))):
-            pulse = math.nextafter(pulse, data.draw(st.sampled_from([0.0, math.inf])))
-        pulse = max(pulse, 0.0)
-    else:
-        pulse = data.draw(st.floats(0.0, (n + 1) * delta))
-    limit = _fit_limit(pulse, delta, n)
-    # a second spike comes at delta or later, so below delta the limit is only
-    # exact when finite
-    centre = limit if math.isfinite(limit) else delta
-    probes = [_from_ordinal(max(_ordinal(centre) + j, 0)) for j in range(-64, 65)]
-    probes += data.draw(st.lists(st.floats(0.0, pulse + delta), max_size=8))
-    for t in probes:
-        if t >= delta or math.isfinite(limit):
-            assert (t <= limit) == _fits_by_the_spike_loop(t, pulse, delta, n), t
 
 
 def test_contraction_margin_without_delta_names_the_undefined_slope():
@@ -507,22 +468,26 @@ def _bits(x: float) -> bytes:
 
 
 def _strobe_from_flows(model, forcing, x0, spike_cap):
-    """The map as two flows around a spike loop, each spike time by time_to_threshold."""
+    """The map as two flows around a spike loop, spike k at ``t1 + (k-1)*delta``.
+
+    t1 and delta are the hit times of time_to_threshold from x0 and from 0.
+    """
     theta = model.theta
     if not 0.0 <= x0 < theta:
         raise ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
     pulse = forcing.pulse_width
     times = []
     spikes, elapsed = 0, 0.0
-    t = time_to_threshold(model, forcing.A, x0)
-    if not (t is None or t > pulse):
+    t1 = time_to_threshold(model, forcing.A, x0)
+    if not (t1 is None or t1 > pulse):
         delta = time_to_threshold(model, forcing.A, 0.0)
+        t = t1
         while True:
             spikes += 1
             times.append(t)
             if spikes > spike_cap:
                 raise SpikeRunawayError(f"more than {spike_cap} spikes")
-            after = t + delta
+            after = t1 + spikes * delta
             if after > pulse:
                 elapsed = t
                 break
@@ -1051,7 +1016,7 @@ def test_an_overflowing_delta_means_no_second_spike():
     # its hit time overflows: delta is inf, so a state spikes at most once,
     # and the edge lies where the hit time from it, log(1/x), is the pulse
     model, forcing = LinearModel(a=1.0, b=5e-324), Forcing(A=0.0, T=1.0, d=0.5)
-    smap = StrobeMap(model, forcing, spike_cap=1)  # a spike loop past one spike raises
+    smap = StrobeMap(model, forcing, spike_cap=1)  # a count past one spike raises
     assert smap.delta == math.inf == time_to_threshold(model, 0.0, 0.0)
     assert smap.boundary() == BoundaryInfo(sigma=0.6065306597126334, n=1)
     assert smap.spike_count(0.6065306597126334) == 1
@@ -1090,6 +1055,127 @@ def test_strobe_runaway_guard(lif):
     forcing = Forcing(A=10 / 3, T=8.0, d=0.5)  # four spikes per period
     with pytest.raises(SpikeRunawayError):
         strobe(lif, forcing, 0.0, spike_cap=2)
+
+
+@pytest.mark.parametrize(
+    "model, forcing, zero_spacing",
+    [
+        # a subnormal slope: the reset hit time rounds to 0.0, so no count stops
+        (LinearModel(a=-2.2250738585e-313, b=0.0), Forcing(A=1.0, T=1.0, d=0.5), True),
+        # about 6.6e8 spikes per map
+        (LinearModel(a=-0.5, b=0.2), Forcing(A=10 / 3, T=1e9, d=0.2), False),
+    ],
+)
+def test_a_zero_spacing_or_a_count_past_the_cap_raises_the_runaway(model, forcing, zero_spacing):
+    smap = StrobeMap(model, forcing)
+    assert (smap.delta == 0.0) is zero_spacing
+    message = f"more than {SPIKE_CAP} spikes in one period (A={forcing.A}, T={forcing.T})"
+    for run in (
+        lambda: strobe(model, forcing, 0.0),
+        lambda: smap.spike_count(0.0),
+        lambda: smap.iterate([0.0], [], 3, 0.0, 0.0),
+        lambda: boundary_sigma(model, forcing),
+        lambda: attractor(model, forcing),
+    ):
+        assert _returned_or_raised(run) == (SpikeRunawayError, message)
+
+
+def test_a_spike_cap_past_the_largest_double_bounds_nothing_more(lif):
+    cap = 10**400
+    forcing = Forcing(A=10 / 3, T=8.0, d=0.5)
+    assert strobe(lif, forcing, 0.9, spike_cap=cap) == strobe(lif, forcing, 0.9)
+    zero = StrobeMap(LinearModel(a=-2.2250738585e-313, b=0.0), Forcing(A=1.0, T=1.0, d=0.5), cap)
+    with pytest.raises(SpikeRunawayError, match=f"more than {cap} spikes"):
+        zero.spike_count(0.0)
+
+
+class _NaNHits(_Flows):
+    def hit_time(self, x):
+        return math.nan
+
+
+def test_a_nan_hit_time_raises_the_runaway(lif):
+    # no comparison stops a NaN spike time, so the count is endless
+    forcing = Forcing(A=10 / 3, T=1.6, d=0.2)
+    closed = StrobeMap(lif, forcing, spike_cap=3)
+    closed._xeq_on = math.nan  # the closed form's hit time from any state is NaN
+    general = _flows_twin(closed)
+    general._on = _NaNHits(lif, forcing.A)
+    message = (SpikeRunawayError, f"more than 3 spikes in one period (A={forcing.A}, T=1.6)")
+    for smap in (closed, general):
+        for run in (
+            lambda: smap.apply(0.5),
+            lambda: smap.apply(0.5, []),
+            lambda: smap.spike_count(0.5),
+            lambda: smap.iterate([0.5], [], 2, 0.0, 0.0),
+            *(lambda n=n: smap._at_least(n)(0.5) for n in (1, 2, 3)),
+        ):
+            assert _returned_or_raised(run) == message
+
+
+@pytest.mark.parametrize("cap, error", [(0, ">= 1"), (-1, ">= 1"), (2.5, "an integer")])
+@pytest.mark.parametrize("build", [StrobeMap, strobe, boundary_sigma, fixed_point])
+def test_spike_cap_is_a_count_of_at_least_one(lif, build, cap, error):
+    forcing = Forcing(A=10 / 3, T=8.0, d=0.5)
+    args = {strobe: (0.0,), fixed_point: (1,)}.get(build, ())
+    with pytest.raises(DomainError, match=f"spike_cap must be {error}"):
+        build(lif, forcing, *args, spike_cap=cap)
+
+
+# the reset hit time of the LIF under A = 10/3
+LIF_DELTA = 0.3051591751904342
+
+
+@st.composite
+def _pulse_ends_near_a_spike(draw):
+    """A LIF map time-scaled to delta in [1e-3, 10], a state, and spike k ulps from the pulse end."""
+    scale = LIF_DELTA / draw(st.floats(1e-3, 10.0))
+    model, A = LinearModel(a=-0.5 * scale, b=0.2 * scale), 10 / 3 * scale
+    delta = time_to_threshold(model, A, 0.0)
+    x0 = draw(st.floats(0.0, 1.0, exclude_max=True))
+    t1 = time_to_threshold(model, A, x0)
+    k = draw(st.integers(1, 10**5))
+    pulse = draw(st.sampled_from([t1, 0.0])) + (k - 1) * delta
+    for _ in range(draw(st.integers(0, 4))):
+        pulse = math.nextafter(pulse, draw(st.sampled_from([0.0, math.inf])))
+    # d = 0.5 makes the pulse d*T exactly this double
+    return model, Forcing(A=A, T=2.0 * max(pulse, 1e-300), d=0.5), x0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_pulse_ends_near_a_spike(), below=st.booleans())
+def test_the_spike_count_is_the_last_spike_time_within_the_pulse(case, below):
+    model, forcing, x0 = case
+    t1 = time_to_threshold(model, forcing.A, x0)
+    delta = time_to_threshold(model, forcing.A, 0.0)
+    n = 0  # spike n + 1 comes at t1 + n*delta
+    while not t1 + n * delta > forcing.pulse_width:
+        n += 1
+    cap = max(n - below, 1)
+    smap = StrobeMap(model, forcing, cap)
+    if n > cap:
+        for run in (lambda: smap.apply(x0), lambda: smap.spike_count(x0)):
+            with pytest.raises(SpikeRunawayError):
+                run()
+        return
+    times = []
+    assert smap.apply(x0, times)[1] == smap.spike_count(x0) == n == len(times)
+    assert times == [t1 + k * delta if k else t1 for k in range(n)]
+    if n:
+        assert smap._at_least(n)(x0)
+
+
+def test_a_slow_boundary_counts_the_spikes_of_the_last_double_below_theta(lif):
+    # T = 1e5: 65,540 spikes per map
+    forcing = Forcing(A=10 / 3, T=1e5, d=0.2)
+    top = math.nextafter(lif.theta, 0.0)
+    t1, delta = time_to_threshold(lif, forcing.A, top), time_to_threshold(lif, forcing.A, 0.0)
+    n = 0
+    while not t1 + n * delta > forcing.pulse_width:
+        n += 1
+    info = StrobeMap(lif, forcing).boundary()
+    assert info.n == n == 65_540
+    assert strobe(lif, forcing, info.sigma).spikes == n
 
 
 def test_generic_strobe_matches_linear(lif, lif_generic):

@@ -24,6 +24,7 @@ from ifstrobe import (
     classify_region,
     scan_plane,
     sweep_T,
+    time_to_threshold,
     verify_adding,
 )
 from ifstrobe.model import MAX_STEPS
@@ -48,6 +49,13 @@ def test_sweep_samples_sorted_and_dose_constant(lif):
     samples = sweep_T(lif, mode, (0.5, 3.0), 24, opts=FAST)
     assert [s.T for s in samples] == sorted(s.T for s in samples)
     assert mode.dose == (10 / 3) * 0.2
+
+
+def test_slow_forcing_rate_approaches_d_over_delta(lif):
+    # the slow-forcing limit r_infinity = d/delta, about 6,554 spikes per map
+    samples = sweep_T(lif, WidthCorrection(A=10 / 3, d=0.2), (9_990.0, 1e4), 2)
+    assert samples[-1].T == 1e4 and samples[-1].converged
+    assert samples[-1].rate == pytest.approx(0.2 / time_to_threshold(lif, 10 / 3, 0.0), rel=1e-3)
 
 
 def test_amplitude_correction_traces_fixed_dose_line():
