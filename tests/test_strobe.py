@@ -1142,15 +1142,21 @@ def _pulse_ends_near_a_spike(draw):
     return model, Forcing(A=A, T=2.0 * max(pulse, 1e-300), d=0.5), x0
 
 
+def _count_by_the_rule(t1, delta, pulse):
+    """Spikes by a loop over the rule: spike n + 1 comes at t1 + n*delta."""
+    n = 0
+    while not t1 + n * delta > pulse:
+        n += 1
+    return n
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_pulse_ends_near_a_spike(), below=st.booleans())
 def test_the_spike_count_is_the_last_spike_time_within_the_pulse(case, below):
     model, forcing, x0 = case
     t1 = time_to_threshold(model, forcing.A, x0)
     delta = time_to_threshold(model, forcing.A, 0.0)
-    n = 0  # spike n + 1 comes at t1 + n*delta
-    while not t1 + n * delta > forcing.pulse_width:
-        n += 1
+    n = _count_by_the_rule(t1, delta, forcing.pulse_width)
     cap = max(n - below, 1)
     smap = StrobeMap(model, forcing, cap)
     if n > cap:
@@ -1170,9 +1176,7 @@ def test_a_slow_boundary_counts_the_spikes_of_the_last_double_below_theta(lif):
     forcing = Forcing(A=10 / 3, T=1e5, d=0.2)
     top = math.nextafter(lif.theta, 0.0)
     t1, delta = time_to_threshold(lif, forcing.A, top), time_to_threshold(lif, forcing.A, 0.0)
-    n = 0
-    while not t1 + n * delta > forcing.pulse_width:
-        n += 1
+    n = _count_by_the_rule(t1, delta, forcing.pulse_width)
     info = StrobeMap(lif, forcing).boundary()
     assert info.n == n == 65_540
     assert strobe(lif, forcing, info.sigma).spikes == n
