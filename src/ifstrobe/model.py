@@ -149,10 +149,11 @@ def _check_count(name: str, value: int, least: int | None = None) -> None:
     """Apply the one domain rule of a count: an integer, and at least ``least`` when given.
 
     Raises DomainError naming the parameter.  A float is no count, even
-    with an integral value.  Callers whose range message is worded
-    otherwise leave out ``least`` and test the range themselves.
+    with an integral value, nor is a bool.  Callers whose range message
+    is worded otherwise leave out ``least`` and test the range themselves.
     """
-    if not isinstance(value, (int, numbers.Integral)):  # int first: the ABC check is slow
+    # int first: the ABC check is slow
+    if type(value) is bool or not isinstance(value, (int, numbers.Integral)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise DomainError(f"{name} must be >= {least}")

@@ -157,18 +157,20 @@ class StrobeMap:
     outside it.
 
     For a linear model with ``a < 0`` (the standing hypothesis) the
-    constants of the closed form are computed here and each application
+    constants of the closed form are computed here.  :meth:`apply`, and
+    with it :meth:`spike_count` and the edge probes of :meth:`boundary`,
     repeats the float operations of ``time_to_threshold`` and ``flow`` in
-    their order, so images, spike counts and errors equal theirs bit for
-    bit.  That arithmetic lives in :meth:`iterate`, which applies the map
-    many times in one loop; :meth:`apply` is one step of it.  For a generic
-    model every trajectory of a constant drive is a time shift of a stored
-    orbit (``model._DriveOrbits``), one per drive and side of its rest
-    point, integrated once and extended on demand: the reset orbit is the
-    run ``time_to_threshold(model, A, 0.0)`` starts, the hit time from x0
-    is ``delta - u_A(x0)``, u_A being the time at which that orbit passes
-    x0, and the image is read off the orbit of drive 0 at ``u_0(y) + (1 -
-    d)*T`` from the pulse-end state y.  So after construction its maps,
+    their order, so its images, spike counts and errors equal theirs bit
+    for bit.  :meth:`iterate` instead steps the map's two exact affine
+    branches, of n - 1 and n spikes, with slopes ``s_k = exp(a*(T -
+    k*delta))``, split at the boundary's sigma (see :meth:`_build_branches`).
+    For a generic model every trajectory of a constant drive is a time
+    shift of a stored orbit (``model._DriveOrbits``), one per drive and
+    side of its rest point, integrated once and extended on demand: the
+    reset orbit is the run ``time_to_threshold(model, A, 0.0)`` starts, the
+    hit time from x0 is ``delta - u_A(x0)``, u_A being the time at which
+    that orbit passes x0, and the image is read off the orbit of drive 0 at
+    ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after construction its maps,
     spike counts and edge probes start no integrator run beyond extending
     those orbits.  A linear model with ``a >= 0`` calls ``flow`` and
     ``time_to_threshold`` in each application, which keep its errors (a
@@ -199,7 +201,6 @@ class StrobeMap:
                 self._reachable = a * model.theta + model.b + forcing.A > 0.0
                 self._xeq_on = model.equilibrium(forcing.A)
                 self._xeq_off = model.equilibrium(0.0)
-                self._expm1_pulse = math.expm1(a * pulse)
                 self._expm1_rest = math.expm1(a * rest)
         self.delta = delta
         # the time between spikes after the first, inf when no second spike comes
@@ -207,6 +208,8 @@ class StrobeMap:
         # the offset of spike spike_cap + 1 from the first, which must not come
         # (a cap past the largest double bounds nothing more)
         self._cap_span = min(spike_cap, sys.float_info.max) * spacing
+        # found on first use: the boundary, as (info,), and iterate's branches
+        self._edge = self._branches = None
 
     def apply(self, x0: float, times: list[float] | None = None) -> tuple[float, int]:
         """Image of x0 after one period and the number of spikes on the way.
@@ -217,17 +220,19 @@ class StrobeMap:
         outside the map domain [0, theta) and SpikeRunawayError past
         ``spike_cap`` spikes.
         """
-        if self._closed_form:
-            states, counts = [x0], []
-            self.iterate(states, counts, 1, 0.0, 0.0)
-            if times is not None:
-                self._spikes(x0, times)
-            return states[1], counts[0]
         if not 0.0 <= x0 < self._theta:
             raise _outside_domain(x0, self._theta)
-        spikes, elapsed = self._spikes(x0, times)
-        x = self._on.flow(0.0 if spikes else x0, self._pulse - elapsed)
-        return self._off.flow(x, self._rest), spikes
+        spikes, last = self._spikes(x0, times)
+        if not self._closed_form:
+            x = self._on.flow(0.0 if spikes else x0, self._pulse - last)
+            return self._off.flow(x, self._rest), spikes
+        return self._flows(0.0 if spikes else x0, self._pulse - last), spikes
+
+    def _flows(self, x: float, s: float) -> float:
+        """The float operations of ``flow(model, A, s, x)``, then of ``flow(model, 0.0, rest, y)``;
+        a negative s runs the first flow backwards, as a branch through 0 may need."""
+        y = x if s == 0.0 else x + (x - self._xeq_on) * math.expm1(self._a * s)
+        return y + (y - self._xeq_off) * self._expm1_rest if self._rest != 0.0 else y
 
     def iterate(
         self, states: list[float], counts: list[int], stop: int, target: float, tol: float
@@ -236,13 +241,14 @@ class StrobeMap:
 
         Appends each image to ``states`` and its spike count to ``counts``,
         and stops early after an image within ``tol`` of ``target`` (never
-        when ``tol`` is 0).  Each map equals :meth:`apply`'s, errors included;
-        the maps before an error stay appended.  The linear closed form runs
-        here, in one loop with no call per map and a spike count whose cost
-        does not grow with the count.
+        when ``tol`` is 0); the maps before an error stay appended.  For a
+        linear model with ``a < 0`` each map is a step of the branch map,
+        built before the first map (:meth:`_build_branches`), in one loop
+        with no call per map: the exact map's image to within rounding, not
+        :meth:`apply`'s bit for bit, and a count that follows sigma in the
+        band of mixed counts.  Otherwise each map is :meth:`apply`'s.
         """
-        n = len(counts)
-        x = states[-1]
+        n, x = len(counts), states[-1]
         if not self._closed_form:
             apply = self.apply
             while n < stop:
@@ -253,54 +259,58 @@ class StrobeMap:
                 if abs(x - target) < tol:
                     return
             return
-        theta, pulse, rest, delta, cap, cap_span = (
-            self._theta, self._pulse, self._rest, self._spacing, self.spike_cap, self._cap_span
-        )
-        delta2 = 2.0 * delta
-        a, reachable, xeq_on, xeq_off = self._a, self._reachable, self._xeq_on, self._xeq_off
-        expm1_pulse, expm1_rest = self._expm1_pulse, self._expm1_rest
-        log1p, expm1 = math.log1p, math.expm1
+        if n >= stop:
+            return
+        branches = self._branches or self._build_branches()
+        sigma, (c_left, s_left, n_left), (z_right, s_right, n_right) = branches
+        theta = self._theta
         push_state, push_count = states.append, counts.append
         while n < stop:
             if not 0.0 <= x < theta:
                 raise _outside_domain(x, theta)
-            # the count of _spikes, spikes 2 and 3 tested first; t ends at the last spike
-            spikes = 0
-            if reachable:
-                try:
-                    t = log1p(-(theta - x) / (xeq_on - x)) / a
-                except ValueError as exc:
-                    raise _unresolvable(x, self.forcing.A) from exc
-                if not t > pulse:
-                    if t + delta > pulse:
-                        spikes = 1
-                    elif t + delta2 > pulse and cap > 1:  # a cap of 1 raises below
-                        spikes, t = 2, t + delta
-                    else:
-                        if not t + cap_span > pulse:
-                            raise self._runaway()
-                        k = int((pulse - t) / delta)
-                        last = t + k * delta
-                        if last > pulse:
-                            k -= 1
-                            last = t + k * delta
-                        elif not (after := t + (k + 1) * delta) > pulse:
-                            k += 1
-                            last = after
-                        spikes, t = k + 1, last
-            # flow(model, A, pulse - elapsed, x), then flow(model, 0.0, rest, x)
-            if spikes:
-                s = pulse - t
-                x = 0.0 if s == 0.0 else 0.0 + (0.0 - xeq_on) * expm1(a * s)
-            elif pulse != 0.0:
-                x = x + (x - xeq_on) * expm1_pulse
-            if rest != 0.0:
-                x = x + (x - xeq_off) * expm1_rest
+            if x >= sigma:
+                x = z_right + s_right * (x - sigma)
+                push_count(n_right)
+            else:
+                x = c_left + s_left * x
+                push_count(n_left)
             push_state(x)
-            push_count(spikes)
             n += 1
             if abs(x - target) < tol:
                 return
+
+    def _build_branches(self) -> tuple[float, tuple[float, float, int], tuple[float, float, int]]:
+        """Keep and return sigma and the linear map's left and right branches ``(c, s, k)``.
+
+        x < sigma maps to ``c + s*x`` with k = n - 1 spikes, c the image of 0
+        had its k-th spike come at ``k*delta``; x >= sigma maps to ``z + s*(x
+        - sigma)`` with n, z the image of sigma (its n-th spike at ``t1 +
+        (n-1)*delta``).  Two terms of one sign (for ``b >= 0``): an expanding
+        right branch loses nothing to the cancellation of ``z - s*sigma``.
+        Without a boundary the left form with ``k = spike_count(0.0)`` serves
+        every state, and sigma is inf.  Errors of :meth:`boundary` and counts
+        past ``spike_cap`` raise here.
+        """
+        info = self.boundary()
+        k = self.spike_count(0.0) if info is None else info.n - 1
+        c = self._flows(0.0, self._pulse - (k * self._spacing if k else 0.0))
+        left = (c, self._slope(k), k)
+        sigma, right = math.inf, left
+        if info is not None:
+            sigma, n = info.sigma, info.n
+            last = self._first_spike(sigma) + ((n - 1) * self._spacing if n > 1 else 0.0)
+            right = (self._flows(0.0, self._pulse - last), self._slope(n), n)
+        self._branches = sigma, left, right
+        return self._branches
+
+    def _slope(self, k: int) -> float:
+        """``exp(a*(T - k*delta))``, the slope of a linear map's k-spike branch."""
+        if k and self._spacing == math.inf:
+            raise DomainError(
+                f"slope exp(a*(T - n*delta)) of the {k}-spike branch undefined: delta is None "
+                f"or infinite (delta = {self.delta}) under A={self.forcing.A}"
+            )
+        return math.exp(self.model.a * (self.forcing.T - (k * self._spacing if k else 0.0)))
 
     def spike_count(self, x0: float) -> int:
         """Spikes of one map application from x0, without its image.
@@ -378,16 +388,12 @@ class StrobeMap:
         )
 
     def boundary(self) -> BoundaryInfo | None:
-        """The map's discontinuity; see :func:`boundary_sigma`.
+        """The map's discontinuity (see :func:`boundary_sigma`), found once for every reader."""
+        if self._edge is None:
+            self._edge = (self._find_edge(),)
+        return self._edge[0]
 
-        Its cost does not grow with the spike count: the count of the last
-        double below theta is closed-form, and each edge probe is one hit
-        time tested against the times of spikes n and n + 1, so sigma and n
-        are those of an edge search that counts every probe's spikes, bit
-        for bit.  With an infinite spacing (``delta`` None or infinite) a
-        state spikes at most once and the search starts from the last double
-        below theta.
-        """
+    def _find_edge(self) -> BoundaryInfo | None:
         top = math.nextafter(self._theta, 0.0)
         n = self.spike_count(top)
         if n == 0:
@@ -447,12 +453,9 @@ def _snap_to_branch_edge(smap: StrobeMap, sigma: float, n: int) -> float | None:
     spike at least n times and up while they spike fewer, until the count
     crosses n, then bisects the bracket, so the cost grows with the log of
     the distance.  Going up it stops by the last double below theta, which
-    spikes n times; None when it goes down to 0.0 without a crossing.  Each
-    probe tests ``spike_count(probe) >= n`` exactly, by the map's own spike
-    times ``t1 + (n-1)*delta`` and ``t1 + n*delta`` (see
-    :meth:`StrobeMap._at_least`); only a probe with room for more than n
-    spikes takes the full count, so that a count past ``spike_cap`` raises
-    as it does in the map.
+    spikes n times; None when it goes down to 0.0 without a crossing.  The
+    probes are :meth:`StrobeMap._at_least`'s, ``spike_count(probe) >= n``
+    exactly.
     """
     top = _ordinal(math.nextafter(smap.model.theta, 0.0))
     k = _ordinal(sigma)
@@ -493,8 +496,10 @@ def boundary_sigma(
     the first of the n spikes by the map's spike rule.  The search tests
     each probe's count against n with the map's own spike times, one hit
     time per probe, and the count of ``top`` is closed-form, so the cost
-    does not grow with n (see :func:`_snap_to_branch_edge`).
-    :meth:`StrobeMap.boundary` computes it for a map already built.
+    does not grow with n (see :func:`_snap_to_branch_edge`).  With an
+    infinite spacing (``delta`` None or infinite) a state spikes at most
+    once and the search starts from ``top``.  :meth:`StrobeMap.boundary`
+    computes it for a map already built.
     """
     return StrobeMap(model, forcing, spike_cap).boundary()
 
@@ -597,11 +602,10 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
     sampled sup of the central-difference derivative, a heuristic bound.
     Without a boundary (``info`` is None, as returned by
     :meth:`StrobeMap.boundary`) the single branch is measured the same way.
-    A linear branch with spikes but an infinite spacing (``delta`` None or
-    infinite: the reset state never reaches theta in floats, only possible
-    for ``a > 0``) raises DomainError.
+    A linear branch with spikes but an infinite spacing raises DomainError
+    (see :meth:`StrobeMap._slope`).
     """
-    model, forcing = smap.model, smap.forcing
+    model = smap.model
     theta = model.theta
     if info is None:
         lo = 0.0
@@ -611,15 +615,7 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
         n = info.n
     span = theta - lo
     if isinstance(model, LinearModel):
-        if n and smap._spacing == math.inf:
-            raise DomainError(
-                f"contraction margin undefined: delta is None or infinite (delta = {smap.delta}), "
-                f"the reset state never reaches theta under A={forcing.A} in floats, so the "
-                f"slope exp(a*(T - n*delta)) of the {n}-spike branch is undefined"
-            )
-        ndelta = n * smap._spacing if n else 0.0
-        slope = math.exp(model.a * (forcing.T - ndelta))
-        return span * (1.0 - slope)
+        return span * (1.0 - smap._slope(n))
     h = min(1e-6, span * 1e-3)
     top = math.nextafter(theta, 0.0)
     sup = -math.inf
@@ -660,7 +656,9 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     p more maps: states repeat within 10*state_tol with equal per-step spike
     counts.  A cycle longer than ``max_period``, or none within the budget,
     gives ``converged=False`` and the closest candidate cycle among the last
-    2*max_period maps (expected only where the map loses contraction).
+    2*max_period maps (expected only where the map loses contraction).  A
+    linear ``a < 0`` map steps its branches (:meth:`StrobeMap.iterate`),
+    split at the boundary that also sets the word.
     """
     if opts is None:
         opts = OrbitOptions()

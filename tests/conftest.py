@@ -47,8 +47,7 @@ def counted_generic() -> tuple[GenericModel, list]:
 def strobe_calls(monkeypatch) -> list:
     """One entry per map application, by ``StrobeMap.apply`` or ``StrobeMap.iterate``, from here on.
 
-    Each method can run the other (a closed-form ``apply`` is one step of
-    ``iterate``, a generic ``iterate`` loops over ``apply``), so only the
+    A generic or ``a >= 0`` ``iterate`` loops over ``apply``, so only the
     outermost call counts: one entry per ``apply`` and one per state that
     ``iterate`` appends.
     """

@@ -5,10 +5,27 @@ and a bisection on the onset condition); the package must agree to within a
 small multiple of double-precision rounding.
 """
 
+import math
+
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from ifstrobe import Forcing, LinearModel, Side, bif_A, boundary_sigma, fixed_point, time_to_threshold
+import oracle
+from ifstrobe import (
+    Forcing,
+    IntegrationError,
+    LinearModel,
+    Side,
+    SpikeRunawayError,
+    StrobeMap,
+    bif_A,
+    boundary_sigma,
+    critical_dose,
+    fixed_point,
+    time_to_threshold,
+)
 
 mp.mp.dps = 50
 
@@ -71,3 +88,55 @@ def test_onset_amplitude_matches_high_precision_bisection():
     exact = (lo + hi) / 2
     got = bif_A(LIF, 0, Side.ZERO, 0.5, 2.0).A
     assert got == pytest.approx(float(exact), abs=1e-13)
+
+
+def mp_image(model, forcing, x):
+    """The exact map's image of x and its spike count, the float inputs taken as exact."""
+    a, b, theta, drive = (mp.mpf(v) for v in (model.a, model.b, model.theta, forcing.A))
+    pulse = mp.mpf(forcing.d) * mp.mpf(forcing.T)
+    xeq, y, spikes = -(b + drive) / a, mp.mpf(x), 0
+    if xeq > theta:
+        first = mp.log((theta - xeq) / (y - xeq)) / a
+        if first <= pulse:
+            delta = mp.log((theta - xeq) / -xeq) / a
+            spikes = int(mp.floor((pulse - first) / delta)) + 1
+            y = xeq - xeq * mp.e ** (a * (pulse - first - (spikes - 1) * delta))
+    if not spikes:
+        y = xeq + (y - xeq) * mp.e ** (a * pulse)
+    rest_point = -b / a
+    return rest_point + (y - rest_point) * mp.e ** (a * (mp.mpf(forcing.T) - pulse)), spikes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(-3.0, -0.05),
+    theta=st.floats(0.3, 4.0),
+    rest=st.floats(0.02, 0.98),
+    dose=st.one_of(st.floats(0.0, 12.0), st.floats(1e-12, 1e-2).map(lambda e: 1.0 + e)),
+    T=st.floats(1e-3, 200.0),
+    d=st.floats(0.001, 0.999),
+    share=st.floats(0.0, 1.0, exclude_max=True),
+    edge=st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+)
+@example(a=-0.5, theta=1.0, rest=0.2, dose=4.0, T=1.6, d=0.2, share=0.45, edge=None)
+@example(a=-0.5, theta=1.0, rest=0.2, dose=4.0, T=30.0, d=0.2, share=0.0, edge=0.0)
+def test_branch_images_match_high_precision(a, theta, rest, dose, T, d, share, edge):
+    # one step of the iterated branch map against the exact map, within the
+    # rounding bound of oracle.branch_error_bound; x near sigma when edge is set
+    model = LinearModel(a=a, b=-a * theta * rest, theta=theta)
+    forcing = Forcing(A=critical_dose(model) * dose, T=T, d=d)
+    top = math.nextafter(theta, 0.0)
+    try:
+        smap = StrobeMap(model, forcing)
+        info = smap.boundary()
+        x = min(share * theta, top)
+        if edge is not None and info is not None:
+            x = min(max(info.sigma + edge * theta, 0.0), top)
+        states, counts = [x], []
+        smap.iterate(states, counts, 1, 0.0, 0.0)
+    except (IntegrationError, SpikeRunawayError):  # a rest point that rounds onto theta
+        assume(False)
+    exact, spikes = mp_image(model, forcing, x)
+    assume(spikes == counts[0])  # the band of mixed counts around sigma
+    bound = oracle.branch_error_bound(a, model.b, theta, forcing.A, T, smap.delta, spikes)
+    assert abs(mp.mpf(states[1]) - exact) <= bound

@@ -29,6 +29,7 @@ from ifstrobe import (
     flow,
     rate_limits,
     scan_plane,
+    strobe,
     sweep_T,
     time_to_threshold,
     validate_hypotheses,
@@ -61,6 +62,31 @@ _WIDTH = WidthCorrection(A=10 / 3, d=0.2)
 def test_counts_are_integers(lif, name, call):
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
         call(lif)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("transient", lambda m, flag: OrbitOptions(transient=flag)),
+        ("max_period", lambda m, flag: OrbitOptions(max_period=flag)),
+        ("spike_cap", lambda m, flag: OrbitOptions(spike_cap=flag)),
+        ("spike_cap", lambda m, flag: StrobeMap(m, Forcing(10 / 3, 1.6, 0.2), spike_cap=flag)),
+        ("spike_cap", lambda m, flag: strobe(m, Forcing(10 / 3, 8.0, 0.5), 0.9, spike_cap=flag)),
+        ("workers", lambda m, flag: scan_plane(m, 1.0, [0.2], [0.5], workers=flag)),
+        ("workers", lambda m, flag: sweep_T(m, _WIDTH, (1.0, 2.0), 4, workers=flag)),
+        ("resolution", lambda m, flag: sweep_T(m, _WIDTH, (1.0, 2.0), flag)),
+        ("period_cap", lambda m, flag: scan_plane(m, 1.0, [0.2], [0.5], period_cap=flag)),
+        ("grid_points", lambda m, flag: validate_hypotheses(m, grid_points=flag)),
+        ("spike count n", lambda m, flag: bif_T(m, flag, Side.R, 10 / 3, 0.2)),
+        ("spike count n", lambda m, flag: bif_A(m, flag, Side.R, 0.2, 2.0)),
+        ("spike count n", lambda m, flag: fixed_point(m, Forcing(10 / 3, 1.6, 0.2), flag)),
+    ],
+)
+def test_a_bool_is_no_count(lif, name, call, flag):
+    # bool is an int subclass, so True would pass as the count 1
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {flag}$"):
+        call(lif, flag)
 
 
 def test_validate_needs_two_grid_points(lif):

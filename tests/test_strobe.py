@@ -735,13 +735,13 @@ def test_attractor_computes_the_boundary_once(lif, monkeypatch):
     forcing = Forcing(A=10 / 3, T=1.6, d=0.2)
     margin = contraction_margin(lif, forcing)
     calls = []
-    original = StrobeMap.boundary
+    original = StrobeMap._find_edge  # the edge search behind boundary()
 
     def counting(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(StrobeMap, "boundary", counting)
+    monkeypatch.setattr(StrobeMap, "_find_edge", counting)
     orbit = attractor(lif, forcing)
     assert len(calls) == 1
     assert orbit.contraction_margin == margin > 0.0
@@ -793,14 +793,56 @@ def test_attractor_budget_bounds_the_map_applications(lif, strobe_calls, opts):
     assert len(strobe_calls) == opts.transient + 2 * opts.max_period
 
 
+def _branch_map(smap):
+    """One step of a linear ``a < 0`` map's branch map, rebuilt from its boundary and the flows.
+
+    Left of sigma, or everywhere without a boundary, branch k (n - 1, or
+    ``spike_count(0.0)``) maps x to ``c + s*x``, c the image of 0 with its
+    k-th spike at ``k*delta``; at or right of sigma branch n maps x to ``z +
+    s*(x - sigma)``, z the image of sigma with its n-th spike at ``t1 +
+    (n-1)*delta``.  The slope of branch k is ``exp(a*(T - k*delta))``.  A
+    state outside [0, theta) raises the map's ValueError.
+    """
+    model, forcing = smap.model, smap.forcing
+    theta, pulse = model.theta, forcing.pulse_width
+    xeq = model.equilibrium(forcing.A)
+
+    def from_reset(s):  # the reset trajectory over s, backwards when s < 0, then the rest
+        y = 0.0 if s == 0.0 else 0.0 + (0.0 - xeq) * math.expm1(model.a * s)
+        return flow(model, 0.0, forcing.T - pulse, y)
+
+    def branch(k):
+        k_delta = k * smap.delta if k else 0.0
+        return from_reset(pulse - k_delta), math.exp(model.a * (forcing.T - k_delta))
+
+    info = smap.boundary()
+    if info is None:
+        sigma, n = math.inf, smap.spike_count(0.0) + 1
+    else:
+        sigma, n = info.sigma, info.n
+        last = time_to_threshold(model, forcing.A, sigma) + (n - 1) * smap.delta
+        z, s_right = from_reset(pulse - last), branch(n)[1]
+    c, s_left = branch(n - 1)
+
+    def step(x):
+        if not 0.0 <= x < theta:
+            raise ValueError(f"x0 = {x} outside the map domain [0, {theta})")
+        if x >= sigma:
+            return z + s_right * (x - sigma), n
+        return c + s_left * x, n - 1
+
+    return step
+
+
 def _attractor_map_by_map(model, forcing, opts):
-    """``attractor`` with its detector stepped one ``StrobeMap.apply`` per map."""
+    """``attractor`` with its detector stepped one step of the branch map per map."""
     tol = opts.state_tol
     smap = StrobeMap(model, forcing, opts.spike_cap)
     states, counts = [opts.seed], []
     anchor, power, lam, period = 0, 1, 0, 0
+    step = _branch_map(smap)
     while len(counts) < opts.transient + 2 * opts.max_period:
-        image, spikes = smap.apply(states[-1])
+        image, spikes = step(states[-1])
         states.append(image)
         counts.append(spikes)
         i = len(counts)
@@ -893,6 +935,40 @@ def test_attractor_equals_its_detector_stepped_map_by_map(case):
     assert _summary_bits(lambda: attractor(model, forcing, opts)) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases())
+@example(case=(LinearModel(a=-0.5, b=0.2), ANCHOR_AT_TRANSIENT, OrbitOptions(transient=4000)))
+def test_a_converged_branch_cycle_is_a_cycle_of_the_map(case):
+    # apply, the map of the spike times, steps each point of the branch cycle
+    # to the next with the branch's count, within 10*state_tol plus the
+    # rounding both maps may commit (oracle.branch_error_bound)
+    model, forcing, opts = case
+    try:
+        orbit = attractor(model, forcing, opts)
+    except (ValueError, SpikeRunawayError, IntegrationError):
+        assume(False)
+    assume(orbit.converged)
+    smap = StrobeMap(model, forcing, opts.spike_cap)
+    info = smap.boundary()
+    for j, x in enumerate(orbit.points):
+        if info is None:
+            count = smap.spike_count(0.0)
+        else:
+            # the band of mixed counts around sigma is a few thousand ulps wide
+            assume(abs(_ordinal(x) - _ordinal(info.sigma)) > 2**16)
+            count = info.n if x >= info.sigma else info.n - 1
+        try:
+            image, spikes = smap.apply(x)
+        except IntegrationError:  # x meets a rest point that rounds onto theta
+            assume(False)
+        bound = oracle.branch_error_bound(
+            model.a, model.b, model.theta, forcing.A, forcing.T, smap.delta, count
+        )
+        assert spikes == count
+        following = orbit.points[(j + 1) % orbit.period_p]
+        assert abs(image - following) < 10.0 * opts.state_tol + 2.0 * bound
+
+
 def _appended(run, x0):
     """The states (as bit patterns) and counts ``run(states, counts)`` appends from x0, and its error."""
     states, counts = [x0], []
@@ -903,9 +979,7 @@ def _appended(run, x0):
     return list(map(_bits, states)), counts, None
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    a=st.one_of(st.floats(-3.0, -0.05), st.floats(0.0, 3.0)),
+_ITERATE_CASES = dict(
     b=st.floats(-3.0, 3.0),
     forcing=st.builds(
         Forcing, A=st.floats(0.0, 20.0), T=st.floats(1e-3, 100.0), d=st.floats(0.001, 0.999)
@@ -915,8 +989,10 @@ def _appended(run, x0):
     tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.2]),
     spike_cap=st.sampled_from([SPIKE_CAP, 1, 3]),
 )
-def test_iterate_is_apply_map_by_map(a, b, forcing, share, stop, tol, spike_cap):
-    # a >= 0 takes the loop over apply, a < 0 the closed form's own loop
+
+
+def _iterated_and_stepped(a, b, forcing, share, stop, tol, spike_cap, step_of):
+    """What ``iterate`` appends from x0, and what ``step_of(smap)`` appends stepped map by map."""
     model = LinearModel(a=a, b=b)
     try:
         smap = StrobeMap(model, forcing, spike_cap)
@@ -924,16 +1000,37 @@ def test_iterate_is_apply_map_by_map(a, b, forcing, share, stop, tol, spike_cap)
         assume(False)
     x0 = share * model.theta
 
-    def applied(states, counts):
+    def stepped(states, counts):
+        if len(counts) < stop:
+            step = step_of(smap)
         while len(counts) < stop:
-            image, spikes = smap.apply(states[-1])
+            image, spikes = step(states[-1])
             states.append(image)
             counts.append(spikes)
             if abs(image - x0) < tol:
                 return
 
     iterated = _appended(lambda states, counts: smap.iterate(states, counts, stop, x0, tol), x0)
-    assert iterated == _appended(applied, x0)
+    return iterated, _appended(stepped, x0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(0.0, 3.0), **_ITERATE_CASES)
+def test_iterate_is_apply_map_by_map(a, b, forcing, share, stop, tol, spike_cap):
+    # a >= 0, outside the hypotheses, takes the loop over apply
+    iterated, applied = _iterated_and_stepped(
+        a, b, forcing, share, stop, tol, spike_cap, lambda smap: smap.apply
+    )
+    assert iterated == applied
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(-3.0, -0.05), **_ITERATE_CASES)
+def test_iterate_steps_the_branch_map(a, b, forcing, share, stop, tol, spike_cap):
+    # a < 0: the closed form's loop steps the branch map, built before the first map
+    case = (a, b, forcing, share, stop, tol, spike_cap)
+    iterated, stepped = _iterated_and_stepped(*case, _branch_map)
+    assert iterated == stepped
 
 
 def _flows_twin(smap):
@@ -944,17 +1041,24 @@ def _flows_twin(smap):
     return twin
 
 
-def _map_outcomes(smap, x0, stop, tol):
-    """Bit patterns of apply with spike times, iterate, spike_count and boundary, or the errors."""
+def _map_outcomes(smap, x0, stop):
+    """Bit patterns of apply with spike times, ``stop`` applies in a row, spike_count and
+    boundary, or the errors."""
 
     def applied():
         times = []
         image, spikes = smap.apply(x0, times)
         return _bits(image), spikes, list(map(_bits, times))
 
+    def applied_in_a_row(states, counts):
+        while len(counts) < stop:
+            image, spikes = smap.apply(states[-1])
+            states.append(image)
+            counts.append(spikes)
+
     return (
         _returned_or_raised(applied),
-        _appended(lambda states, counts: smap.iterate(states, counts, stop, x0, tol), x0),
+        _appended(applied_in_a_row, x0),
         _returned_or_raised(lambda: smap.spike_count(x0)),
         _returned_or_raised(lambda: _edge(smap.boundary())),
     )
@@ -980,13 +1084,12 @@ def _closed_form_cases(draw):
     case=_closed_form_cases(),
     share=st.one_of(st.floats(-0.25, 1.25), st.just(math.nan)),
     stop=st.integers(0, 30),
-    tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.2]),
 )
-@example(case=(LinearModel(a=-0.5, b=0.2), FORTY_SPIKES, 39), share=0.5, stop=5, tol=0.0)
-@example(case=(LinearModel(a=-0.5, b=0.2), FORTY_SPIKES, SPIKE_CAP), share=0.99, stop=30, tol=1e-9)
-def test_closed_form_equals_its_flows_twin(case, share, stop, tol):
-    # the closed form's loop in iterate against the map's general path, which
-    # applies time_to_threshold and flow map by map, for several maps in a row
+@example(case=(LinearModel(a=-0.5, b=0.2), FORTY_SPIKES, 39), share=0.5, stop=5)
+@example(case=(LinearModel(a=-0.5, b=0.2), FORTY_SPIKES, SPIKE_CAP), share=0.99, stop=30)
+def test_closed_form_equals_its_flows_twin(case, share, stop):
+    # the closed form's apply against the map's general path, which applies
+    # time_to_threshold and flow, for one map and several in a row
     model, forcing, cap = case
     try:
         smap = StrobeMap(model, forcing, cap)
@@ -994,8 +1097,8 @@ def test_closed_form_equals_its_flows_twin(case, share, stop, tol):
         assume(False)
     assert smap._closed_form
     x0 = share * model.theta
-    found = _map_outcomes(smap, x0, stop, tol)
-    assert found == _map_outcomes(_flows_twin(smap), x0, stop, tol)
+    found = _map_outcomes(smap, x0, stop)
+    assert found == _map_outcomes(_flows_twin(smap), x0, stop)
 
 
 @pytest.mark.parametrize("x0", [math.nan, 1.0, 1.5, math.inf, -1e-300])
