@@ -22,7 +22,7 @@ Two model flavours are supported:
   stroboscopic map stores, per drive, the orbit from 0 and the orbit from
   theta (:class:`_DriveOrbits`): every other trajectory of that drive is a
   time shift of one of them, so a map reads its flows and hit times off
-  these orbits.
+  these orbits, and the nodes of one grid call share them.
 
 All functions here treat constant drive only; the pulsed dynamics (spikes,
 stroboscopic map) live in :mod:`ifstrobe.strobe`.
@@ -116,7 +116,13 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class GenericModel:
-    """Generic scalar field given by callables ``f`` and its derivative."""
+    """Generic scalar field given by callables ``f`` and its derivative.
+
+    Flows, hit times and the map's slope read ``f``; ``f_deriv`` serves
+    :func:`validate_hypotheses` and the contraction margin's slope next to
+    a drive's rest point (:func:`_flow_slope`).  Grids with ``workers > 1``
+    send the model to worker processes, so both must then be picklable.
+    """
 
     f: Callable[[float], float]
     f_deriv: Callable[[float], float]
@@ -586,6 +592,10 @@ class _DriveOrbits:
     of its side does not pass before that orbit comes to rest, lies within
     about the integrator's error scale of the rest point.  It is at rest:
     it does not move, and no orbit is extended further for it.
+
+    The orbits depend on f, the drive and theta alone, and a lookup's value
+    does not depend on the lookups before it, so one instance per drive
+    serves every map of a grid call (``StrobeMap``'s ``_orbits``).
     """
 
     def __init__(
@@ -622,6 +632,27 @@ class _DriveOrbits:
                 orbit = self._down
         u = orbit.time_of(x)
         return x if u is None else orbit.at(u + s)
+
+
+def _flow_slope(model: GenericModel, drive: float, s: float, x: float, y: float) -> float:
+    """The derivative of the flow over time s of x' = g(x) = f(x) + drive at x, y its image.
+
+    It is g(y)/g(x) (the variational equation along a scalar autonomous
+    flow) or ``exp(s*(f'(x) + f'(y))/2)``, whichever has the smaller error
+    bound.  The quotient errs by about ``e(x)/|g(x)| + e(y)/|g(y)|``
+    relative, e(u) = |f'(u)|*(atol + rtol*|u|) being the change of g over
+    the integrator's error scale at u, which grows without bound as the
+    states near the drive's rest point.  The exponential averages f' at
+    the two ends; f' varies by |f'(x) - f'(y)| between them, so it errs by
+    at most about ``s*|f'(x) - f'(y)|/2`` relative, which shrinks as the
+    states near the rest point (and is 0 for a linear field).
+    """
+    gx, gy = model.f(x) + drive, model.f(y) + drive
+    dx, dy = model.f_deriv(x), model.f_deriv(y)
+    ex, ey = abs(dx) * (_ATOL + _RTOL * abs(x)), abs(dy) * (_ATOL + _RTOL * abs(y))
+    if gx and gy and ex / abs(gx) + ey / abs(gy) <= 0.5 * s * abs(dx - dy):
+        return gy / gx
+    return math.exp(0.5 * s * (dx + dy))
 
 
 def flow(model: Model, drive: float, t: float, x0: float) -> float:

@@ -33,6 +33,7 @@ from .model import (
     Model,
     _DriveOrbits,
     _check_count,
+    _flow_slope,
     _unresolvable,
     flow,
     time_to_threshold,
@@ -172,14 +173,24 @@ class StrobeMap:
     that orbit passes x0, and the image is read off the orbit of drive 0 at
     ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after construction its maps,
     spike counts and edge probes start no integrator run beyond extending
-    those orbits.  A linear model with ``a >= 0`` calls ``flow`` and
+    those orbits.  A map builds its own orbits; the nodes of one
+    ``sweep_T`` or ``scan_plane`` call pass the call's store as the private
+    ``_orbits``, a dict of ``_DriveOrbits`` by ``(drive, threshold)``, and
+    share the orbits of each drive.  A linear model with ``a >= 0`` calls ``flow`` and
     ``time_to_threshold`` in each application, which keep its errors (a
     division by zero, an overflow) where they raise them, except that
     ``delta`` is solved, and may raise, at construction.  For both, the
     map's :meth:`iterate` is a loop over :meth:`apply`.
     """
 
-    def __init__(self, model: Model, forcing: Forcing, spike_cap: int = SPIKE_CAP) -> None:
+    def __init__(
+        self,
+        model: Model,
+        forcing: Forcing,
+        spike_cap: int = SPIKE_CAP,
+        *,
+        _orbits: dict | None = None,
+    ) -> None:
         _check_count("spike_cap", spike_cap, 1)
         self.model = model
         self.forcing = forcing
@@ -189,8 +200,8 @@ class StrobeMap:
         self._rest = rest = forcing.T - pulse
         self._closed_form = isinstance(model, LinearModel) and model.a < 0.0
         if isinstance(model, GenericModel):
-            self._on = _DriveOrbits(model.f, forcing.A, model.theta, threshold=True)
-            self._off = _DriveOrbits(model.f, 0.0, model.theta, threshold=False)
+            self._on = _drive_orbits(model, forcing.A, True, _orbits)
+            self._off = _drive_orbits(model, 0.0, False, _orbits)
             delta = self._on.delta
         else:
             delta = time_to_threshold(model, forcing.A, 0.0)
@@ -412,6 +423,18 @@ class StrobeMap:
         return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
 
 
+def _drive_orbits(
+    model: GenericModel, drive: float, threshold: bool, store: dict | None
+) -> _DriveOrbits:
+    """The orbits of one drive: from ``store`` when given, built there on first use."""
+    if store is None:
+        return _DriveOrbits(model.f, drive, model.theta, threshold)
+    orbits = store.get((drive, threshold))
+    if orbits is None:
+        orbits = store[drive, threshold] = _DriveOrbits(model.f, drive, model.theta, threshold)
+    return orbits
+
+
 class _Flows:
     """One drive's flows of a linear model with ``a >= 0``, through the public functions."""
 
@@ -598,9 +621,13 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
     Positive values certify contraction of the branch [sigma, theta) (the
     devil's-staircase regime); non-positive values flag possible expansion.
     For a linear field the branch is affine with slope exp(a*(T - n*delta)),
-    so the margin is (theta - sigma) * (1 - slope).  Generic fields use a
-    sampled sup of the central-difference derivative, a heuristic bound.
-    Without a boundary (``info`` is None, as returned by
+    so the margin is (theta - sigma) * (1 - slope).  A generic field takes
+    ``span * (1 - sup)``, sup the largest slope of the map at ``grid``
+    evenly spaced states of the branch that spike n times, each from the
+    field values of one map application (:func:`_map_slope`); a sampled
+    bound, not a proof.  When no sample spikes n times (a branch inside
+    the band of mixed counts, a few thousand ulps wide) the margin is the
+    span.  Without a boundary (``info`` is None, as returned by
     :meth:`StrobeMap.boundary`) the single branch is measured the same way.
     A linear branch with spikes but an infinite spacing raises DomainError
     (see :meth:`StrobeMap._slope`).
@@ -616,29 +643,44 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
     span = theta - lo
     if isinstance(model, LinearModel):
         return span * (1.0 - smap._slope(n))
-    h = min(1e-6, span * 1e-3)
-    top = math.nextafter(theta, 0.0)
     sup = -math.inf
     for i in range(grid):
-        x = lo + span * (i + 0.5) / grid
-        xl = max(x - h, lo)
-        xr = min(x + h, top)
-        if xr <= xl:
-            continue
-        image_l, spikes_l = smap.apply(xl)
-        image_r, spikes_r = smap.apply(xr)
-        if spikes_l != n or spikes_r != n:
-            continue
-        sup = max(sup, (image_r - image_l) / (xr - xl))
-    if not math.isfinite(sup):
-        return span
-    return span * (1.0 - sup)
+        x0 = lo + span * (i + 0.5) / grid
+        spikes, last = smap._spikes(x0)
+        if spikes == n:
+            sup = max(sup, _map_slope(smap, x0, spikes, last))
+    return span * (1.0 - sup) if sup > -math.inf else span
+
+
+def _map_slope(smap: StrobeMap, x0: float, spikes: int, last: float) -> float:
+    """The generic map's derivative at x0, which spikes ``spikes`` times, the last at ``last``.
+
+    Along a constant drive D the flow's derivative is ``g_D(end)/g_D(start)``,
+    g_D = f + D, and a reset's saltation cancels the factors of the hit
+    times, so the map's slope is ``g_A(y)*g_0(z) / (g_A(x0)*g_0(y))``, y the
+    pulse-end state and z the image.  With spikes, ``g_A(y)/g_A(x0)`` is
+    taken as it is: both states lie on the reset orbit, where g_A is at
+    least f(theta) + A.  Each reset-free flow, the off phase and an on phase
+    without spikes, takes :func:`~ifstrobe.model._flow_slope`'s rule, which
+    replaces the quotient by ``exp(s*f')`` near the drive's rest point.
+    """
+    model, A, rest = smap.model, smap.forcing.A, smap._rest
+    s = smap._pulse - last
+    y = smap._on.flow(0.0 if spikes else x0, s)
+    z = smap._off.flow(y, rest)
+    if spikes:
+        on = (model.f(y) + A) / (model.f(x0) + A)
+    else:
+        on = _flow_slope(model, A, s, x0, y)
+    return on * _flow_slope(model, 0.0, rest, y, z)
 
 
 def contraction_margin(model: Model, forcing: Forcing) -> float:
     """Interval length lost by the right branch of the map; > 0 certifies
     contraction there.  Without a boundary the single branch is measured,
-    which is always contracting under the standing hypotheses."""
+    which is always contracting under the standing hypotheses.  A linear
+    field's margin is closed-form; a generic one takes the largest slope of
+    33 sampled maps, each from field values (see :func:`_contraction_margin`)."""
     smap = StrobeMap(model, forcing)
     return _contraction_margin(smap, smap.boundary())
 
@@ -662,9 +704,13 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     """
     if opts is None:
         opts = OrbitOptions()
+    return _attractor(StrobeMap(model, forcing, opts.spike_cap), opts)
+
+
+def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
+    """:func:`attractor` of a map already built, with ``opts.spike_cap`` as its cap."""
     tol, transient = opts.state_tol, opts.transient
     budget = transient + 2 * opts.max_period
-    smap = StrobeMap(model, forcing, opts.spike_cap)
     states = [opts.seed]
     counts: list[int] = []
     anchor, power = 0, 1  # index of the anchor; maps it waits before it moves
@@ -720,7 +766,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
         word=word,
         eta=Fraction(n_spikes, p),
         rho=Fraction(word.count("R"), p),
-        rate=n_spikes / (p * forcing.T),
+        rate=n_spikes / (p * smap.forcing.T),
         points=points,
         converged=converged,
         contraction_margin=margin,

@@ -24,7 +24,14 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
 from .model import DomainError, Forcing, IntegrationError, Model, _check_count, _check_forcing
-from .strobe import OrbitOptions, OrbitSummary, SpikeRunawayError, attractor, _least_rotation
+from .strobe import (
+    OrbitOptions,
+    OrbitSummary,
+    SpikeRunawayError,
+    StrobeMap,
+    _attractor,
+    _least_rotation,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -173,7 +180,7 @@ def _to_sample(T: float, orbit: OrbitSummary) -> StaircaseSample:
 
 
 def _eval_sweep_node(
-    task: tuple[Model, DoseMode, float, OrbitOptions]
+    task: tuple[Model, DoseMode, float, OrbitOptions], orbits: dict | None = None
 ) -> StaircaseSample | SpikeRunawayError | IntegrationError:
     """One sweep node; a numeric failure comes back as the error naming the node.
 
@@ -182,7 +189,8 @@ def _eval_sweep_node(
     """
     model, mode, T, opts = task
     try:
-        orbit = attractor(model, mode.forcing_at(T), opts)
+        smap = StrobeMap(model, mode.forcing_at(T), opts.spike_cap, _orbits=orbits)
+        orbit = _attractor(smap, opts)
     except (SpikeRunawayError, IntegrationError) as exc:
         return type(exc)(f"at node T={T}: {exc}")
     return _to_sample(T, orbit)
@@ -220,6 +228,14 @@ def _usable_cpus() -> int:
 class _GridRunner:
     """Evaluates ``fn`` over the nodes of one ``sweep_T`` or ``scan_plane`` call.
 
+    ``fn(task, orbits)`` takes the call's one store of drive orbits in
+    process, kept across every ``map``; the pool sends its nodes in chunks,
+    each with a store of its own in the worker (:func:`_run_chunk`).  A
+    generic node's map takes its drives' orbits from the store (see
+    :class:`~ifstrobe.strobe.StrobeMap`), a linear one leaves it alone; a
+    stored orbit gives every lookup the value a fresh one gives, so no
+    node's result depends on the nodes before it.
+
     With ``workers > 1`` nodes run in process first, in a strided order: with
     cap = min(workers, usable CPUs), node i is in stride i mod 4*cap, so the
     nodes done sample the whole grid, whose node cost grows with d.  A pool of
@@ -236,6 +252,7 @@ class _GridRunner:
         self.size = 0
         self.spent = 0.0  # seconds of nodes run in process
         self.done = 0
+        self.orbits: dict = {}
 
     def __enter__(self) -> _GridRunner:
         return self
@@ -246,7 +263,7 @@ class _GridRunner:
 
     def map(self, tasks: Sequence) -> list:
         if self.workers <= 1:
-            return [self.fn(t) for t in tasks]
+            return [self.fn(t, self.orbits) for t in tasks]
         import time
 
         _check_picklable(tasks[0])
@@ -256,7 +273,7 @@ class _GridRunner:
         k = 0
         last = time.perf_counter()
         while k < len(order) and self._pool(len(order) - k, cap) is None:
-            results[order[k]] = self.fn(tasks[order[k]])
+            results[order[k]] = self.fn(tasks[order[k]], self.orbits)
             now = time.perf_counter()
             self.spent += now - last
             self.done += 1
@@ -265,8 +282,11 @@ class _GridRunner:
         rest = order[k:]
         if rest:
             chunk = max(1, len(rest) // (4 * self.size))
-            pooled = self.pool.map(self.fn, [tasks[i] for i in rest], chunksize=chunk)
-            for i, result in zip(rest, pooled):
+            parts = [
+                (self.fn, [tasks[i] for i in rest[j : j + chunk]]) for j in range(0, len(rest), chunk)
+            ]
+            pooled = self.pool.map(_run_chunk, parts, chunksize=1)
+            for i, result in zip(rest, (result for part in pooled for result in part)):
                 results[i] = result
         return results
 
@@ -281,6 +301,13 @@ class _GridRunner:
                 self.pool = ProcessPoolExecutor(max_workers=size)
                 self.size = size
         return self.pool
+
+
+def _run_chunk(chunk: tuple[Callable, list]) -> list:
+    """A pool worker's nodes of one chunk, sharing one store of drive orbits."""
+    fn, tasks = chunk
+    orbits: dict = {}
+    return [fn(task, orbits) for task in tasks]
 
 
 def _check_picklable(task) -> None:
@@ -370,13 +397,13 @@ def sweep_T(
 
 
 def _eval_plane_node(
-    task: tuple[Model, float, float, float, int, OrbitOptions]
+    task: tuple[Model, float, float, float, int, OrbitOptions], orbits: dict | None = None
 ) -> tuple[tuple[int, float | None, bool, bool], str | None]:
     """One scan node and, if it failed, the failure for ``scan_plane`` to log."""
     model, T, d, invA, cap, opts = task
     try:
         forcing = Forcing(A=1.0 / invA, T=T, d=d)
-        orbit = attractor(model, forcing, opts)
+        orbit = _attractor(StrobeMap(model, forcing, opts.spike_cap, _orbits=orbits), opts)
     except (SpikeRunawayError, IntegrationError) as exc:
         return (0, None, False, True), str(exc)
     if orbit.converged and orbit.period_p <= cap:

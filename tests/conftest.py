@@ -19,6 +19,14 @@ def linear_f_deriv(x: float) -> float:
     return -0.5
 
 
+def cubic_f(x: float) -> float:
+    return 0.3 - x - 0.5 * x**3
+
+
+def cubic_f_deriv(x: float) -> float:
+    return -1.0 - 1.5 * x * x
+
+
 @pytest.fixture
 def lif() -> LinearModel:
     """The worked linear example: a=-0.5, b=0.2, theta=1."""
@@ -32,6 +40,12 @@ def lif_generic() -> GenericModel:
 
 
 @pytest.fixture
+def cubic() -> GenericModel:
+    """A nonlinear field under the hypotheses: f = 0.3 - x - 0.5x^3, critical dose 1.2."""
+    return GenericModel(f=cubic_f, f_deriv=cubic_f_deriv, theta=1.0)
+
+
+@pytest.fixture
 def counted_generic() -> tuple[GenericModel, list]:
     """The ``lif_generic`` field and a list with one entry per evaluation of its f."""
     evaluations = []
@@ -41,6 +55,38 @@ def counted_generic() -> tuple[GenericModel, list]:
         return linear_f(x)
 
     return GenericModel(f=f, f_deriv=linear_f_deriv, theta=1.0), evaluations
+
+
+@pytest.fixture
+def stepper_runs(monkeypatch) -> list:
+    """One ``(drive, start)`` entry per integrator run started from here on.
+
+    Every run goes through the step iterator ``model._steps``: each
+    ``flow`` and ``time_to_threshold`` of a generic model, and each orbit a
+    generic map stores.  ``flow`` and ``time_to_threshold`` called from
+    ``ifstrobe.strobe`` (the module; ``ifstrobe.strobe`` is the re-exported
+    function) are recorded as ``("flow", ...)`` and ``("time_to_threshold",
+    ...)``.
+    """
+    model_module = sys.modules["ifstrobe.model"]
+    strobe_module = sys.modules["ifstrobe.strobe"]
+    runs = []
+    steps = model_module._steps
+
+    def counting_steps(f, drive, y0, t_end):
+        runs.append((drive, y0))
+        return steps(f, drive, y0, t_end)
+
+    monkeypatch.setattr(model_module, "_steps", counting_steps)
+    for name in ("flow", "time_to_threshold"):
+        original = getattr(strobe_module, name)
+
+        def counting(*args, _name=name, _original=original):
+            runs.append((_name, args[1:]))
+            return _original(*args)
+
+        monkeypatch.setattr(strobe_module, name, counting)
+    return runs
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
-"""Closed-form reference solutions for the linear model.
+"""Closed-form reference solutions for the linear model, and a numeric margin.
 
 Kept deliberately separate from the package: these are the hand-derivable
 formulas (exponential relaxation toward the drive's rest point, logarithmic
-hit times, explicit pulse/decay chain) that the tests trust as ground truth.
+hit times, explicit pulse/decay chain) that the tests trust as ground truth,
+and the central-difference contraction margin that checks the package's
+margin from field values on nonlinear fields.
 """
 
 from __future__ import annotations
@@ -87,3 +89,32 @@ def branch_error_bound(a: float, b: float, theta: float, A: float, T: float, del
     if k:
         span += k * delta * (1.0 + theta / ((xeq - theta) * abs(a) * delta))
     return 8.0 * 2.0**-53 * (theta + abs(a) * (abs(xeq) + theta) * span)
+
+
+def central_difference_margin(smap, info, grid: int = 33) -> float:
+    """A map's contraction margin from central differences of its images.
+
+    The margin is ``span * (1 - sup)`` over the branch [lo, theta), lo the
+    boundary's sigma or 0.0 without one: sup is the largest slope
+    ``(image(x + h) - image(x - h)) / 2h``, h = min(1e-6, span*1e-3), at
+    ``grid`` evenly spaced states whose two probes, clipped to the branch,
+    both spike n times; the span when none does.  Two maps per sample, and
+    the difference quotient errs by about h^2 times the map's third
+    derivative plus the images' error over h.
+    """
+    theta = smap.model.theta
+    lo, n = (0.0, smap.spike_count(0.0)) if info is None else (info.sigma, info.n)
+    span = theta - lo
+    h = min(1e-6, span * 1e-3)
+    top = math.nextafter(theta, 0.0)
+    sup = -math.inf
+    for i in range(grid):
+        x = lo + span * (i + 0.5) / grid
+        xl, xr = max(x - h, lo), min(x + h, top)
+        if xr <= xl:
+            continue
+        image_l, spikes_l = smap.apply(xl)
+        image_r, spikes_r = smap.apply(xr)
+        if spikes_l == spikes_r == n:
+            sup = max(sup, (image_r - image_l) / (xr - xl))
+    return span if sup == -math.inf else span * (1.0 - sup)

@@ -4,13 +4,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from ifstrobe import (
     BifurcationNotFound,
     DomainError,
     Forcing,
+    GenericModel,
     IntegrationError,
     LinearModel,
+    StrobeMap,
     Side,
     attractor,
     bif_A,
@@ -18,13 +22,16 @@ from ifstrobe import (
     boundary_sigma,
     contraction_margin,
     fixed_point,
+    flow,
     rate_limits,
     strobe,
     time_to_threshold,
 )
 
 import oracle
-from ifstrobe.model import MAX_STEPS
+from conftest import linear_f, linear_f_deriv
+from ifstrobe.model import MAX_STEPS, _flow_slope
+from ifstrobe.strobe import _contraction_margin
 
 
 def hand_onset_amplitude(T: float, d: float) -> float:
@@ -247,7 +254,83 @@ def test_generic_margin_sign_matches_linear(lif, lif_generic):
         lin = contraction_margin(lif, forcing)
         gen = contraction_margin(lif_generic, forcing)
         assert math.copysign(1.0, lin) == math.copysign(1.0, gen)
-        assert gen == pytest.approx(lin, abs=1e-5)
+        assert gen == pytest.approx(lin, abs=1e-8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # doses from just above the critical dose 0.3, where the spacing delta
+    # grows without bound, to far above it; nearer than 1e-6 relative the
+    # reset orbit meets the integrator's resolution (the step cap tests)
+    excess=st.floats(1e-6, 30.0),
+    T=st.floats(0.05, 30.0),
+    d=st.floats(0.02, 0.98),
+)
+def test_generic_margin_sign_matches_linear_on_random_forcings(excess, T, d):
+    # the error stays below about 4e-10 at doses above 0.35 and grows with
+    # the boundary's conditioning near the critical dose, to about 1.5e-5 at
+    # A - 0.3 = 3.4e-7, where central differences err as much
+    forcing = Forcing(A=0.3 * (1.0 + excess), T=T, d=d)
+    lin = contraction_margin(LinearModel(a=-0.5, b=0.2, theta=1.0), forcing)
+    gen = contraction_margin(GenericModel(f=linear_f, f_deriv=linear_f_deriv), forcing)
+    target(abs(gen - lin), label="|generic - linear margin|")
+    assert (gen > 0.0) == (lin > 0.0)
+
+
+CUBIC_FORCINGS = [
+    (3.0, 1.6, 0.2), (3.0, 0.5, 0.2), (3.0, 5.0, 0.2), (1.5, 0.4, 0.5), (5.0, 4.0, 0.6),
+    (1.0, 2.0, 0.5),  # below the critical dose 1.2: one branch, no spike
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("A, T, d", CUBIC_FORCINGS)
+def test_cubic_margin_matches_central_differences(cubic, A, T, d):
+    smap = StrobeMap(cubic, Forcing(A=A, T=T, d=d))
+    info = smap.boundary()
+    margin = _contraction_margin(smap, info)
+    reference = oracle.central_difference_margin(smap, info)
+    # the differences err by about 1e-8 (h = 1e-6); three of these margins are negative
+    assert (margin > 0.0) == (reference > 0.0)
+    assert margin == pytest.approx(reference, abs=5e-8)
+
+
+def test_generic_margin_near_a_rest_point_takes_the_exponential_slope(lif, lif_generic):
+    # one sample's pulse-end state lies 2.7e-5 above drive 0's rest point 0.4,
+    # where f(z)/f(y) errs by 3.7e-6 relative and would move the margin by 2e-7
+    forcing = Forcing(A=1.4753045910120488, T=7.965156550241147, d=0.3355198600153362)
+    smap = StrobeMap(lif_generic, forcing)
+    info = smap.boundary()
+    rest = smap._rest
+    exact = math.exp(-0.5 * rest)
+    near = []
+    for i in range(33):
+        x0 = info.sigma + (1.0 - info.sigma) * (i + 0.5) / 33
+        spikes, last = smap._spikes(x0)
+        y = smap._on.flow(0.0 if spikes else x0, smap._pulse - last)
+        z = smap._off.flow(y, rest)
+        if abs(y - 0.4) < 1e-4:
+            near.append((y, z))
+    assert len(near) == 1
+    y, z = near[0]
+    assert abs(linear_f(z) / linear_f(y) / exact - 1.0) > 1e-6
+    # the rule takes exp(rest*(f'(y) + f'(z))/2), exact for a linear field
+    assert _flow_slope(lif_generic, 0.0, rest, y, z) == exact
+    assert contraction_margin(lif_generic, forcing) == pytest.approx(
+        contraction_margin(lif, forcing), abs=1e-9
+    )
+
+
+def test_flow_slope_takes_the_quotient_away_from_the_rest_point(cubic):
+    # on the cubic field f' varies along the flow, so far from the rest point
+    # the average of f' at the ends errs and the quotient of field values does not
+    x, s = 0.9, 0.3
+    y = flow(cubic, 0.0, s, x)
+    slope = _flow_slope(cubic, 0.0, s, x, y)
+    assert slope == cubic.f(y) / cubic.f(x)
+    h = 1e-5
+    numeric = (flow(cubic, 0.0, s, x + h) - flow(cubic, 0.0, s, x - h)) / (2 * h)
+    assert slope == pytest.approx(numeric, rel=1e-8)
+    assert abs(math.exp(0.5 * s * (cubic.f_deriv(x) + cubic.f_deriv(y))) / slope - 1.0) > 1e-3
 
 
 def test_generic_bif_A_stops_at_the_step_cap(counted_generic):

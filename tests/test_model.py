@@ -36,7 +36,8 @@ from ifstrobe import (
 )
 
 import oracle
-from ifstrobe.model import MAX_STEPS, _dense_poly, _dense_time, _steps
+from conftest import cubic_f
+from ifstrobe.model import MAX_STEPS, _dense_poly, _dense_time, _Orbit, _steps
 
 
 def test_validate_accepts_reference_model(lif):
@@ -486,3 +487,32 @@ def test_generic_blowup_is_an_integration_error_at_once(square):
     with pytest.raises(IntegrationError, match="theta=1e\\+300"):
         time_to_threshold(exploding, 0.0, 1e200)
     assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    upward=st.booleans(),
+    lookups=st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=1, max_size=10),
+)
+def test_an_orbit_extended_by_lookups_in_any_order_stores_a_fresh_runs_steps(upward, lookups):
+    # drive 0 of the cubic field, from 0 up or from theta down to the rest
+    # point near 0.2886, which it reaches and comes to rest at
+    start = 0.0 if upward else 1.0
+
+    def fresh() -> _Orbit:
+        return _Orbit(cubic_f, 0.0, start, upward)
+
+    orbit = fresh()
+    for by_state, u in lookups:
+        # a state from the start to past the rest point, or a time up to 40,
+        # past the step at which the orbit comes to rest
+        if by_state:
+            x = start + u * (0.3 - start)
+            assert orbit.time_of(x) == fresh().time_of(x)
+        else:
+            assert orbit.at(40.0 * u) == fresh().at(40.0 * u)
+    run = fresh()
+    while len(run._accepted) < len(orbit._accepted) and run._extend():
+        pass
+    assert run._accepted == orbit._accepted
+    assert (run._times, run._keys, run._last) == (orbit._times, orbit._keys, orbit._last)

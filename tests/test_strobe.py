@@ -328,38 +328,6 @@ def test_contraction_margin_without_delta_names_the_undefined_slope():
         attractor(model, forcing)
 
 
-@pytest.fixture
-def stepper_runs(monkeypatch) -> list:
-    """One ``(drive, start)`` entry per integrator run started from here on.
-
-    Every run goes through the step iterator ``model._steps``: each
-    ``flow`` and ``time_to_threshold`` of a generic model, and each orbit a
-    generic map stores.  ``flow`` and ``time_to_threshold`` called from
-    ``ifstrobe.strobe`` (the module; ``ifstrobe.strobe`` is the re-exported
-    function) are recorded as ``("flow", ...)`` and ``("time_to_threshold",
-    ...)``.
-    """
-    model_module = sys.modules["ifstrobe.model"]
-    strobe_module = sys.modules["ifstrobe.strobe"]
-    runs = []
-    steps = model_module._steps
-
-    def counting_steps(f, drive, y0, t_end):
-        runs.append((drive, y0))
-        return steps(f, drive, y0, t_end)
-
-    monkeypatch.setattr(model_module, "_steps", counting_steps)
-    for name in ("flow", "time_to_threshold"):
-        original = getattr(strobe_module, name)
-
-        def counting(*args, _name=name, _original=original):
-            runs.append((_name, args[1:]))
-            return _original(*args)
-
-        monkeypatch.setattr(strobe_module, name, counting)
-    return runs
-
-
 def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, stepper_runs):
     A, theta = FORTY_SPIKES.A, lif_generic.theta
     # a generic map integrates once per stored orbit: the reset orbit when it

@@ -245,14 +245,14 @@ def test_scan_plane_skips_the_contraction_margin(lif, monkeypatch):
 
 def test_scan_plane_nodes_receive_python_floats(lif, monkeypatch):
     sweep = sys.modules["ifstrobe.sweep"]
-    original = sweep.attractor
+    original = sweep._attractor
     types = set()
 
-    def recording(model, forcing, opts=None):
-        types.add((type(forcing.A), type(forcing.d)))
-        return original(model, forcing, opts)
+    def recording(smap, opts):
+        types.add((type(smap.forcing.A), type(smap.forcing.d)))
+        return original(smap, opts)
 
-    monkeypatch.setattr(sweep, "attractor", recording)
+    monkeypatch.setattr(sweep, "_attractor", recording)
     scan_plane(lif, 1.0, np.array([0.2, 0.5]), np.array([0.5, 2.0]), opts=FAST)
     assert types == {(float, float)}
 
@@ -303,7 +303,7 @@ def test_unpicklable_model_fails_before_any_node_runs(monkeypatch, no_pool, size
     def no_node(*args):
         raise AssertionError("a node ran")
 
-    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "attractor", no_node)
+    monkeypatch.setattr(sys.modules["ifstrobe.sweep"], "_attractor", no_node)
     model = GenericModel(f=lambda x: -0.5 * x + 0.2, f_deriv=lambda x: -0.5, theta=1.0)
     grid = np.linspace(0.2, 0.8, size)
     with pytest.raises(TypeError, match="module level"):
@@ -324,18 +324,54 @@ def test_a_refined_sweep_starts_at_most_one_pool(lif, pool_regime):
     assert pool_sizes == ([] if regime == "none" else [2])
 
 
+@pytest.mark.parametrize("field", ["lif_generic", "cubic"])
+def test_generic_grids_are_equal_on_any_worker_count(field, request, pool_regime):
+    # the nodes of one call share drive orbits in process, and each pooled
+    # chunk its own: neither may change a row
+    regime, pool_sizes = pool_regime
+    model = request.getfixturevalue(field)
+    mode = WidthCorrection(A=10 / 3, d=0.2)
+    serial = sweep_T(model, mode, (0.5, 3.0), 12, refine=True, opts=FAST, workers=1)
+    assert len(serial) > 12  # so refinement passes ran after the first
+    assert sweep_T(model, mode, (0.5, 3.0), 12, refine=True, opts=FAST, workers=2) == serial
+    scan = scan_plane(model, 1.0, *SCAN_5X5, opts=FAST, workers=1)
+    assert scan_plane(model, 1.0, *SCAN_5X5, opts=FAST, workers=2) == scan
+    assert pool_sizes == ([] if regime == "none" else [2, 2])
+
+
+def test_a_generic_grid_integrates_each_drive_once_at_any_node_count(lif_generic, stepper_runs):
+    # a width sweep drives every node with A and 0: the reset orbit of A
+    # and the two orbits of 0, however many nodes and refinement passes
+    A, theta = 10 / 3, lif_generic.theta
+    mode = WidthCorrection(A=A, d=0.2)
+    for n in (2, 12):
+        stepper_runs.clear()
+        sweep_T(lif_generic, mode, (1.0, 1.7), n)
+        assert sorted(stepper_runs) == [(0.0, 0.0), (0.0, theta), (A, 0.0)]
+        stepper_runs.clear()
+        assert len(sweep_T(lif_generic, mode, (0.5, 3.0), n, refine=True)) > 4 * n
+        assert sorted(stepper_runs) == [(0.0, 0.0), (0.0, theta), (A, 0.0)]
+    # a scan at fixed T: drive 0 once, and each 1/A column's drive once for every d
+    for rows in (1, 4):
+        stepper_runs.clear()
+        scan_plane(lif_generic, 1.0, [0.2 + 0.1 * i for i in range(rows)], [0.3, 0.6, 0.9])
+        assert sorted(stepper_runs) == sorted(
+            [(0.0, 0.0), (0.0, theta)] + [(1.0 / invA, 0.0) for invA in (0.3, 0.6, 0.9)]
+        )
+
+
 def test_nodes_run_in_process_in_strided_order_until_the_pool_starts(lif, pool_regime, monkeypatch):
     regime, pool_sizes = pool_regime
     serial = scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=1)
     sweep = sys.modules["ifstrobe.sweep"]
-    original = sweep.attractor
+    original = sweep._attractor
     in_process = []
 
-    def recording(model, forcing, opts=None):
-        in_process.append((forcing.d, forcing.A))
-        return original(model, forcing, opts)
+    def recording(smap, opts):
+        in_process.append((smap.forcing.d, smap.forcing.A))
+        return original(smap, opts)
 
-    monkeypatch.setattr(sweep, "attractor", recording)
+    monkeypatch.setattr(sweep, "_attractor", recording)
     assert scan_plane(lif, 1.0, *SCAN_5X5, opts=FAST, workers=2) == serial
     nodes = [(d, 1.0 / invA) for d in SCAN_5X5[0] for invA in SCAN_5X5[1]]
     # two CPUs give eight strides, node i in stride i mod 8, each spanning every d
