@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._brent import brentq
 from .model import (
@@ -72,8 +72,7 @@ class Side(enum.Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class BifPoint:
+class BifPoint(NamedTuple):
     """Solved border-collision point with its re-evaluated equation defects.
 
     ``xbar`` is the colliding fixed point and ``t_first`` its first
@@ -95,8 +94,7 @@ class BifPoint:
     at_resolution: bool = False
 
 
-@dataclass(frozen=True)
-class RateLimits:
+class RateLimits(NamedTuple):
     """Firing-rate limits and global extremes at fixed amplitude/duty cycle.
 
     ``r_infinity`` = d/delta is the large-period limit; ``r_zero`` the

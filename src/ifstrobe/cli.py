@@ -10,11 +10,11 @@ bif           one border-collision solve (--solve A|T, --side R|L|zero)
 adding-check  period-adding/Farey report for a previously swept CSV
 
 Every parameter is declared once, in ``PARAMS``: its type (or choices), its
-help text and its domain rule, which for ``d``, ``T``, ``theta``, ``cap`` and
-``tol_time`` is the library's own.  The parser, the config reader and the
-validation all derive from that table.  A handler passes the library only
-the values the user gave, so every default lives in the library's
-signatures alone.  A parameter ``name`` is the flag
+help text and its domain rule, which for ``d``, ``T``, ``theta``, ``delta``,
+``Q``, ``cap`` and ``tol_time`` is the library's own.  The parser, the
+config reader and the validation all derive from that table.  A handler
+passes the library only the values the user gave, so every default lives
+in the library's signatures alone.  A parameter ``name`` is the flag
 ``--name`` (underscores written as dashes) and the key ``name`` of a flat
 ``key=value`` config file (``--config``, '#' comments); explicit command-line
 flags override file values.  A subcommand accepts only the flags it uses,
@@ -54,6 +54,7 @@ from .sweep import (
     AmplitudeCorrection,
     StaircaseSample,
     WidthCorrection,
+    _check_amplitude_mode,
     _check_period_cap,
     _check_workers,
     _linspace,
@@ -122,8 +123,10 @@ PARAMS: dict[str, Param] = {
     "d": Param(float, "duty cycle", lambda v: _check_forcing(d=v)),
     "T": Param(float, "forcing period", lambda v: _check_forcing(T=v)),
     "mode": Param(("width", "amplitude"), "dose conservation: fixed (A, d) or fixed pulse duration"),
-    "delta": Param(float, "pulse duration (amplitude mode)"),
-    "Q": Param(float, "dose (amplitude mode)"),
+    "delta": Param(
+        float, "pulse duration (amplitude mode)", lambda v: _check_amplitude_mode(delta=v)
+    ),
+    "Q": Param(float, "dose (amplitude mode)", lambda v: _check_amplitude_mode(Q=v)),
     "tmin": Param(float, "smallest period of the sweep"),
     "tmax": Param(float, "largest period of the sweep"),
     "n": Param(int, "grid resolution"),

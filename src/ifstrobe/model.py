@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from ._brent import EPS, brentq
 
@@ -84,8 +83,32 @@ class DomainError(ValueError):
     """A model, forcing or protocol parameter outside the domain the library accepts."""
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class _Checked:
+    """Mixin, before a record's NamedTuple base, that runs the record's ``_check`` on it.
+
+    Every new record passes the check: a call, ``_make`` and so ``_replace``,
+    and unpickling all go through ``__new__``.  ``_check`` raises DomainError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _LinearFields(NamedTuple):
+    a: float
+    b: float
+    theta: float = 1.0
+
+
+class LinearModel(_Checked, _LinearFields):
     """Linear subthreshold field f(x) = a*x + b with threshold ``theta``.
 
     The standard hypotheses require a < 0, f(0) = b > 0 and f(theta) < 0, so
@@ -94,11 +117,9 @@ class LinearModel:
     parameter sets can be built and reported on.
     """
 
-    a: float
-    b: float
-    theta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_threshold(self.theta)
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError("a and b must be finite")
@@ -114,8 +135,13 @@ class LinearModel:
         return -(self.b + drive) / self.a
 
 
-@dataclass(frozen=True)
-class GenericModel:
+class _GenericFields(NamedTuple):
+    f: Callable[[float], float]
+    f_deriv: Callable[[float], float]
+    theta: float = 1.0
+
+
+class GenericModel(_Checked, _GenericFields):
     """Generic scalar field given by callables ``f`` and its derivative.
 
     Flows, hit times and the map's slope read ``f``; ``f_deriv`` serves
@@ -124,11 +150,9 @@ class GenericModel:
     send the model to worker processes, so both must then be picklable.
     """
 
-    f: Callable[[float], float]
-    f_deriv: Callable[[float], float]
-    theta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_threshold(self.theta)
 
 
@@ -165,15 +189,18 @@ def _check_count(name: str, value: int, least: int | None = None) -> None:
         raise DomainError(f"{name} must be >= {least}")
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Square-wave input: amplitude ``A`` on (nT, nT + dT], zero otherwise."""
-
+class _ForcingFields(NamedTuple):
     A: float
     T: float
     d: float
 
-    def __post_init__(self) -> None:
+
+class Forcing(_Checked, _ForcingFields):
+    """Square-wave input: amplitude ``A`` on (nT, nT + dT], zero otherwise."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         _check_forcing(self.A, self.T, self.d)
 
     @property
@@ -195,8 +222,7 @@ class Region:
     PERMANENT_SPIKING = "PermanentSpiking"
 
 
-@dataclass(frozen=True)
-class RegionClass:
+class RegionClass(NamedTuple):
     """Region label plus boundary flags.
 
     Exactly-on-boundary points are tie-broken by the dynamics: A == Q_c never
@@ -210,17 +236,15 @@ class RegionClass:
     on_dose_boundary: bool = False
 
 
-@dataclass(frozen=True)
-class HypothesisFailure:
+class HypothesisFailure(NamedTuple):
     name: str
     witness: float
     detail: str
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     passed: bool
-    failures: tuple[HypothesisFailure, ...] = field(default_factory=tuple)
+    failures: tuple[HypothesisFailure, ...] = ()
 
     def failed_names(self) -> set[str]:
         return {f.name for f in self.failures}

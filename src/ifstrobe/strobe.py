@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._brent import brentq
 from .model import (
@@ -31,6 +30,7 @@ from .model import (
     GenericModel,
     LinearModel,
     Model,
+    _Checked,
     _DriveOrbits,
     _check_count,
     _flow_slope,
@@ -69,8 +69,7 @@ def _outside_domain(x0: float, theta: float) -> ValueError:
     return ValueError(f"x0 = {x0} outside the map domain [0, {theta})")
 
 
-@dataclass(frozen=True)
-class StrobeResult:
+class StrobeResult(NamedTuple):
     """One application of the map: image point, spike count, spike times."""
 
     image: float
@@ -78,16 +77,23 @@ class StrobeResult:
     spike_times: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryInfo:
+class BoundaryInfo(NamedTuple):
     """Discontinuity of the map: states >= sigma spike ``n`` times per period."""
 
     sigma: float
     n: int
 
 
-@dataclass(frozen=True)
-class OrbitOptions:
+class _OrbitFields(NamedTuple):
+    transient: int = 10_000
+    max_period: int = 10_000
+    seed: float = 0.0
+    state_tol: float = STATE_TOL
+    spike_cap: int = SPIKE_CAP
+    compute_margin: bool = True
+
+
+class OrbitOptions(_Checked, _OrbitFields):
     """Iteration budget and tolerances for attractor detection.
 
     :func:`attractor` applies the map at most ``transient + 2*max_period``
@@ -96,14 +102,9 @@ class OrbitOptions:
     integers; out-of-domain values raise :class:`~ifstrobe.model.DomainError`.
     """
 
-    transient: int = 10_000
-    max_period: int = 10_000
-    seed: float = 0.0
-    state_tol: float = STATE_TOL
-    spike_cap: int = SPIKE_CAP
-    compute_margin: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name, least in (("transient", 0), ("max_period", 1), ("spike_cap", 1)):
             value = getattr(self, name)
             _check_count(name, value)
@@ -113,8 +114,7 @@ class OrbitOptions:
             raise DomainError(f"state_tol must be finite and > 0, got {self.state_tol!r}")
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(NamedTuple):
     """Detected periodic attractor of the stroboscopic map.
 
     ``eta`` = spikes_n / period_p and ``rho`` = (#R) / period_p are exact

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
-from .model import DomainError, Forcing, IntegrationError, Model, _check_count, _check_forcing
+from .model import (
+    DomainError, Forcing, IntegrationError, Model, _Checked, _check_count, _check_forcing
+)
 from .strobe import (
     OrbitOptions,
     OrbitSummary,
@@ -53,8 +54,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class WidthCorrection:
+class WidthCorrection(NamedTuple):
     """Fixed amplitude and duty cycle; the pulse widens with the period."""
 
     A: float
@@ -68,16 +68,31 @@ class WidthCorrection:
         return Forcing(A=self.A, T=T, d=self.d)
 
 
-@dataclass(frozen=True)
-class AmplitudeCorrection:
+def _check_amplitude_mode(delta: float | None = None, Q: float | None = None) -> None:
+    """Apply the one domain rule of each given amplitude-mode parameter; raises DomainError."""
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise DomainError("pulse duration delta must be finite and > 0")
+    if Q is not None and not (math.isfinite(Q) and Q >= 0.0):
+        raise DomainError("dose Q must be finite and >= 0")
+
+
+class _AmplitudeFields(NamedTuple):
+    delta: float
+    Q: float
+
+
+class AmplitudeCorrection(_Checked, _AmplitudeFields):
     """Fixed pulse duration; the amplitude rescales to conserve the dose.
 
     Defined for T > delta only (the duty cycle must stay below 1); periods at
     or below the pulse duration are nudged just above it by the sweep.
+    ``delta`` is finite and > 0, ``Q`` finite and >= 0, else DomainError.
     """
 
-    delta: float
-    Q: float
+    __slots__ = ()
+
+    def _check(self) -> None:
+        _check_amplitude_mode(self.delta, self.Q)
 
     @property
     def dose(self) -> float:
@@ -92,8 +107,7 @@ class AmplitudeCorrection:
 DoseMode = Union[WidthCorrection, AmplitudeCorrection]
 
 
-@dataclass(frozen=True)
-class StaircaseSample:
+class StaircaseSample(NamedTuple):
     """One sweep node: exact firing/rotation numbers plus convergence flags."""
 
     T: float
@@ -106,8 +120,14 @@ class StaircaseSample:
     contraction_ok: bool
 
 
-@dataclass(frozen=True)
-class PlaneScan:
+class _PlaneScanFields(NamedTuple):
+    T: float
+    d_values: tuple[float, ...]
+    invA_values: tuple[float, ...]
+    nodes: tuple[tuple[int, float | None, bool, bool], ...]
+
+
+class PlaneScan(_PlaneScanFields):
     """Attractor period and firing-number over a (d, 1/A) grid at fixed T.
 
     The scan holds plain Python values: the grids ``d_values`` and
@@ -120,14 +140,10 @@ class PlaneScan:
 
     The numpy views ``d_grid``, ``invA_grid``, ``period`` (int), ``eta``
     (float, NaN where undefined), ``capped`` and ``failed`` (bool) are built
-    on first access, so only code that reads one of them imports numpy.
-    The matrices are indexed [i_d, i_invA].
+    on first access, so only code that reads one of them imports numpy; the
+    instance ``__dict__`` keeps them (no ``__slots__``).  The matrices are
+    indexed [i_d, i_invA].
     """
-
-    T: float
-    d_values: tuple[float, ...]
-    invA_values: tuple[float, ...]
-    nodes: tuple[tuple[int, float | None, bool, bool], ...]
 
     def _matrix(self, column: int, dtype: type) -> np.ndarray:
         values = [node[column] for node in self.nodes]
@@ -448,7 +464,7 @@ def scan_plane(
     _check_forcing(T=T)
     _check_period_cap(period_cap)
     _check_workers(workers)
-    opts = replace(opts or OrbitOptions(), max_period=max(period_cap, 2), compute_margin=False)
+    opts = (opts or OrbitOptions())._replace(max_period=max(period_cap, 2), compute_margin=False)
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
     with _GridRunner(_eval_plane_node, workers) as runner:
         results = runner.map(tasks)
@@ -459,8 +475,7 @@ def scan_plane(
     return PlaneScan(T=T, d_values=tuple(d_vals), invA_values=tuple(a_vals), nodes=nodes)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Maximal run of sweep samples sharing one firing-number."""
 
     eta: Fraction
@@ -472,8 +487,7 @@ class Window:
     count: int
 
 
-@dataclass(frozen=True)
-class AddingCheck:
+class AddingCheck(NamedTuple):
     """Outcome of one mediant test between neighbouring windows.
 
     ``status`` is "ok" when the mediant window was found and passed all
@@ -492,8 +506,7 @@ class AddingCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AddingReport:
+class AddingReport(NamedTuple):
     windows: tuple[Window, ...]
     checks: tuple[AddingCheck, ...]
 

@@ -523,20 +523,29 @@ def test_forcing_outside_its_domain_is_a_config_error(argv, rule, capsys):
 
 
 def _modules_loaded_by_import(package: str) -> list[str]:
-    """Modules of ``package`` that a fresh ``import ifstrobe, ifstrobe.cli`` loads."""
+    """Modules of ``package`` that a fresh ``import ifstrobe, ifstrobe.cli`` loads.
+
+    Modules a bare interpreter of the same environment loads (a site hook's)
+    do not count.
+    """
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys, ifstrobe, ifstrobe.cli; "
-        f"print(*(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    return out.split()
+
+    def loaded(imports: str) -> set[str]:
+        prefix = package + "."
+        code = (
+            f"import sys{imports}; "
+            f"print(*(m for m in sys.modules if m == {package!r} or m.startswith({prefix!r})))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return set(out.split())
+
+    return sorted(loaded(", ifstrobe, ifstrobe.cli") - loaded(""))
 
 
 def test_import_loads_no_scipy():
@@ -548,10 +557,21 @@ def test_import_loads_no_numpy():
     assert _modules_loaded_by_import("numpy") == []
 
 
+@pytest.mark.parametrize("package", ["dataclasses", "inspect"])
+def test_import_loads_neither_dataclasses_nor_inspect(package):
+    # the records are NamedTuples, which build no methods from source
+    assert _modules_loaded_by_import(package) == []
+
+
 BIF_A = ["bif", *MODEL, "--solve", "A", "--side", "R", "--spikes", "1", "--d", "0.5"]
 T_RULE = "period T must be finite and > 0"
 D_RULE = "duty cycle d must lie in the open interval (0, 1)"
 THETA_RULE = "theta must be finite and strictly positive"
+AMPLITUDE_SWEEP = [
+    "sweep", *MODEL, "--mode", "amplitude", "--tmin", "1", "--tmax", "10", "--n", "3"
+]
+DELTA_RULE = "pulse duration delta must be finite and > 0"
+Q_RULE = "dose Q must be finite and >= 0"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -563,10 +583,15 @@ THETA_RULE = "theta must be finite and strictly positive"
         *((["classify", *MODEL, "--A", "1"], "d", v, D_RULE) for v in ("0", "1", "nan")),
         *((["classify", "--a", "-0.5", "--b", "0.2", "--A", "1", "--d", "0.5"], "theta", v, THETA_RULE)
           for v in ("inf", "0")),
+        *(([*AMPLITUDE_SWEEP, "--Q", "0.6"], "delta", v, DELTA_RULE)
+          for v in ("0", "-1", "nan", "inf")),
+        *(([*AMPLITUDE_SWEEP, "--delta", "1"], "Q", v, Q_RULE) for v in ("-1", "nan", "inf")),
     ],
     ids=[
         "bif-T-nan", "bif-T-inf", "bif-T-0", "scan-T-nan", "scan-T-inf", "scan-T-0",
         "d-0", "d-1", "d-nan", "theta-inf", "theta-0",
+        "delta-0", "delta-negative", "delta-nan", "delta-inf",
+        "Q-negative", "Q-nan", "Q-inf",
     ],
 )  # fmt: skip
 def test_d_T_and_theta_follow_the_library_rule(argv, key, value, rule, source, tmp_path, capsys):

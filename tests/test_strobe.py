@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import sys
@@ -858,7 +857,7 @@ def _summary_bits(fn):
         return type(exc), str(exc)
     return tuple(
         tuple(map(_bits, v)) if isinstance(v, tuple) else _bits(v) if isinstance(v, float) else v
-        for v in dataclasses.astuple(orbit)
+        for v in tuple(orbit)
     )
 
 

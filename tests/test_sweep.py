@@ -69,6 +69,21 @@ def test_amplitude_correction_traces_fixed_dose_line():
         mode.forcing_at(3.0)
 
 
+@pytest.mark.parametrize(
+    "delta, Q, rule",
+    [
+        (0.0, 0.6, "pulse duration delta must be finite and > 0"),
+        (-1.0, 0.6, "pulse duration delta must be finite and > 0"),
+        (math.nan, 0.6, "pulse duration delta must be finite and > 0"),
+        (1.0, math.inf, "dose Q must be finite and >= 0"),
+    ],
+)
+def test_amplitude_correction_checks_its_fields(lif, delta, Q, rule):
+    # forcing_at divides by delta: the error names delta or Q, not the amplitude A or a zero
+    with pytest.raises(DomainError, match=rule):
+        sweep_T(lif, AmplitudeCorrection(delta=delta, Q=Q), (1, 10), 3)
+
+
 def test_sweep_amplitude_mode_nudges_first_node(lif):
     samples = sweep_T(lif, AmplitudeCorrection(delta=3.0, Q=0.6667), (3.0, 12.0), 8, opts=FAST)
     assert samples[0].T > 3.0
