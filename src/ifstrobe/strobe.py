@@ -28,7 +28,6 @@ from .model import (
     DomainError,
     Forcing,
     GenericModel,
-    LinearModel,
     Model,
     _Checked,
     _DriveOrbits,
@@ -157,7 +156,9 @@ class StrobeMap:
     :meth:`spike_count` share one domain, [0, theta), and raise ValueError
     outside it.
 
-    For a linear model with ``a < 0`` (the standing hypothesis) the
+    A linear model must have ``a < 0``, the standing hypothesis of one
+    attracting rest point; any other ``a``, 0.0 and -0.0 included, raises
+    :class:`~ifstrobe.model.DomainError` before ``delta`` is solved.  Its
     constants of the closed form are computed here.  :meth:`apply`, and
     with it :meth:`spike_count` and the edge probes of :meth:`boundary`,
     repeats the float operations of ``time_to_threshold`` and ``flow`` in
@@ -171,16 +172,13 @@ class StrobeMap:
     reset orbit is the run ``time_to_threshold(model, A, 0.0)`` starts, the
     hit time from x0 is ``delta - u_A(x0)``, u_A being the time at which
     that orbit passes x0, and the image is read off the orbit of drive 0 at
-    ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after construction its maps,
-    spike counts and edge probes start no integrator run beyond extending
-    those orbits.  A map builds its own orbits; the nodes of one
+    ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after
+    construction its maps, spike counts and edge probes start no integrator
+    run beyond extending those orbits, and its :meth:`iterate` is a loop
+    over :meth:`apply`.  A map builds its own orbits; the nodes of one
     ``sweep_T`` or ``scan_plane`` call pass the call's store as the private
     ``_orbits``, a dict of ``_DriveOrbits`` by ``(drive, threshold)``, and
-    share the orbits of each drive.  A linear model with ``a >= 0`` calls ``flow`` and
-    ``time_to_threshold`` in each application, which keep its errors (a
-    division by zero, an overflow) where they raise them, except that
-    ``delta`` is solved, and may raise, at construction.  For both, the
-    map's :meth:`iterate` is a loop over :meth:`apply`.
+    share the orbits of each drive.
     """
 
     def __init__(
@@ -198,21 +196,22 @@ class StrobeMap:
         self._theta = model.theta
         self._pulse = pulse = forcing.pulse_width
         self._rest = rest = forcing.T - pulse
-        self._closed_form = isinstance(model, LinearModel) and model.a < 0.0
-        if isinstance(model, GenericModel):
+        self._generic = isinstance(model, GenericModel)
+        if self._generic:
             self._on = _drive_orbits(model, forcing.A, True, _orbits)
             self._off = _drive_orbits(model, 0.0, False, _orbits)
             delta = self._on.delta
         else:
+            self._a = a = model.a
+            if not a < 0.0:
+                raise DomainError(
+                    f"a linear field needs a < 0 (one attracting rest point), got a = {a!r}"
+                )
             delta = time_to_threshold(model, forcing.A, 0.0)
-            if not self._closed_form:
-                self._on, self._off = _Flows(model, forcing.A), _Flows(model, 0.0)
-            else:
-                self._a = a = model.a
-                self._reachable = a * model.theta + model.b + forcing.A > 0.0
-                self._xeq_on = model.equilibrium(forcing.A)
-                self._xeq_off = model.equilibrium(0.0)
-                self._expm1_rest = math.expm1(a * rest)
+            self._reachable = a * model.theta + model.b + forcing.A > 0.0
+            self._xeq_on = model.equilibrium(forcing.A)
+            self._xeq_off = model.equilibrium(0.0)
+            self._expm1_rest = math.expm1(a * rest)
         self.delta = delta
         # the time between spikes after the first, inf when no second spike comes
         self._spacing = spacing = math.inf if delta is None else delta
@@ -234,7 +233,7 @@ class StrobeMap:
         if not 0.0 <= x0 < self._theta:
             raise _outside_domain(x0, self._theta)
         spikes, last = self._spikes(x0, times)
-        if not self._closed_form:
+        if self._generic:
             x = self._on.flow(0.0 if spikes else x0, self._pulse - last)
             return self._off.flow(x, self._rest), spikes
         return self._flows(0.0 if spikes else x0, self._pulse - last), spikes
@@ -253,14 +252,14 @@ class StrobeMap:
         Appends each image to ``states`` and its spike count to ``counts``,
         and stops early after an image within ``tol`` of ``target`` (never
         when ``tol`` is 0); the maps before an error stay appended.  For a
-        linear model with ``a < 0`` each map is a step of the branch map,
-        built before the first map (:meth:`_build_branches`), in one loop
-        with no call per map: the exact map's image to within rounding, not
-        :meth:`apply`'s bit for bit, and a count that follows sigma in the
-        band of mixed counts.  Otherwise each map is :meth:`apply`'s.
+        linear model each map is a step of the branch map, built before the
+        first map (:meth:`_build_branches`), in one loop with no call per
+        map: the exact map's image to within rounding, not :meth:`apply`'s
+        bit for bit, and a count that follows sigma in the band of mixed
+        counts.  For a generic model each map is :meth:`apply`'s.
         """
         n, x = len(counts), states[-1]
-        if not self._closed_form:
+        if self._generic:
             apply = self.apply
             while n < stop:
                 x, spikes = apply(x)
@@ -363,7 +362,7 @@ class StrobeMap:
 
     def _first_spike(self, x0: float) -> float | None:
         """Hit time of the threshold from x0 under the drive, None when unreachable."""
-        if not self._closed_form:
+        if self._generic:
             return self._on.hit_time(x0)
         if not self._reachable:
             return None
@@ -415,10 +414,10 @@ class StrobeMap:
         else:
             t_first = self._pulse - (n - 1) * delta
             s = max(delta - t_first, 0.0)
-            if self._closed_form:
-                guess = flow(self.model, self.forcing.A, s, 0.0)
-            else:
+            if self._generic:
                 guess = self._on.flow(0.0, s)
+            else:
+                guess = flow(self.model, self.forcing.A, s, 0.0)
         sigma = _snap_to_branch_edge(self, min(max(guess, 0.0), top), n)
         return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
 
@@ -433,19 +432,6 @@ def _drive_orbits(
     if orbits is None:
         orbits = store[drive, threshold] = _DriveOrbits(model.f, drive, model.theta, threshold)
     return orbits
-
-
-class _Flows:
-    """One drive's flows of a linear model with ``a >= 0``, through the public functions."""
-
-    def __init__(self, model: LinearModel, drive: float) -> None:
-        self._model, self._drive = model, drive
-
-    def hit_time(self, x: float) -> float | None:
-        return time_to_threshold(self._model, self._drive, x)
-
-    def flow(self, x: float, s: float) -> float:
-        return flow(self._model, self._drive, s, x)
 
 
 def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP) -> StrobeResult:
@@ -641,7 +627,7 @@ def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 
         lo = info.sigma
         n = info.n
     span = theta - lo
-    if isinstance(model, LinearModel):
+    if not smap._generic:
         return span * (1.0 - smap._slope(n))
     sup = -math.inf
     for i in range(grid):
@@ -699,7 +685,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     counts.  A cycle longer than ``max_period``, or none within the budget,
     gives ``converged=False`` and the closest candidate cycle among the last
     2*max_period maps (expected only where the map loses contraction).  A
-    linear ``a < 0`` map steps its branches (:meth:`StrobeMap.iterate`),
+    linear map steps its branches (:meth:`StrobeMap.iterate`),
     split at the boundary that also sets the word.
     """
     if opts is None:

@@ -86,7 +86,8 @@ class AmplitudeCorrection(_Checked, _AmplitudeFields):
 
     Defined for T > delta only (the duty cycle must stay below 1); periods at
     or below the pulse duration are nudged just above it by the sweep.
-    ``delta`` is finite and > 0, ``Q`` finite and >= 0, else DomainError.
+    ``delta`` is finite and > 0, ``Q`` finite and >= 0, else DomainError;
+    a period whose amplitude ``Q*T/delta`` overflows raises it too.
     """
 
     __slots__ = ()
@@ -101,7 +102,12 @@ class AmplitudeCorrection(_Checked, _AmplitudeFields):
     def forcing_at(self, T: float) -> Forcing:
         if T <= self.delta:
             raise DomainError(f"period T = {T} must exceed the pulse duration {self.delta}")
-        return Forcing(A=self.Q * T / self.delta, T=T, d=self.delta / T)
+        A = self.Q * T / self.delta
+        if A == math.inf:
+            raise DomainError(
+                f"rescaled amplitude Q*T/delta overflows (Q={self.Q}, T={T}, delta={self.delta})"
+            )
+        return Forcing(A=A, T=T, d=self.delta / T)
 
 
 DoseMode = Union[WidthCorrection, AmplitudeCorrection]
@@ -381,7 +387,8 @@ def sweep_T(
     if opts is None:
         opts = OrbitOptions()
     if isinstance(mode, AmplitudeCorrection) and t_min <= mode.delta:
-        t_min = mode.delta * (1.0 + 1e-12)
+        # the relative nudge rounds back to a subnormal delta: then one ulp
+        t_min = max(mode.delta * (1.0 + 1e-12), math.nextafter(mode.delta, math.inf))
         if t_min >= t_max:
             raise DomainError("period range lies at or below the pulse duration")
     grid = _linspace(t_min, t_max, resolution)

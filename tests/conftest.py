@@ -93,9 +93,9 @@ def stepper_runs(monkeypatch) -> list:
 def strobe_calls(monkeypatch) -> list:
     """One entry per map application, by ``StrobeMap.apply`` or ``StrobeMap.iterate``, from here on.
 
-    A generic or ``a >= 0`` ``iterate`` loops over ``apply``, so only the
-    outermost call counts: one entry per ``apply`` and one per state that
-    ``iterate`` appends.
+    A generic ``iterate`` loops over ``apply``, so only the outermost call
+    counts: one entry per ``apply`` and one per state that ``iterate``
+    appends.
     """
     apply, iterate = StrobeMap.apply, StrobeMap.iterate
     calls, running = [], []

@@ -4,12 +4,17 @@ Kept deliberately separate from the package: these are the hand-derivable
 formulas (exponential relaxation toward the drive's rest point, logarithmic
 hit times, explicit pulse/decay chain) that the tests trust as ground truth,
 and the central-difference contraction margin that checks the package's
-margin from field values on nonlinear fields.
+margin from field values on nonlinear fields.  ``_Flows`` is the
+public-function reference: a drive whose hit times and flows are the
+package's public ``time_to_threshold`` and ``flow``, which
+:func:`flows_map` puts under a map in place of its closed form.
 """
 
 from __future__ import annotations
 
 import math
+
+from ifstrobe import GenericModel, StrobeMap, flow, time_to_threshold
 
 A_STAR = -0.5
 B_STAR = 0.2
@@ -118,3 +123,34 @@ def central_difference_margin(smap, info, grid: int = 33) -> float:
         if spikes_l == spikes_r == n:
             sup = max(sup, (image_r - image_l) / (xr - xl))
     return span if sup == -math.inf else span * (1.0 - sup)
+
+
+class _Flows:
+    """One drive of a linear model, through the public ``time_to_threshold`` and ``flow``."""
+
+    def __init__(self, model, drive: float) -> None:
+        self._model, self._drive = model, drive
+
+    @property
+    def delta(self) -> float | None:
+        return time_to_threshold(self._model, self._drive, 0.0)
+
+    def hit_time(self, x: float) -> float | None:
+        return time_to_threshold(self._model, self._drive, x)
+
+    def flow(self, x: float, s: float) -> float:
+        return flow(self._model, self._drive, s, x)
+
+
+def flows_map(model, forcing, spike_cap: int, on: type = _Flows) -> StrobeMap:
+    """The map of a linear model on the generic path, its drives ``on(model, A)`` and
+    ``_Flows(model, 0.0)``.
+
+    The same field as a ``GenericModel`` takes its drives from the map's
+    ``_orbits`` store, here filled with the two drives in place of stored
+    orbits, so every hit time and flow of the map, ``delta`` included, is the
+    public function's.
+    """
+    store = {(forcing.A, True): on(model, forcing.A), (0.0, False): _Flows(model, 0.0)}
+    generic = GenericModel(f=model.f, f_deriv=model.f_deriv, theta=model.theta)
+    return StrobeMap(generic, forcing, spike_cap, _orbits=store)

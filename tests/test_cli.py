@@ -472,7 +472,7 @@ def test_value_error_in_the_numerics_is_not_a_config_error(monkeypatch, capsys):
         (
             ["sweep", *MODEL, "--mode", "amplitude", "--delta", "1e-300", "--Q", "1e10",
              "--tmin", "1", "--tmax", "2", "--n", "3"],
-            "amplitude A must be finite and >= 0",
+            "rescaled amplitude Q*T/delta overflows (Q=10000000000.0, T=1.0, delta=1e-300)",
         ),
         (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--dmax", "1.5"], "duty cycle d must lie in the open"),
         (["scan", *MODEL, "--T", "1", *SCAN_GRID, "--iamin", "1e-320"], "amplitude A must be finite"),

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 from fractions import Fraction
@@ -29,14 +30,16 @@ from ifstrobe import (
     SpikeRunawayError,
     StrobeMap,
     StrobeResult,
+    WidthCorrection,
     flow,
+    scan_plane,
+    sweep_T,
     time_to_threshold,
 )
 from ifstrobe.model import MAX_STEPS
 from ifstrobe.strobe import (
     SPIKE_CAP,
     STATE_TOL,
-    _Flows,
     _best_candidate,
     _contraction_margin,
     _from_ordinal,
@@ -46,12 +49,17 @@ from ifstrobe.strobe import (
 )
 
 import oracle
-from conftest import linear_f, linear_f_deriv
+from conftest import cubic_f, cubic_f_deriv, linear_f, linear_f_deriv
 
 PULSED = dict(A=10 / 3, T=1.0, d=0.2)
 
 # amplitude correction at T = 60 (delta = 3, Q = 0.6667): 40 spikes per period
 FORTY_SPIKES = Forcing(A=0.6667 * 60 / 3, T=60.0, d=0.05)
+
+
+def _refused(a: float) -> str:
+    """The whole message with which a map refuses a linear field with this ``a``, as a pattern."""
+    return f"^{re.escape(f'a linear field needs a < 0 (one attracting rest point), got a = {a!r}')}$"
 
 
 def test_strobe_subthreshold_start(lif):
@@ -231,8 +239,8 @@ def _edge(info):
 def _boundary_cases(draw):
     """A map with up to thousands of spikes, often at a near multiple, and its spike cap."""
     kind = draw(st.sampled_from(["lif", "linear", "any-sign", "generic"]))
-    if kind == "any-sign":  # a > 0 included, where delta can be None
-        model = LinearModel(a=draw(st.floats(-3.0, 3.0)), b=draw(st.floats(-3.0, 3.0)))
+    if kind == "any-sign":  # b of either sign, where delta can be None
+        model = LinearModel(a=draw(st.floats(-3.0, -5e-324)), b=draw(st.floats(-3.0, 3.0)))
         A = draw(st.floats(0.0, 6.0))
     else:
         if kind == "linear":
@@ -318,13 +326,12 @@ def test_probe_test_is_the_spike_count_at_least_n(case, where, shift):
 
 def test_contraction_margin_without_delta_names_the_undefined_slope():
     # a > 0: the reset state 0 never reaches theta (delta is None), yet the
-    # states past the repelling rest point spike once, so the right branch
-    # has n = 1 and no slope exp(a*(T - n*delta))
+    # states past the repelling rest point would spike once, a right branch
+    # with n = 1 and no slope exp(a*(T - n*delta)); the map refuses the field
     model, forcing = LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5)
-    with pytest.raises(DomainError, match="delta is None"):
-        contraction_margin(model, forcing)
-    with pytest.raises(ValueError, match="outside the map domain"):
-        attractor(model, forcing)
+    for run in (contraction_margin, attractor):
+        with pytest.raises(DomainError, match=_refused(1.188)):
+            run(model, forcing)
 
 
 def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, stepper_runs):
@@ -572,38 +579,59 @@ def test_generic_map_agrees_with_the_closed_form(case):
 
 
 def test_linear_field_without_decay_keeps_the_errors_of_the_flows():
-    # a = 0 breaks the standing hypotheses and the closed form's equilibrium
-    # divides by zero; the map calls flow and time_to_threshold instead
+    # a = 0 breaks the standing hypotheses: the map refuses it before solving
+    # delta, while flow and time_to_threshold keep their own outcomes
     model = LinearModel(a=0.0, b=-0.5, theta=1.0)
     forcing = Forcing(A=0.2, T=1.0, d=0.5)  # the threshold is unreachable
-    assert StrobeMap(model, forcing).delta is None
-    assert boundary_sigma(model, forcing) is None
-    with pytest.raises(ZeroDivisionError):
-        strobe(model, forcing, 0.5)
+    for run in (
+        lambda: StrobeMap(model, forcing),
+        lambda: boundary_sigma(model, forcing),
+        lambda: strobe(model, forcing, 0.5),
+    ):
+        with pytest.raises(DomainError, match=_refused(0.0)):
+            run()
+    assert time_to_threshold(model, forcing.A, 0.0) is None
+    with pytest.raises(ZeroDivisionError):  # the closed form's equilibrium -b/a
+        flow(model, forcing.A, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("x0", [0.0, 0.3, 0.5])
 def test_linear_map_past_a_repelling_rest_point_spikes_once(x0):
     # a > 0: the reset state 0 lies below the repelling rest point 0.385 of
     # drive 1.932, so it never reaches theta and delta is None; a state past
-    # that rest point spikes once and then drifts away from theta
+    # that rest point would spike once.  The map refuses the field, while the
+    # public hit time keeps telling the two apart
     model, forcing = LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5)
-    smap = StrobeMap(model, forcing)
-    assert smap.delta is None
+    for run in (lambda: StrobeMap(model, forcing), lambda: strobe(model, forcing, x0)):
+        with pytest.raises(DomainError, match=_refused(1.188)):
+            run()
+    assert time_to_threshold(model, forcing.A, 0.0) is None
     t = time_to_threshold(model, forcing.A, x0)
-    pulse = forcing.pulse_width
-    if t is None:
-        expected = flow(model, 0.0, 2.0, flow(model, forcing.A, pulse, x0)), 0, ()
+    if x0 < model.equilibrium(forcing.A):
+        assert t is None
     else:
-        assert t < pulse
-        expected = flow(model, 0.0, 2.0, flow(model, forcing.A, pulse - t, 0.0)), 1, (t,)
-    res = strobe(model, forcing, x0)
-    assert (_bits(res.image), res.spikes, res.spike_times) == (_bits(expected[0]), *expected[1:])
-    assert smap.spike_count(x0) == res.spikes
-    info = smap.boundary()
-    assert info.n == 1
-    assert smap.spike_count(info.sigma) == 1
-    assert smap.spike_count(math.nextafter(info.sigma, 0.0)) == 0
+        assert 0.0 < t < forcing.pulse_width
+
+
+_MAP_ENTRIES = {
+    "StrobeMap": lambda m, f: StrobeMap(m, f),
+    "strobe": lambda m, f: strobe(m, f, 0.5),
+    "boundary_sigma": boundary_sigma,
+    "fixed_point": lambda m, f: fixed_point(m, f, 1),
+    "attractor": attractor,
+    "contraction_margin": contraction_margin,
+    # two workers: the grid runs its first node in process, before any pool
+    "sweep_T": lambda m, f: sweep_T(m, WidthCorrection(A=f.A, d=f.d), (1.0, 2.0), 3, workers=2),
+    "scan_plane": lambda m, f: scan_plane(m, f.T, [0.2, 0.5], [0.5, 1.0], workers=2),
+}
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 1.188])
+@pytest.mark.parametrize("entry", _MAP_ENTRIES)
+def test_every_entry_that_builds_a_map_refuses_a_linear_field_without_decay(a, entry, no_pool):
+    model, forcing = LinearModel(a=a, b=0.2), Forcing(A=1.0, T=1.0, d=0.5)
+    with pytest.raises(DomainError, match=_refused(a)):
+        _MAP_ENTRIES[entry](model, forcing)
 
 
 def test_fixed_point_subthreshold(lif):
@@ -947,7 +975,6 @@ def _appended(run, x0):
 
 
 _ITERATE_CASES = dict(
-    b=st.floats(-3.0, 3.0),
     forcing=st.builds(
         Forcing, A=st.floats(0.0, 20.0), T=st.floats(1e-3, 100.0), d=st.floats(0.001, 0.999)
     ),
@@ -958,12 +985,11 @@ _ITERATE_CASES = dict(
 )
 
 
-def _iterated_and_stepped(a, b, forcing, share, stop, tol, spike_cap, step_of):
+def _iterated_and_stepped(model, forcing, share, stop, tol, spike_cap, step_of):
     """What ``iterate`` appends from x0, and what ``step_of(smap)`` appends stepped map by map."""
-    model = LinearModel(a=a, b=b)
     try:
         smap = StrobeMap(model, forcing, spike_cap)
-    except (ZeroDivisionError, IntegrationError):
+    except IntegrationError:  # a rest point that rounds onto theta, or the step cap
         assume(False)
     x0 = share * model.theta
 
@@ -981,31 +1007,34 @@ def _iterated_and_stepped(a, b, forcing, share, stop, tol, spike_cap, step_of):
     return iterated, _appended(stepped, x0)
 
 
+_GENERIC_FIELDS = (
+    GenericModel(f=linear_f, f_deriv=linear_f_deriv, theta=1.0),
+    GenericModel(f=cubic_f, f_deriv=cubic_f_deriv, theta=1.0),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(a=st.floats(0.0, 3.0), **_ITERATE_CASES)
-def test_iterate_is_apply_map_by_map(a, b, forcing, share, stop, tol, spike_cap):
-    # a >= 0, outside the hypotheses, takes the loop over apply
+@given(model=st.sampled_from(_GENERIC_FIELDS), **_ITERATE_CASES)
+def test_iterate_is_apply_map_by_map(model, forcing, share, stop, tol, spike_cap):
+    # a generic map, the wrapped LIF or the cubic field, iterates a loop over apply
     iterated, applied = _iterated_and_stepped(
-        a, b, forcing, share, stop, tol, spike_cap, lambda smap: smap.apply
+        model, forcing, share, stop, tol, spike_cap, lambda smap: smap.apply
     )
     assert iterated == applied
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=st.floats(-3.0, -0.05), **_ITERATE_CASES)
+@given(a=st.floats(-3.0, -0.05), b=st.floats(-3.0, 3.0), **_ITERATE_CASES)
 def test_iterate_steps_the_branch_map(a, b, forcing, share, stop, tol, spike_cap):
     # a < 0: the closed form's loop steps the branch map, built before the first map
-    case = (a, b, forcing, share, stop, tol, spike_cap)
+    case = (LinearModel(a=a, b=b), forcing, share, stop, tol, spike_cap)
     iterated, stepped = _iterated_and_stepped(*case, _branch_map)
     assert iterated == stepped
 
 
 def _flows_twin(smap):
-    """The same map on the general path that generic and ``a >= 0`` maps take: two _Flows."""
-    twin = StrobeMap(smap.model, smap.forcing, smap.spike_cap)
-    twin._closed_form = False
-    twin._on, twin._off = _Flows(smap.model, smap.forcing.A), _Flows(smap.model, 0.0)
-    return twin
+    """The same map on the generic path, its drives the public flows (``oracle.flows_map``)."""
+    return oracle.flows_map(smap.model, smap.forcing, smap.spike_cap)
 
 
 def _map_outcomes(smap, x0, stop):
@@ -1062,10 +1091,11 @@ def test_closed_form_equals_its_flows_twin(case, share, stop):
         smap = StrobeMap(model, forcing, cap)
     except IntegrationError:  # a rest point that rounds onto theta: delta raises
         assume(False)
-    assert smap._closed_form
+    twin = _flows_twin(smap)
+    assert (smap._generic, twin._generic) == (False, True)
     x0 = share * model.theta
     found = _map_outcomes(smap, x0, stop)
-    assert found == _map_outcomes(_flows_twin(smap), x0, stop)
+    assert found == _map_outcomes(twin, x0, stop)
 
 
 @pytest.mark.parametrize("x0", [math.nan, 1.0, 1.5, math.inf, -1e-300])
@@ -1082,17 +1112,21 @@ def test_spike_count_rejects_what_apply_rejects(lif, lif_generic, kind, x0):
 
 
 def test_an_overflowing_delta_means_no_second_spike():
-    # the reset state leaves the repelling rest point -5e-324 so slowly that
-    # its hit time overflows: delta is inf, so a state spikes at most once,
-    # and the edge lies where the hit time from it, log(1/x), is the pulse
-    model, forcing = LinearModel(a=1.0, b=5e-324), Forcing(A=0.0, T=1.0, d=0.5)
+    # a decay of 1e-307 and a drive 1e-15 above the critical dose: the reset
+    # state creeps up to theta so slowly that its hit time overflows.  delta
+    # is inf, so a state spikes at most once, and the edge lies where the hit
+    # time from it is the pulse end
+    model = LinearModel(a=-1e-307, b=5e-308)
+    A = critical_dose(model) * (1.0 + 1e-15)
+    forcing = Forcing(A=A, T=1e308, d=0.5)
     smap = StrobeMap(model, forcing, spike_cap=1)  # a count past one spike raises
-    assert smap.delta == math.inf == time_to_threshold(model, 0.0, 0.0)
-    assert smap.boundary() == BoundaryInfo(sigma=0.6065306597126334, n=1)
-    assert smap.spike_count(0.6065306597126334) == 1
-    assert smap.spike_count(math.nextafter(0.6065306597126334, 0.0)) == 0
-    with pytest.raises(DomainError, match="delta is None or infinite"):
-        contraction_margin(model, forcing)
+    assert smap.delta == math.inf == time_to_threshold(model, A, 0.0)
+    assert smap.boundary() == BoundaryInfo(sigma=0.9999999999999019, n=1)
+    assert smap.spike_count(0.9999999999999019) == 1
+    assert smap.spike_count(math.nextafter(0.9999999999999019, 0.0)) == 0
+    for run in (contraction_margin, attractor):  # the margin's slope and the branches'
+        with pytest.raises(DomainError, match="delta is None or infinite"):
+            run(model, forcing)
 
 
 def test_best_candidate_takes_the_first_of_equally_close_returns():
@@ -1159,7 +1193,7 @@ def test_a_spike_cap_past_the_largest_double_bounds_nothing_more(lif):
         zero.spike_count(0.0)
 
 
-class _NaNHits(_Flows):
+class _NaNHits(oracle._Flows):
     def hit_time(self, x):
         return math.nan
 
@@ -1169,8 +1203,7 @@ def test_a_nan_hit_time_raises_the_runaway(lif):
     forcing = Forcing(A=10 / 3, T=1.6, d=0.2)
     closed = StrobeMap(lif, forcing, spike_cap=3)
     closed._xeq_on = math.nan  # the closed form's hit time from any state is NaN
-    general = _flows_twin(closed)
-    general._on = _NaNHits(lif, forcing.A)
+    general = oracle.flows_map(lif, forcing, 3, on=_NaNHits)
     message = (SpikeRunawayError, f"more than 3 spikes in one period (A={forcing.A}, T=1.6)")
     for smap in (closed, general):
         for run in (

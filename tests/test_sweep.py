@@ -90,6 +90,23 @@ def test_sweep_amplitude_mode_nudges_first_node(lif):
     assert samples[-1].T == 12.0
 
 
+def test_an_overflowing_amplitude_names_Q_T_and_delta(lif):
+    # Q*T/delta is the amplitude the mode derives: its overflow is no amplitude the user gave
+    mode = AmplitudeCorrection(delta=1e-300, Q=1e10)
+    message = r"^rescaled amplitude Q\*T/delta overflows \(Q=10000000000.0, T=1.0, delta=1e-300\)$"
+    with pytest.raises(DomainError, match=message):
+        mode.forcing_at(1.0)
+    with pytest.raises(DomainError, match=message):
+        sweep_T(lif, mode, (1.0, 2.0), 3)
+
+
+@pytest.mark.parametrize("delta", [5e-324, 1e-320])
+def test_sweep_amplitude_mode_nudges_past_a_subnormal_delta(lif, delta):
+    # delta*(1 + 1e-12) rounds back to a subnormal delta: the nudge is one ulp
+    samples = sweep_T(lif, AmplitudeCorrection(delta=delta, Q=1e-330), (delta, 1.0), 2)
+    assert [s.T for s in samples] == [math.nextafter(delta, math.inf), 1.0]
+
+
 def test_sweep_eta_nondecreasing_and_rate_decreasing_within_steps(lif):
     samples = sweep_T(
         lif, WidthCorrection(A=10 / 3, d=0.2), (0.6, 3.2), 60, refine=True, opts=FAST
