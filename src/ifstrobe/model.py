@@ -8,9 +8,12 @@ where f has a single attracting equilibrium in (0, theta) and is strictly
 decreasing on [0, theta].  I(t) is a square wave of amplitude ``A``, period
 ``T`` and duty cycle ``d`` (on during the first ``d*T`` of every period).
 
-Two model flavours are supported:
+Two model flavours are supported, each with a drive object that gives the
+hit times and flows of one constant drive through the same three members,
+``delta``, ``hit_time(x)`` and ``flow(x, s)``:
 
-* :class:`LinearModel` with f(x) = a*x + b; every quantity has a closed form.
+* :class:`LinearModel` with f(x) = a*x + b; every quantity has a closed
+  form, written once in :class:`_LinearDrive`.
 * :class:`GenericModel` with user-supplied f and f'; flows come from one
   step iterator, a scalar Dormand-Prince 5(4) stepper in plain floats with
   the step control of scipy's RK45 (rtol 1e-10, atol 1e-14).  A non-finite
@@ -405,14 +408,6 @@ def _blow_up(t: float, y0: float, drive: float) -> IntegrationError:
     return IntegrationError(f"integration blew up near t={t} (x0={y0}, drive={drive})")
 
 
-def _unresolvable(x0: float, drive: float) -> IntegrationError:
-    """Error of a closed-form hit time whose rest point rounds onto theta."""
-    return IntegrationError(
-        f"threshold crossing not resolvable: the rest point under drive={drive} rounds "
-        f"onto the threshold (x0={x0})"
-    )
-
-
 def _dense_poly(
     t: float, t_new: float, y: float, stages: tuple[float, ...]
 ) -> tuple[float, ...]:
@@ -658,6 +653,48 @@ class _DriveOrbits:
         return x if u is None else orbit.at(u + s)
 
 
+class _LinearDrive:
+    """The flow of x' = a*x + b + drive in closed form, with the members of :class:`_DriveOrbits`.
+
+    xeq = -(b + drive)/a is the drive's rest point.  ``hit_time(x)`` is
+    ``log1p(-(theta - x)/(xeq - x))/a``, None when f(theta) + drive <= 0; a
+    rest point that rounds onto theta makes the ``log1p`` argument -1 or
+    less and raises IntegrationError.  ``flow(x, s)`` is ``x + (x -
+    xeq)*expm1(a*s)``, also for a negative s, which runs the flow
+    backwards.  ``delta`` is the hit time from 0, solved on each read.  The
+    public :func:`time_to_threshold` and :func:`flow` of a linear field are
+    these, in the same float operations, so a map's closed form equals them
+    bit for bit.  Building one computes xeq, a ZeroDivisionError at a = 0.
+    """
+
+    __slots__ = ("_a", "_theta", "_drive", "_xeq", "_unreachable")
+
+    def __init__(self, model: LinearModel, drive: float) -> None:
+        self._a, self._theta, self._drive = model.a, model.theta, drive
+        self._xeq = model.equilibrium(drive)
+        self._unreachable = model.a * model.theta + model.b + drive <= 0.0
+
+    @property
+    def delta(self) -> float | None:
+        return self.hit_time(0.0)
+
+    def hit_time(self, x: float) -> float | None:
+        """Time from x in [0, theta) to the threshold, None when unreachable."""
+        if self._unreachable:
+            return None
+        try:
+            return math.log1p(-(self._theta - x) / (self._xeq - x)) / self._a
+        except ValueError as exc:
+            raise IntegrationError(
+                f"threshold crossing not resolvable: the rest point under drive={self._drive} "
+                f"rounds onto the threshold (x0={x})"
+            ) from exc
+
+    def flow(self, x: float, s: float) -> float:
+        """State after time s from x, as ``flow(model, drive, s, x)`` for s >= 0."""
+        return x if s == 0.0 else x + (x - self._xeq) * math.expm1(self._a * s)
+
+
 def _flow_slope(model: GenericModel, drive: float, s: float, x: float, y: float) -> float:
     """The derivative of the flow over time s of x' = g(x) = f(x) + drive at x, y its image.
 
@@ -680,14 +717,17 @@ def _flow_slope(model: GenericModel, drive: float, s: float, x: float, y: float)
 
 
 def flow(model: Model, drive: float, t: float, x0: float) -> float:
-    """Solution at time ``t`` of x' = f(x) + drive from x(0) = x0, no reset."""
+    """Solution at time ``t`` of x' = f(x) + drive from x(0) = x0, no reset.
+
+    A linear field's is :meth:`_LinearDrive.flow`, a generic one's a
+    :func:`solve_ivp` run.
+    """
     if t < 0.0:
         raise ValueError("flow duration must be >= 0")
     if t == 0.0:
         return x0
     if isinstance(model, LinearModel):
-        xeq = model.equilibrium(drive)
-        return x0 + (x0 - xeq) * math.expm1(model.a * t)
+        return _LinearDrive(model, drive).flow(x0, t)
     return solve_ivp(model.f, drive, x0, t)
 
 
@@ -698,8 +738,9 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
     is decreasing and the motion stalls at the rest point below theta.  A
     linear field with ``a > 0``, outside the hypotheses, also never reaches
     it from an x0 where f(x0) + drive <= 0: the state rests or moves away
-    from its repelling rest point.  A generic hit time is the ``delta`` of
-    one :class:`_Orbit` run from x0.
+    from its repelling rest point.  Past that test a linear hit time is
+    :meth:`_LinearDrive.hit_time`; a generic one is the ``delta`` of one
+    :class:`_Orbit` run from x0.
     """
     theta = model.theta
     if x0 > theta:
@@ -709,13 +750,9 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
     if x0 < 0.0:
         raise ValueError(f"x0 = {x0} negative")
     if isinstance(model, LinearModel):
-        if model.a * theta + model.b + drive <= 0.0 or model.a * x0 + model.b + drive <= 0.0:
+        if model.a * x0 + model.b + drive <= 0.0:
             return None
-        xeq = model.equilibrium(drive)
-        try:
-            return math.log1p(-(theta - x0) / (xeq - x0)) / model.a
-        except ValueError as exc:
-            raise _unresolvable(x0, drive) from exc
+        return _LinearDrive(model, drive).hit_time(x0)
     return _Orbit(model.f, drive, x0, True, theta).delta
 
 

@@ -31,11 +31,9 @@ from .model import (
     Model,
     _Checked,
     _DriveOrbits,
+    _LinearDrive,
     _check_count,
     _flow_slope,
-    _unresolvable,
-    flow,
-    time_to_threshold,
 )
 
 __all__ = [
@@ -156,29 +154,37 @@ class StrobeMap:
     :meth:`spike_count` share one domain, [0, theta), and raise ValueError
     outside it.
 
+    The map reads its two constant drives, A during the pulse and 0 after
+    it, through one interface for both model kinds: each drive has a
+    ``delta``, a ``hit_time(x)`` and a ``flow(x, s)``, and :meth:`apply`,
+    the spike count, the edge probes and the boundary's guess call them the
+    same way.  The model kind is read where the maths differs: which drives
+    are built, how :meth:`iterate` steps and how the contraction margin is
+    taken.
+
     A linear model must have ``a < 0``, the standing hypothesis of one
     attracting rest point; any other ``a``, 0.0 and -0.0 included, raises
     :class:`~ifstrobe.model.DomainError` before ``delta`` is solved.  Its
-    constants of the closed form are computed here.  :meth:`apply`, and
-    with it :meth:`spike_count` and the edge probes of :meth:`boundary`,
-    repeats the float operations of ``time_to_threshold`` and ``flow`` in
-    their order, so its images, spike counts and errors equal theirs bit
-    for bit.  :meth:`iterate` instead steps the map's two exact affine
-    branches, of n - 1 and n spikes, with slopes ``s_k = exp(a*(T -
-    k*delta))``, split at the boundary's sigma (see :meth:`_build_branches`).
-    For a generic model every trajectory of a constant drive is a time
-    shift of a stored orbit (``model._DriveOrbits``), one per drive and
-    side of its rest point, integrated once and extended on demand: the
-    reset orbit is the run ``time_to_threshold(model, A, 0.0)`` starts, the
-    hit time from x0 is ``delta - u_A(x0)``, u_A being the time at which
-    that orbit passes x0, and the image is read off the orbit of drive 0 at
-    ``u_0(y) + (1 - d)*T`` from the pulse-end state y.  So after
-    construction its maps, spike counts and edge probes start no integrator
-    run beyond extending those orbits, and its :meth:`iterate` is a loop
-    over :meth:`apply`.  A map builds its own orbits; the nodes of one
-    ``sweep_T`` or ``scan_plane`` call pass the call's store as the private
-    ``_orbits``, a dict of ``_DriveOrbits`` by ``(drive, threshold)``, and
-    share the orbits of each drive.
+    drives are ``model._LinearDrive``'s closed form, the code of the public
+    ``time_to_threshold`` and ``flow``, so :meth:`apply`, :meth:`spike_count`
+    and the edge probes of :meth:`boundary` equal those functions bit for
+    bit, errors included.  :meth:`iterate` instead steps the map's two
+    exact affine branches, of n - 1 and n spikes, with slopes ``s_k =
+    exp(a*(T - k*delta))``, split at the boundary's sigma (see
+    :meth:`_build_branches`).  For a generic model every trajectory of a
+    constant drive is a time shift of a stored orbit
+    (``model._DriveOrbits``), one per drive and side of its rest point,
+    integrated once and extended on demand: the reset orbit is the run
+    ``time_to_threshold(model, A, 0.0)`` starts, the hit time from x0 is
+    ``delta - u_A(x0)``, u_A being the time at which that orbit passes x0,
+    and the image is read off the orbit of drive 0 at ``u_0(y) + (1 -
+    d)*T`` from the pulse-end state y.  So after construction its maps,
+    spike counts and edge probes start no integrator run beyond extending
+    those orbits, and its :meth:`iterate` is a loop over :meth:`apply`.  A
+    map builds its own orbits; the nodes of one ``sweep_T`` or
+    ``scan_plane`` call pass the call's store as the private ``_orbits``, a
+    dict of ``_DriveOrbits`` by ``(drive, threshold)``, and share the
+    orbits of each drive.
     """
 
     def __init__(
@@ -195,24 +201,19 @@ class StrobeMap:
         self.spike_cap = spike_cap
         self._theta = model.theta
         self._pulse = pulse = forcing.pulse_width
-        self._rest = rest = forcing.T - pulse
+        self._rest = forcing.T - pulse
         self._generic = isinstance(model, GenericModel)
         if self._generic:
             self._on = _drive_orbits(model, forcing.A, True, _orbits)
             self._off = _drive_orbits(model, 0.0, False, _orbits)
-            delta = self._on.delta
         else:
-            self._a = a = model.a
+            a = model.a
             if not a < 0.0:
                 raise DomainError(
                     f"a linear field needs a < 0 (one attracting rest point), got a = {a!r}"
                 )
-            delta = time_to_threshold(model, forcing.A, 0.0)
-            self._reachable = a * model.theta + model.b + forcing.A > 0.0
-            self._xeq_on = model.equilibrium(forcing.A)
-            self._xeq_off = model.equilibrium(0.0)
-            self._expm1_rest = math.expm1(a * rest)
-        self.delta = delta
+            self._on, self._off = _LinearDrive(model, forcing.A), _LinearDrive(model, 0.0)
+        self.delta = delta = self._on.delta
         # the time between spikes after the first, inf when no second spike comes
         self._spacing = spacing = math.inf if delta is None else delta
         # the offset of spike spike_cap + 1 from the first, which must not come
@@ -233,16 +234,12 @@ class StrobeMap:
         if not 0.0 <= x0 < self._theta:
             raise _outside_domain(x0, self._theta)
         spikes, last = self._spikes(x0, times)
-        if self._generic:
-            x = self._on.flow(0.0 if spikes else x0, self._pulse - last)
-            return self._off.flow(x, self._rest), spikes
-        return self._flows(0.0 if spikes else x0, self._pulse - last), spikes
+        return self._image(0.0 if spikes else x0, self._pulse - last), spikes
 
-    def _flows(self, x: float, s: float) -> float:
-        """The float operations of ``flow(model, A, s, x)``, then of ``flow(model, 0.0, rest, y)``;
-        a negative s runs the first flow backwards, as a branch through 0 may need."""
-        y = x if s == 0.0 else x + (x - self._xeq_on) * math.expm1(self._a * s)
-        return y + (y - self._xeq_off) * self._expm1_rest if self._rest != 0.0 else y
+    def _image(self, x: float, s: float) -> float:
+        """The state after time s under the drive from x, then the off phase; a
+        linear drive also runs a negative s, backwards, as a branch through 0 may need."""
+        return self._off.flow(self._on.flow(x, s), self._rest)
 
     def iterate(
         self, states: list[float], counts: list[int], stop: int, target: float, tol: float
@@ -303,13 +300,13 @@ class StrobeMap:
         """
         info = self.boundary()
         k = self.spike_count(0.0) if info is None else info.n - 1
-        c = self._flows(0.0, self._pulse - (k * self._spacing if k else 0.0))
+        c = self._image(0.0, self._pulse - (k * self._spacing if k else 0.0))
         left = (c, self._slope(k), k)
         sigma, right = math.inf, left
         if info is not None:
             sigma, n = info.sigma, info.n
-            last = self._first_spike(sigma) + ((n - 1) * self._spacing if n > 1 else 0.0)
-            right = (self._flows(0.0, self._pulse - last), self._slope(n), n)
+            last = self._on.hit_time(sigma) + ((n - 1) * self._spacing if n > 1 else 0.0)
+            right = (self._image(0.0, self._pulse - last), self._slope(n), n)
         self._branches = sigma, left, right
         return self._branches
 
@@ -339,7 +336,7 @@ class StrobeMap:
         settled on the rule by one correction up or down.  A zero spacing or
         a NaN, which no spike time stops, meets the cap test first.
         """
-        t = self._first_spike(x0)
+        t = self._on.hit_time(x0)
         pulse, delta = self._pulse, self._spacing
         if t is None or t > pulse:
             return 0, 0.0
@@ -360,17 +357,6 @@ class StrobeMap:
             times.extend(t + k * delta if k else t for k in range(spikes))
         return spikes, last
 
-    def _first_spike(self, x0: float) -> float | None:
-        """Hit time of the threshold from x0 under the drive, None when unreachable."""
-        if self._generic:
-            return self._on.hit_time(x0)
-        if not self._reachable:
-            return None
-        try:
-            return math.log1p(-(self._theta - x0) / (self._xeq_on - x0)) / self._a
-        except ValueError as exc:
-            raise _unresolvable(x0, self.forcing.A) from exc
-
     def _at_least(self, n: int) -> Callable[[float], bool]:
         """The edge probe ``x0 -> spike_count(x0) >= n``, for n from 1 to ``spike_cap``.
 
@@ -379,7 +365,7 @@ class StrobeMap:
         probe with room for spike n + 1, or with a NaN hit time, takes the
         full count, which raises past ``spike_cap`` as the map does.
         """
-        first, pulse, delta = self._first_spike, self._pulse, self._spacing
+        first, pulse, delta = self._on.hit_time, self._pulse, self._spacing
         span = (n - 1) * delta if n > 1 else 0.0
         beyond = n * delta
 
@@ -413,11 +399,7 @@ class StrobeMap:
             guess = top
         else:
             t_first = self._pulse - (n - 1) * delta
-            s = max(delta - t_first, 0.0)
-            if self._generic:
-                guess = self._on.flow(0.0, s)
-            else:
-                guess = flow(self.model, self.forcing.A, s, 0.0)
+            guess = self._on.flow(0.0, max(delta - t_first, 0.0))
         sigma = _snap_to_branch_edge(self, min(max(guess, 0.0), top), n)
         return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
 

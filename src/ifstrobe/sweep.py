@@ -86,8 +86,10 @@ class AmplitudeCorrection(_Checked, _AmplitudeFields):
 
     Defined for T > delta only (the duty cycle must stay below 1); periods at
     or below the pulse duration are nudged just above it by the sweep.
-    ``delta`` is finite and > 0, ``Q`` finite and >= 0, else DomainError;
-    a period whose amplitude ``Q*T/delta`` overflows raises it too.
+    ``delta`` is finite and > 0, ``Q`` finite and >= 0, else DomainError.
+    The amplitude is ``Q*T/delta``, or ``Q*(T/delta)`` where the product
+    ``Q*T`` overflows; a period whose amplitude overflows both ways raises
+    DomainError too.
     """
 
     __slots__ = ()
@@ -103,6 +105,8 @@ class AmplitudeCorrection(_Checked, _AmplitudeFields):
         if T <= self.delta:
             raise DomainError(f"period T = {T} must exceed the pulse duration {self.delta}")
         A = self.Q * T / self.delta
+        if A == math.inf:  # Q*T alone may overflow; a finite Q*T/delta keeps its bits
+            A = self.Q * (T / self.delta)
         if A == math.inf:
             raise DomainError(
                 f"rescaled amplitude Q*T/delta overflows (Q={self.Q}, T={T}, delta={self.delta})"

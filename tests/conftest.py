@@ -63,13 +63,9 @@ def stepper_runs(monkeypatch) -> list:
 
     Every run goes through the step iterator ``model._steps``: each
     ``flow`` and ``time_to_threshold`` of a generic model, and each orbit a
-    generic map stores.  ``flow`` and ``time_to_threshold`` called from
-    ``ifstrobe.strobe`` (the module; ``ifstrobe.strobe`` is the re-exported
-    function) are recorded as ``("flow", ...)`` and ``("time_to_threshold",
-    ...)``.
+    generic map stores.
     """
     model_module = sys.modules["ifstrobe.model"]
-    strobe_module = sys.modules["ifstrobe.strobe"]
     runs = []
     steps = model_module._steps
 
@@ -78,14 +74,6 @@ def stepper_runs(monkeypatch) -> list:
         return steps(f, drive, y0, t_end)
 
     monkeypatch.setattr(model_module, "_steps", counting_steps)
-    for name in ("flow", "time_to_threshold"):
-        original = getattr(strobe_module, name)
-
-        def counting(*args, _name=name, _original=original):
-            runs.append((_name, args[1:]))
-            return _original(*args)
-
-        monkeypatch.setattr(strobe_module, name, counting)
     return runs
 
 

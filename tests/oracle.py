@@ -3,6 +3,7 @@
 Kept deliberately separate from the package: these are the hand-derivable
 formulas (exponential relaxation toward the drive's rest point, logarithmic
 hit times, explicit pulse/decay chain) that the tests trust as ground truth,
+the closed form's hit time and flow in the package's own float operations,
 and the central-difference contraction margin that checks the package's
 margin from field values on nonlinear fields.  ``_Flows`` is the
 public-function reference: a drive whose hit times and flows are the
@@ -35,6 +36,25 @@ def lin_hit_time(a: float, b: float, theta: float, drive: float, x0: float) -> f
         return None
     xeq = equilibrium(a, b, drive)
     return math.log((theta - xeq) / (x0 - xeq)) / a
+
+
+def closed_form_hit_time(a: float, b: float, theta: float, drive: float, x0: float):
+    """The package's linear hit time, spelled out in its float operations.
+
+    None when f(theta) + drive <= 0, else ``log1p(-(theta - x0)/(xeq - x0))/a``;
+    a ``log1p`` argument at or below -1 (a rest point that rounds onto
+    theta) raises ValueError, where the package raises IntegrationError.
+    """
+    if a * theta + b + drive <= 0.0:
+        return None
+    xeq = -(b + drive) / a
+    return math.log1p(-(theta - x0) / (xeq - x0)) / a
+
+
+def closed_form_flow(a: float, b: float, drive: float, s: float, x0: float) -> float:
+    """The package's linear flow over time s, spelled out: ``x0 + (x0 - xeq)*expm1(a*s)``."""
+    xeq = -(b + drive) / a
+    return x0 if s == 0.0 else x0 + (x0 - xeq) * math.expm1(a * s)
 
 
 def lin_rise_time(a: float, b: float, theta: float, drive: float) -> float | None:

@@ -37,7 +37,7 @@ from ifstrobe import (
 
 import oracle
 from conftest import cubic_f
-from ifstrobe.model import MAX_STEPS, _dense_poly, _dense_time, _Orbit, _steps
+from ifstrobe.model import MAX_STEPS, _dense_poly, _dense_time, _LinearDrive, _Orbit, _steps
 
 
 def test_validate_accepts_reference_model(lif):
@@ -258,6 +258,68 @@ def test_linear_hit_time_is_none_where_the_drive_moves_the_state_away(x0):
         xeq = model.equilibrium(drive)
         assert t == math.log1p(-(1.0 - x0) / (xeq - x0)) / model.a
         assert 0.0 < t < math.inf and abs(flow(model, drive, t, x0) - 1.0) < 1e-12
+
+
+@st.composite
+def _linear_drives(draw) -> tuple[LinearModel, float, float]:
+    """A field with ``a < 0``, a drive (often within ulps of the critical dose) and a state in
+    [0, theta)."""
+    a = draw(st.one_of(st.floats(-5.0, -1e-3), st.floats(-1e-3, -5e-324)))
+    model = LinearModel(a=a, b=draw(st.floats(-3.0, 3.0)), theta=draw(st.floats(0.05, 5.0)))
+    if draw(st.booleans()):
+        drive = draw(st.floats(0.0, 40.0))
+    else:  # the rest point next to theta, where it may round onto it
+        drive = critical_dose(model)
+        for _ in range(draw(st.integers(0, 4))):
+            drive = math.nextafter(drive, draw(st.sampled_from([-math.inf, math.inf])))
+    x = min(draw(st.floats(0.0, 1.0)) * model.theta, math.nextafter(model.theta, 0.0))
+    return model, drive, x
+
+
+# a rest point that rounds onto theta from this state only: delta resolves
+UNRESOLVABLE = (
+    LinearModel(a=-2.679148633562933, b=1.1087775698505953, theta=0.9927964670115221),
+    Forcing(A=1.551071728149432, T=5.281729977399981, d=0.7259735717017218),
+    0.425838135825144,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_linear_drives(), s=st.floats(-300.0, 300.0))
+@example(case=(UNRESOLVABLE[0], UNRESOLVABLE[1].A, UNRESOLVABLE[2]), s=-1.0)
+@example(case=(LinearModel(a=-0.5, b=0.2), 0.30000000000000004, 0.0), s=0.0)
+def test_the_linear_drive_is_the_spelled_out_closed_form(case, s):
+    model, drive, x = case
+    a, b, theta = model
+    found = _LinearDrive(model, drive)
+    for x0 in (x, 0.0):
+        expected = _outcome(lambda: oracle.closed_form_hit_time(a, b, theta, drive, x0))
+        if expected == (ValueError, "math domain error"):
+            expected = (
+                IntegrationError,
+                f"threshold crossing not resolvable: the rest point under drive={drive} rounds "
+                f"onto the threshold (x0={x0})",
+            )
+        assert _outcome(lambda: found.hit_time(x0)) == expected
+    assert _outcome(lambda: found.delta) == _outcome(lambda: found.hit_time(0.0))
+    assert _outcome(lambda: found.flow(x, s)) == _outcome(
+        lambda: oracle.closed_form_flow(a, b, drive, s, x)
+    )
+
+
+def test_an_unresolvable_hit_time_names_the_drive_and_the_state():
+    model, forcing, x = UNRESOLVABLE
+    smap = StrobeMap(model, forcing)
+    message = (
+        "threshold crossing not resolvable: the rest point under drive=1.551071728149432 "
+        "rounds onto the threshold (x0=0.425838135825144)"
+    )
+    for run in (
+        lambda: time_to_threshold(model, forcing.A, x),
+        lambda: smap.apply(x),
+        lambda: smap.spike_count(x),
+    ):
+        assert _outcome(run) == (IntegrationError, message)
 
 
 def test_critical_dose_examples(lif):

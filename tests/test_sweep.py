@@ -100,6 +100,13 @@ def test_an_overflowing_amplitude_names_Q_T_and_delta(lif):
         sweep_T(lif, mode, (1.0, 2.0), 3)
 
 
+def test_an_amplitude_whose_product_Q_T_overflows_divides_first():
+    # Q*T is inf, but the amplitude Q*(T/delta) = 1e305 is a double
+    forcing = AmplitudeCorrection(delta=1e5, Q=1e300).forcing_at(1e10)
+    assert forcing == Forcing(A=1e300 * (1e10 / 1e5), T=1e10, d=1e5 / 1e10)
+    assert math.isfinite(forcing.A) and forcing.A == pytest.approx(1e305, rel=1e-15)
+
+
 @pytest.mark.parametrize("delta", [5e-324, 1e-320])
 def test_sweep_amplitude_mode_nudges_past_a_subnormal_delta(lif, delta):
     # delta*(1 + 1e-12) rounds back to a subnormal delta: the nudge is one ulp
