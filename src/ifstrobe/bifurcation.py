@@ -279,8 +279,10 @@ def rate_limits(model: Model, A: float, d: float, max_spike_windows: int = 24) -
     Requires (A, d) in the spiking region (A above the critical dose).  The
     global maximum candidate k / T_k(right) is scanned over spike counts k
     until it has declined three times in a row; the best candidate is
-    reported together with the window attaining it.
+    reported together with the window attaining it.  ``max_spike_windows``
+    is an integer of at least 1.
     """
+    _check_count("max_spike_windows", max_spike_windows, 1)
     region = classify_region(model, A, d)
     if region.kind == Region.NON_SPIKING:
         raise DomainError(f"(A={A}, d={d}) lies in the non-spiking region")

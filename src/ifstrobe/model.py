@@ -148,7 +148,7 @@ class GenericModel(_Checked, _GenericFields):
     """Generic scalar field given by callables ``f`` and its derivative.
 
     Flows, hit times and the map's slope read ``f``; ``f_deriv`` serves
-    :func:`validate_hypotheses` and the contraction margin's slope next to
+    :func:`validate_hypotheses` and the cycle multiplier's slopes next to
     a drive's rest point (:func:`_flow_slope`).  Grids with ``workers > 1``
     send the model to worker processes, so both must then be picklable.
     """
@@ -658,8 +658,9 @@ class _LinearDrive:
 
     xeq = -(b + drive)/a is the drive's rest point.  ``hit_time(x)`` is
     ``log1p(-(theta - x)/(xeq - x))/a``, None when f(theta) + drive <= 0; a
-    rest point that rounds onto theta makes the ``log1p`` argument -1 or
-    less and raises IntegrationError.  ``flow(x, s)`` is ``x + (x -
+    rest point that rounds onto theta, or onto x itself, makes the ``log1p``
+    argument -1 or less or its quotient divide by 0 and raises
+    IntegrationError.  ``flow(x, s)`` is ``x + (x -
     xeq)*expm1(a*s)``, also for a negative s, which runs the flow
     backwards.  ``delta`` is the hit time from 0, solved on each read.  The
     public :func:`time_to_threshold` and :func:`flow` of a linear field are
@@ -684,7 +685,7 @@ class _LinearDrive:
             return None
         try:
             return math.log1p(-(self._theta - x) / (self._xeq - x)) / self._a
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise IntegrationError(
                 f"threshold crossing not resolvable: the rest point under drive={self._drive} "
                 f"rounds onto the threshold (x0={x})"

@@ -47,7 +47,6 @@ __all__ = [
     "boundary_sigma",
     "fixed_point",
     "attractor",
-    "contraction_margin",
     "rotation_number",
 ]
 
@@ -87,7 +86,6 @@ class _OrbitFields(NamedTuple):
     seed: float = 0.0
     state_tol: float = STATE_TOL
     spike_cap: int = SPIKE_CAP
-    compute_margin: bool = True
 
 
 class OrbitOptions(_Checked, _OrbitFields):
@@ -97,6 +95,7 @@ class OrbitOptions(_Checked, _OrbitFields):
     times from ``seed`` and reports cycles of at most ``max_period`` maps;
     ``spike_cap`` bounds the spikes of one map.  The three counts are
     integers; out-of-domain values raise :class:`~ifstrobe.model.DomainError`.
+    Every summary computes its cycle's multiplier, ``log_multiplier``.
     """
 
     __slots__ = ()
@@ -123,6 +122,9 @@ class OrbitSummary(NamedTuple):
     :class:`OrbitOptions`.  Otherwise, when the budget ran out or the verified
     cycle is longer than ``max_period``, the fields describe the best
     candidate cycle among the last ``2*max_period`` map applications.
+    ``log_multiplier`` is log S, S the product of the map's slopes at the
+    p ``points``: the cycle contracts where it is below 0, the one verdict
+    a sweep reports as ``contraction_ok`` (see :func:`_log_multiplier`).
     """
 
     period_p: int
@@ -133,7 +135,7 @@ class OrbitSummary(NamedTuple):
     rate: float
     points: tuple[float, ...]
     converged: bool
-    contraction_margin: float
+    log_multiplier: float
     single_branch: bool
 
 
@@ -146,7 +148,7 @@ class StrobeMap:
     One rule times the spikes: spike k from x0 comes at ``t1 + (k-1)*delta``,
     t1 the hit time from x0, if that is at or before the pulse end.  The
     count, found in closed form, the edge probes, the boundary's guess and
-    the contraction margin all read it, with one spacing, ``delta`` or inf
+    the branch slopes all read it, with one spacing, ``delta`` or inf
     when it is None: a ``delta`` that is None or infinite (a reset hit time
     that overflows) means no second spike.  A count past ``spike_cap``,
     endless for a zero spacing or a NaN hit time, raises
@@ -159,8 +161,8 @@ class StrobeMap:
     ``delta``, a ``hit_time(x)`` and a ``flow(x, s)``, and :meth:`apply`,
     the spike count, the edge probes and the boundary's guess call them the
     same way.  The model kind is read where the maths differs: which drives
-    are built, how :meth:`iterate` steps and how the contraction margin is
-    taken.
+    are built, how :meth:`iterate` steps and how the cycle multiplier is
+    taken (:func:`_log_multiplier`).
 
     A linear model must have ``a < 0``, the standing hypothesis of one
     attracting rest point; any other ``a``, 0.0 and -0.0 included, raises
@@ -583,41 +585,24 @@ def _repeats(states: list[float], counts: list[int], start: int, p: int, tol: fl
     )
 
 
-def _contraction_margin(smap: StrobeMap, info: BoundaryInfo | None, grid: int = 33) -> float:
-    """Length lost by the right branch under one map application.
+def _log_multiplier(smap: StrobeMap, points: tuple[float, ...], spikes: int) -> float:
+    """log S, S the cycle multiplier: the product of the map's slopes at ``points``.
 
-    Positive values certify contraction of the branch [sigma, theta) (the
-    devil's-staircase regime); non-positive values flag possible expansion.
-    For a linear field the branch is affine with slope exp(a*(T - n*delta)),
-    so the margin is (theta - sigma) * (1 - slope).  A generic field takes
-    ``span * (1 - sup)``, sup the largest slope of the map at ``grid``
-    evenly spaced states of the branch that spike n times, each from the
-    field values of one map application (:func:`_map_slope`); a sampled
-    bound, not a proof.  When no sample spikes n times (a branch inside
-    the band of mixed counts, a few thousand ulps wide) the margin is the
-    span.  Without a boundary (``info`` is None, as returned by
-    :meth:`StrobeMap.boundary`) the single branch is measured the same way.
-    A linear branch with spikes but an infinite spacing raises DomainError
-    (see :meth:`StrobeMap._slope`).
+    A linear map's k-spike branch has slope ``exp(a*(T - k*delta))``, so
+    for p points and ``spikes`` = N spikes in all log S is ``a*(p*T -
+    N*delta)``; a spiking branch with an infinite spacing has raised when
+    the branches were built.  A generic map adds up the logs of
+    :func:`_map_slope` at each point, a slope that underflows to 0 giving
+    -inf.
     """
-    model = smap.model
-    theta = model.theta
-    if info is None:
-        lo = 0.0
-        n = smap.spike_count(0.0)
-    else:
-        lo = info.sigma
-        n = info.n
-    span = theta - lo
     if not smap._generic:
-        return span * (1.0 - smap._slope(n))
-    sup = -math.inf
-    for i in range(grid):
-        x0 = lo + span * (i + 0.5) / grid
-        spikes, last = smap._spikes(x0)
-        if spikes == n:
-            sup = max(sup, _map_slope(smap, x0, spikes, last))
-    return span * (1.0 - sup) if sup > -math.inf else span
+        spacing = smap._spacing
+        return smap.model.a * (len(points) * smap.forcing.T - (spikes * spacing if spikes else 0.0))
+    total = 0.0
+    for x in points:
+        slope = _map_slope(smap, x, *smap._spikes(x))
+        total += math.log(slope) if slope else -math.inf
+    return total
 
 
 def _map_slope(smap: StrobeMap, x0: float, spikes: int, last: float) -> float:
@@ -641,16 +626,6 @@ def _map_slope(smap: StrobeMap, x0: float, spikes: int, last: float) -> float:
     else:
         on = _flow_slope(model, A, s, x0, y)
     return on * _flow_slope(model, 0.0, rest, y, z)
-
-
-def contraction_margin(model: Model, forcing: Forcing) -> float:
-    """Interval length lost by the right branch of the map; > 0 certifies
-    contraction there.  Without a boundary the single branch is measured,
-    which is always contracting under the standing hypotheses.  A linear
-    field's margin is closed-form; a generic one takes the largest slope of
-    33 sampled maps, each from field values (see :func:`_contraction_margin`)."""
-    smap = StrobeMap(model, forcing)
-    return _contraction_margin(smap, smap.boundary())
 
 
 def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) -> OrbitSummary:
@@ -727,7 +702,6 @@ def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
         single_branch = False
     word = _least_rotation(word)
 
-    margin = _contraction_margin(smap, info) if opts.compute_margin else math.nan
     return OrbitSummary(
         period_p=p,
         spikes_n=n_spikes,
@@ -737,6 +711,6 @@ def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
         rate=n_spikes / (p * smap.forcing.T),
         points=points,
         converged=converged,
-        contraction_margin=margin,
+        log_multiplier=_log_multiplier(smap, points, n_spikes),
         single_branch=single_branch,
     )

@@ -118,7 +118,11 @@ DoseMode = Union[WidthCorrection, AmplitudeCorrection]
 
 
 class StaircaseSample(NamedTuple):
-    """One sweep node: exact firing/rotation numbers plus convergence flags."""
+    """One sweep node: exact firing/rotation numbers plus convergence flags.
+
+    ``contraction_ok`` is True when the attractor's cycle multiplier is
+    below 1 (``OrbitSummary.log_multiplier < 0``).
+    """
 
     T: float
     eta: Fraction
@@ -201,7 +205,7 @@ def _to_sample(T: float, orbit: OrbitSummary) -> StaircaseSample:
         word=orbit.word,
         period_p=orbit.period_p,
         converged=orbit.converged,
-        contraction_ok=orbit.contraction_margin > 0.0,
+        contraction_ok=orbit.log_multiplier < 0.0,
     )
 
 
@@ -457,6 +461,8 @@ def scan_plane(
     """Attractor period (capped) and firing-number over a (d, 1/A) grid.
 
     Node order is row-major over d then 1/A, so results are deterministic.
+    Each node runs :func:`~ifstrobe.strobe.attractor` with ``opts``, whose
+    ``max_period`` the scan replaces with ``max(period_cap, 2)``.
     Numeric per-node failures are recorded and the scan continues; invalid
     input, such as a non-positive period, raises.  ``workers`` bounds the
     worker processes of a pool, which starts only when the nodes left
@@ -475,7 +481,7 @@ def scan_plane(
     _check_forcing(T=T)
     _check_period_cap(period_cap)
     _check_workers(workers)
-    opts = (opts or OrbitOptions())._replace(max_period=max(period_cap, 2), compute_margin=False)
+    opts = (opts or OrbitOptions())._replace(max_period=max(period_cap, 2))
     tasks = [(model, T, d, invA, period_cap, opts) for d in d_vals for invA in a_vals]
     with _GridRunner(_eval_plane_node, workers) as runner:
         results = runner.map(tasks)

@@ -116,33 +116,25 @@ def branch_error_bound(a: float, b: float, theta: float, A: float, T: float, del
     return 8.0 * 2.0**-53 * (theta + abs(a) * (abs(xeq) + theta) * span)
 
 
-def central_difference_margin(smap, info, grid: int = 33) -> float:
-    """A map's contraction margin from central differences of its images.
+def central_difference_log_multiplier(smap, points, h: float = 1e-6) -> float:
+    """log S of the cycle through ``points`` from central differences of the map's images.
 
-    The margin is ``span * (1 - sup)`` over the branch [lo, theta), lo the
-    boundary's sigma or 0.0 without one: sup is the largest slope
-    ``(image(x + h) - image(x - h)) / 2h``, h = min(1e-6, span*1e-3), at
-    ``grid`` evenly spaced states whose two probes, clipped to the branch,
-    both spike n times; the span when none does.  Two maps per sample, and
-    the difference quotient errs by about h^2 times the map's third
-    derivative plus the images' error over h.
+    S is the derivative of F^p along the cycle, the product by the chain
+    rule of the map's slopes at the p points.  Each slope is ``(image(xr) -
+    image(xl)) / (xr - xl)`` with xl, xr = x - h, x + h clipped to [0,
+    theta); a probe that spikes otherwise than x (the cycle passing within
+    h of sigma) is replaced by x itself, a one-sided difference.  Two maps
+    per point; a central difference errs by about h^2 times the map's
+    third derivative plus the images' error over h.
     """
-    theta = smap.model.theta
-    lo, n = (0.0, smap.spike_count(0.0)) if info is None else (info.sigma, info.n)
-    span = theta - lo
-    h = min(1e-6, span * 1e-3)
-    top = math.nextafter(theta, 0.0)
-    sup = -math.inf
-    for i in range(grid):
-        x = lo + span * (i + 0.5) / grid
-        xl, xr = max(x - h, lo), min(x + h, top)
-        if xr <= xl:
-            continue
-        image_l, spikes_l = smap.apply(xl)
-        image_r, spikes_r = smap.apply(xr)
-        if spikes_l == spikes_r == n:
-            sup = max(sup, (image_r - image_l) / (xr - xl))
-    return span if sup == -math.inf else span * (1.0 - sup)
+    top = math.nextafter(smap.model.theta, 0.0)
+    total = 0.0
+    for x in points:
+        n = smap.spike_count(x)
+        xl, xr = max(x - h, 0.0), min(x + h, top)
+        xl, xr = (p if smap.spike_count(p) == n else x for p in (xl, xr))
+        total += math.log((smap.apply(xr)[0] - smap.apply(xl)[0]) / (xr - xl))
+    return total
 
 
 class _Flows:

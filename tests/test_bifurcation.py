@@ -8,30 +8,30 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from ifstrobe import (
+    AmplitudeCorrection,
     BifurcationNotFound,
     DomainError,
     Forcing,
     GenericModel,
     IntegrationError,
     LinearModel,
+    OrbitOptions,
     StrobeMap,
     Side,
     attractor,
     bif_A,
     bif_T,
-    boundary_sigma,
-    contraction_margin,
     fixed_point,
     flow,
     rate_limits,
-    strobe,
+    sweep_T,
     time_to_threshold,
 )
 
 import oracle
 from conftest import linear_f, linear_f_deriv
 from ifstrobe.model import MAX_STEPS, _flow_slope
-from ifstrobe.strobe import _contraction_margin
+from ifstrobe.strobe import _map_slope
 
 
 def hand_onset_amplitude(T: float, d: float) -> float:
@@ -215,46 +215,72 @@ def test_rate_limits_rejects_non_spiking(lif):
         rate_limits(lif, 0.25, 0.5)
 
 
-def test_margin_positive_at_right_collision(lif):
+@pytest.mark.parametrize("windows", [2.5, True, "24"])
+def test_rate_limits_takes_an_integer_count_of_spike_windows(lif, windows):
+    message = f"max_spike_windows must be an integer, got {windows!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        rate_limits(lif, 10 / 3, 0.2, windows)
+
+
+def test_rate_limits_scans_at_least_one_spike_window(lif):
+    with pytest.raises(DomainError, match="max_spike_windows must be >= 1"):
+        rate_limits(lif, 10 / 3, 0.2, 0)
+    assert rate_limits(lif, 10 / 3, 0.2, 1).r_max_spikes == 1
+
+
+def test_log_multiplier_negative_at_right_collision(lif):
+    # the one-spike fixed point sits on sigma: S is the right branch's slope
     point = bif_A(lif, 1, Side.R, 0.5, 2.0)
-    margin = contraction_margin(lif, Forcing(A=point.A, T=2.0, d=0.5))
-    assert margin >= 0.0
+    orbit = attractor(lif, Forcing(A=point.A, T=2.0, d=0.5))
+    assert (orbit.converged, orbit.word, orbit.spikes_n) == (True, "R", 1)
+    assert orbit.log_multiplier == lif.a * (2.0 - time_to_threshold(lif, point.A, 0.0)) < 0.0
 
 
-def test_margin_agrees_with_numeric_derivative(lif):
+def test_log_multiplier_agrees_with_numeric_derivative(lif):
     forcing = Forcing(A=10 / 3, T=1.0, d=0.2)
-    closed = contraction_margin(lif, forcing)
-    info = boundary_sigma(lif, forcing)
-    span = lif.theta - info.sigma
-    h = 1e-6
-    xs = np.linspace(info.sigma + 2 * h, lif.theta - 2 * h, 21)
-    sup = max(
-        (strobe(lif, forcing, x + h).image - strobe(lif, forcing, x - h).image) / (2 * h)
-        for x in xs
-    )
-    numeric = span * (1.0 - sup)
-    assert math.copysign(1.0, closed) == math.copysign(1.0, numeric)
-    assert closed == pytest.approx(numeric, abs=1e-6)
+    orbit = attractor(lif, forcing)
+    assert orbit.converged and orbit.period_p == 8
+    numeric = oracle.central_difference_log_multiplier(StrobeMap(lif, forcing), orbit.points)
+    assert orbit.log_multiplier == pytest.approx(numeric, abs=1e-6)
 
 
-def test_margin_single_branch_is_positive(lif):
-    assert contraction_margin(lif, Forcing(A=0.25, T=1.0, d=0.5)) > 0.0
+def test_a_cycle_through_an_expanding_branch_can_contract(lif, lif_generic):
+    # fast forcing: the right branch stretches (slope 1.16), the cycle contracts
+    forcing = Forcing(A=10 / 3, T=0.01, d=0.2)
+    _, (_, s_left, _), (_, s_right, _) = StrobeMap(lif, forcing)._build_branches()
+    assert s_right > 1.0 > s_left
+    orbit = attractor(lif, forcing)
+    assert orbit.converged and "R" in orbit.word
+    rs = orbit.word.count("R")
+    along_word = rs * math.log(s_right) + (orbit.period_p - rs) * math.log(s_left)
+    assert orbit.log_multiplier == pytest.approx(along_word, rel=1e-12)
+    assert orbit.log_multiplier < 0.0
+    generic = attractor(lif_generic, forcing)
+    assert (generic.period_p, generic.spikes_n) == (orbit.period_p, orbit.spikes_n)
+    assert generic.log_multiplier == pytest.approx(orbit.log_multiplier, rel=1e-9)
 
 
-def test_margin_flags_expanding_branch(lif):
-    # short periods with a slow rise: the spiking branch stretches the interval
-    delta = time_to_threshold(lif, 1.287, 0.0)
-    forcing = Forcing(A=1.287, T=delta * 0.9, d=0.2)
-    assert contraction_margin(lif, forcing) < 0.0
+def test_log_multiplier_flags_an_expanding_cycle(lif):
+    # the lowest node of an amplitude sweep, T at the pulse duration: no cycle
+    # within the budget, and the best candidate's S exceeds 1 by 3.5e-5, far
+    # above the rounding of a*(p*T - N*delta), about 1e-12
+    mode = AmplitudeCorrection(delta=3.0, Q=0.6667)
+    orbit = attractor(lif, mode.forcing_at(3.0 * (1.0 + 1e-12)))
+    assert not orbit.converged
+    assert orbit.log_multiplier == pytest.approx(3.5e-5, rel=0.01)
+    lowest = sweep_T(lif, mode, (3.0, 4.0), 2)[0]
+    assert lowest.T == 3.0 * (1.0 + 1e-12)
+    assert not (lowest.converged or lowest.contraction_ok)
 
 
-def test_generic_margin_sign_matches_linear(lif, lif_generic):
+def test_generic_log_multiplier_matches_linear(lif, lif_generic):
     for T in (0.9, 1.5):
         forcing = Forcing(A=10 / 3, T=T, d=0.2)
-        lin = contraction_margin(lif, forcing)
-        gen = contraction_margin(lif_generic, forcing)
-        assert math.copysign(1.0, lin) == math.copysign(1.0, gen)
-        assert gen == pytest.approx(lin, abs=1e-8)
+        lin = attractor(lif, forcing)
+        gen = attractor(lif_generic, forcing)
+        assert (gen.period_p, gen.spikes_n) == (lin.period_p, lin.spikes_n)
+        assert gen.log_multiplier == pytest.approx(lin.log_multiplier, rel=1e-9)
+        assert lin.log_multiplier < 0.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,37 +292,51 @@ def test_generic_margin_sign_matches_linear(lif, lif_generic):
     T=st.floats(0.05, 30.0),
     d=st.floats(0.02, 0.98),
 )
-def test_generic_margin_sign_matches_linear_on_random_forcings(excess, T, d):
-    # the error stays below about 4e-10 at doses above 0.35 and grows with
-    # the boundary's conditioning near the critical dose, to about 1.5e-5 at
-    # A - 0.3 = 3.4e-7, where central differences err as much
+def test_generic_log_multiplier_matches_linear_on_random_forcings(excess, T, d):
+    # the generic slopes come from field values along the generic cycle; where
+    # both fields find the same cycle the two log S agree in sign and to
+    # within RELATIVE_LOG_S (0 verdicts differed in those 3,000 forcings)
     forcing = Forcing(A=0.3 * (1.0 + excess), T=T, d=d)
-    lin = contraction_margin(LinearModel(a=-0.5, b=0.2, theta=1.0), forcing)
-    gen = contraction_margin(GenericModel(f=linear_f, f_deriv=linear_f_deriv), forcing)
-    target(abs(gen - lin), label="|generic - linear margin|")
-    assert (gen > 0.0) == (lin > 0.0)
+    lin = attractor(LinearModel(a=-0.5, b=0.2, theta=1.0), forcing)
+    gen = attractor(
+        GenericModel(f=linear_f, f_deriv=linear_f_deriv),
+        forcing,
+        OrbitOptions(transient=2000, max_period=200),
+    )
+    if not (lin.converged and gen.converged and lin[:3] == gen[:3]):
+        return
+    error = abs(gen.log_multiplier - lin.log_multiplier) / abs(lin.log_multiplier)
+    target(error, label="relative |generic - linear log S|")
+    assert (gen.log_multiplier < 0.0) == (lin.log_multiplier < 0.0)
+    assert error < RELATIVE_LOG_S
+
+
+# about 1e-9 at doses above 0.35; the error grows with the boundary's
+# conditioning near the critical dose, to 1.8e-6 at A - 0.3 = 6.6e-7 over
+# 3,000 random forcings, half of them within 1e-2 relative of that dose
+RELATIVE_LOG_S = 1e-5
 
 
 CUBIC_FORCINGS = [
     (3.0, 1.6, 0.2), (3.0, 0.5, 0.2), (3.0, 5.0, 0.2), (1.5, 0.4, 0.5), (5.0, 4.0, 0.6),
+    (3.0, 1.2, 0.2),  # a two-point cycle LR
     (1.0, 2.0, 0.5),  # below the critical dose 1.2: one branch, no spike
 ]  # fmt: skip
 
 
 @pytest.mark.parametrize("A, T, d", CUBIC_FORCINGS)
-def test_cubic_margin_matches_central_differences(cubic, A, T, d):
-    smap = StrobeMap(cubic, Forcing(A=A, T=T, d=d))
-    info = smap.boundary()
-    margin = _contraction_margin(smap, info)
-    reference = oracle.central_difference_margin(smap, info)
-    # the differences err by about 1e-8 (h = 1e-6); three of these margins are negative
-    assert (margin > 0.0) == (reference > 0.0)
-    assert margin == pytest.approx(reference, abs=5e-8)
+def test_cubic_log_multiplier_matches_central_differences(cubic, A, T, d):
+    forcing = Forcing(A=A, T=T, d=d)
+    orbit = attractor(cubic, forcing)
+    assert orbit.converged
+    reference = oracle.central_difference_log_multiplier(StrobeMap(cubic, forcing), orbit.points)
+    # the differences err by about 1e-8 per point (h = 1e-6)
+    assert orbit.log_multiplier == pytest.approx(reference, abs=5e-8 * orbit.period_p)
 
 
-def test_generic_margin_near_a_rest_point_takes_the_exponential_slope(lif, lif_generic):
-    # one sample's pulse-end state lies 2.7e-5 above drive 0's rest point 0.4,
-    # where f(z)/f(y) errs by 3.7e-6 relative and would move the margin by 2e-7
+def test_generic_slope_near_a_rest_point_takes_the_exponential_slope(lif, lif_generic):
+    # one state of the spiking branch has its pulse-end state 2.7e-5 above
+    # drive 0's rest point 0.4, where f(z)/f(y) errs by 3.7e-6 relative
     forcing = Forcing(A=1.4753045910120488, T=7.965156550241147, d=0.3355198600153362)
     smap = StrobeMap(lif_generic, forcing)
     info = smap.boundary()
@@ -309,15 +349,14 @@ def test_generic_margin_near_a_rest_point_takes_the_exponential_slope(lif, lif_g
         y = smap._on.flow(0.0 if spikes else x0, smap._pulse - last)
         z = smap._off.flow(y, rest)
         if abs(y - 0.4) < 1e-4:
-            near.append((y, z))
+            near.append((x0, y, z))
     assert len(near) == 1
-    y, z = near[0]
+    x0, y, z = near[0]
     assert abs(linear_f(z) / linear_f(y) / exact - 1.0) > 1e-6
     # the rule takes exp(rest*(f'(y) + f'(z))/2), exact for a linear field
     assert _flow_slope(lif_generic, 0.0, rest, y, z) == exact
-    assert contraction_margin(lif_generic, forcing) == pytest.approx(
-        contraction_margin(lif, forcing), abs=1e-9
-    )
+    slope = _map_slope(smap, x0, *smap._spikes(x0))
+    assert slope == pytest.approx(StrobeMap(lif, forcing)._slope(info.n), rel=1e-9)
 
 
 def test_flow_slope_takes_the_quotient_away_from_the_rest_point(cubic):

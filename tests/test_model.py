@@ -283,18 +283,28 @@ UNRESOLVABLE = (
     0.425838135825144,
 )
 
+# a state equal to the rounded rest point, one ulp below theta: xeq - x is 0
+AT_THE_REST_POINT = (
+    LinearModel(a=-4.910554853419209, b=0.6457969832600892, theta=1.6323040117107934),
+    7.369721403701994,
+    1.6323040117107932,
+)
+
 
 @settings(max_examples=400, deadline=None)
 @given(case=_linear_drives(), s=st.floats(-300.0, 300.0))
 @example(case=(UNRESOLVABLE[0], UNRESOLVABLE[1].A, UNRESOLVABLE[2]), s=-1.0)
+@example(case=AT_THE_REST_POINT, s=1.0)
 @example(case=(LinearModel(a=-0.5, b=0.2), 0.30000000000000004, 0.0), s=0.0)
 def test_the_linear_drive_is_the_spelled_out_closed_form(case, s):
     model, drive, x = case
     a, b, theta = model
     found = _LinearDrive(model, drive)
+    # log1p's argument at or below -1, or x on the rounded rest point
+    unresolvable = (ValueError, "math domain error"), (ZeroDivisionError, "float division by zero")
     for x0 in (x, 0.0):
         expected = _outcome(lambda: oracle.closed_form_hit_time(a, b, theta, drive, x0))
-        if expected == (ValueError, "math domain error"):
+        if expected in unresolvable:
             expected = (
                 IntegrationError,
                 f"threshold crossing not resolvable: the rest point under drive={drive} rounds "
@@ -320,6 +330,16 @@ def test_an_unresolvable_hit_time_names_the_drive_and_the_state():
         lambda: smap.spike_count(x),
     ):
         assert _outcome(run) == (IntegrationError, message)
+
+
+def test_a_state_at_the_rest_point_is_an_unresolvable_crossing():
+    model, drive, x = AT_THE_REST_POINT
+    assert model.equilibrium(drive) == x
+    message = (
+        f"threshold crossing not resolvable: the rest point under drive={drive} "
+        f"rounds onto the threshold (x0={x})"
+    )
+    assert _outcome(lambda: time_to_threshold(model, drive, x)) == (IntegrationError, message)
 
 
 def test_critical_dose_examples(lif):

@@ -21,18 +21,21 @@ EARLIER_NAMES = {
     "AddingCheck", "AddingReport", "AmplitudeCorrection", "PlaneScan", "StaircaseSample",
     "WidthCorrection", "Window", "scan_plane", "sweep_T", "verify_adding",
 }
+# the sampled margin, replaced by the cycle multiplier OrbitSummary.log_multiplier
+REMOVED_NAMES = {"contraction_margin"}
 
 
 def test_all_is_the_concatenation_of_the_modules_lists():
     names = [name for module in MODULES for name in module.__all__]
     assert ifstrobe.__all__ == names
-    assert len(set(names)) == len(names) == 45
+    assert len(set(names)) == len(names) == 44
 
 
 def test_all_keeps_every_earlier_name_and_adds_model_and_dose_mode():
     assert len(EARLIER_NAMES) == 43
     assert set(ifstrobe.__all__) - EARLIER_NAMES == {"Model", "DoseMode"}
-    assert EARLIER_NAMES <= set(ifstrobe.__all__)
+    assert EARLIER_NAMES - set(ifstrobe.__all__) == REMOVED_NAMES
+    assert not any(hasattr(m, name) for m in (ifstrobe, *MODULES) for name in REMOVED_NAMES)
 
 
 def test_each_name_is_its_modules_own_object():

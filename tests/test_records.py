@@ -85,10 +85,9 @@ RECORDS = {
             "seed": 0.0,
             "state_tol": 1e-9,
             "spike_cap": 10**6,
-            "compute_margin": True,
         },
         "OrbitOptions(transient=10000, max_period=10000, seed=0.0, state_tol=1e-09, "
-        "spike_cap=1000000, compute_margin=True)",
+        "spike_cap=1000000)",
     ),
     OrbitSummary: (
         {
@@ -100,12 +99,12 @@ RECORDS = {
             "rate": 0.625,
             "points": (0.1,),
             "converged": True,
-            "contraction_margin": 0.5,
+            "log_multiplier": -0.5,
             "single_branch": False,
         },
         {},
         "OrbitSummary(period_p=1, spikes_n=1, word='L', eta=Fraction(1, 1), rho=Fraction(0, 1), "
-        "rate=0.625, points=(0.1,), converged=True, contraction_margin=0.5, single_branch=False)",
+        "rate=0.625, points=(0.1,), converged=True, log_multiplier=-0.5, single_branch=False)",
     ),
     BifPoint: (
         {"n": 1, "side": Side.R, "d": 0.2, "T": 1.5, "A": 3.0, "residual": 0.0, "xbar": 0.1,

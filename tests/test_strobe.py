@@ -21,7 +21,6 @@ from ifstrobe import (
     attractor,
     bif_T,
     boundary_sigma,
-    contraction_margin,
     critical_dose,
     fixed_point,
     rotation_number,
@@ -41,7 +40,6 @@ from ifstrobe.strobe import (
     SPIKE_CAP,
     STATE_TOL,
     _best_candidate,
-    _contraction_margin,
     _from_ordinal,
     _least_rotation,
     _ordinal,
@@ -338,14 +336,22 @@ def test_probe_test_is_the_spike_count_at_least_n(case, where, shift):
     assert found == _returned_or_raised(lambda: smap.spike_count(x0) >= n)
 
 
-def test_contraction_margin_without_delta_names_the_undefined_slope():
+def test_log_multiplier_without_delta_is_the_decay_over_the_cycle(lif, lif_generic):
+    # a < 0 below the critical dose: delta is None, no state spikes, and every
+    # map has the slope exp(a*T), so log S is a*p*T with no spacing read
+    forcing = Forcing(A=0.25, T=1.5, d=0.5)
+    orbit = attractor(lif, forcing)
+    assert StrobeMap(lif, forcing).delta is None
+    assert orbit.single_branch and orbit.spikes_n == 0
+    assert orbit.log_multiplier == -0.5 * orbit.period_p * 1.5 < 0.0
+    generic = attractor(lif_generic, forcing)
+    assert generic.log_multiplier == pytest.approx(orbit.log_multiplier, rel=1e-12)
     # a > 0: the reset state 0 never reaches theta (delta is None), yet the
     # states past the repelling rest point would spike once, a right branch
     # with n = 1 and no slope exp(a*(T - n*delta)); the map refuses the field
     model, forcing = LinearModel(a=1.188, b=-2.389), Forcing(A=1.932, T=4.0, d=0.5)
-    for run in (contraction_margin, attractor):
-        with pytest.raises(DomainError, match=_refused(1.188)):
-            run(model, forcing)
+    with pytest.raises(DomainError, match=_refused(1.188)):
+        attractor(model, forcing)
 
 
 def test_map_solves_the_threshold_at_most_twice(lif, lif_generic, stepper_runs, monkeypatch):
@@ -639,7 +645,6 @@ _MAP_ENTRIES = {
     "boundary_sigma": boundary_sigma,
     "fixed_point": lambda m, f: fixed_point(m, f, 1),
     "attractor": attractor,
-    "contraction_margin": contraction_margin,
     # two workers: the grid runs its first node in process, before any pool
     "sweep_T": lambda m, f: sweep_T(m, WidthCorrection(A=f.A, d=f.d), (1.0, 2.0), 3, workers=2),
     "scan_plane": lambda m, f: scan_plane(m, f.T, [0.2, 0.5], [0.5, 1.0], workers=2),
@@ -740,7 +745,7 @@ def test_attractor_seed_independence(lif):
     forcing = Forcing(A=10 / 3, T=1.1, d=0.2)
     a = attractor(lif, forcing, OrbitOptions(seed=0.05))
     b = attractor(lif, forcing, OrbitOptions(seed=0.93))
-    assert a.contraction_margin > 0.0
+    assert a.log_multiplier < 0.0
     assert (a.period_p, a.spikes_n, a.eta) == (b.period_p, b.spikes_n, b.eta)
     assert a.word == b.word  # canonical rotation makes them directly comparable
     assert a.rate == pytest.approx(b.rate, abs=1e-6)
@@ -748,7 +753,7 @@ def test_attractor_seed_independence(lif):
 
 def test_attractor_computes_the_boundary_once(lif, monkeypatch):
     forcing = Forcing(A=10 / 3, T=1.6, d=0.2)
-    margin = contraction_margin(lif, forcing)
+    delta = time_to_threshold(lif, forcing.A, 0.0)
     calls = []
     original = StrobeMap._find_edge  # the edge search behind boundary()
 
@@ -759,7 +764,8 @@ def test_attractor_computes_the_boundary_once(lif, monkeypatch):
     monkeypatch.setattr(StrobeMap, "_find_edge", counting)
     orbit = attractor(lif, forcing)
     assert len(calls) == 1
-    assert orbit.contraction_margin == margin > 0.0
+    p, n = orbit.period_p, orbit.spikes_n
+    assert orbit.log_multiplier == lif.a * (p * forcing.T - n * delta) < 0.0
 
 
 @pytest.mark.parametrize(
@@ -892,7 +898,8 @@ def _attractor_map_by_map(model, forcing, opts):
         rate=n_spikes / (p * forcing.T),
         points=points,
         converged=converged,
-        contraction_margin=_contraction_margin(smap, info) if opts.compute_margin else math.nan,
+        # the slopes exp(a*(T - k*delta)) of the branches along the cycle
+        log_multiplier=model.a * (p * forcing.T - (n_spikes * smap.delta if n_spikes else 0.0)),
         single_branch=info is None,
     )
 
@@ -932,7 +939,6 @@ def _attractor_cases(draw):
         seed=seed,
         state_tol=draw(st.sampled_from([STATE_TOL, 1e-6])),
         spike_cap=draw(st.sampled_from([SPIKE_CAP, 1, 2, 5])),
-        compute_margin=draw(st.booleans()),
     )
     return model, forcing, opts
 
@@ -965,6 +971,7 @@ def test_a_converged_branch_cycle_is_a_cycle_of_the_map(case):
     assume(orbit.converged)
     smap = StrobeMap(model, forcing, opts.spike_cap)
     info = smap.boundary()
+    counts = []
     for j, x in enumerate(orbit.points):
         if info is None:
             count = smap.spike_count(0.0)
@@ -972,6 +979,7 @@ def test_a_converged_branch_cycle_is_a_cycle_of_the_map(case):
             # the band of mixed counts around sigma is a few thousand ulps wide
             assume(abs(_ordinal(x) - _ordinal(info.sigma)) > 2**16)
             count = info.n if x >= info.sigma else info.n - 1
+        counts.append(count)
         try:
             image, spikes = smap.apply(x)
         except IntegrationError:  # x meets a rest point that rounds onto theta
@@ -982,6 +990,11 @@ def test_a_converged_branch_cycle_is_a_cycle_of_the_map(case):
         assert spikes == count
         following = orbit.points[(j + 1) % orbit.period_p]
         assert abs(image - following) < 10.0 * opts.state_tol + 2.0 * bound
+    # log S is the sum of the branch log slopes a*(T - k*delta) along the cycle
+    terms = [model.a * (forcing.T - (k * smap.delta if k else 0.0)) for k in counts]
+    scale = abs(model.a) * (orbit.period_p * forcing.T + orbit.spikes_n * (smap.delta or 0.0))
+    assert sum(counts) == orbit.spikes_n
+    assert abs(orbit.log_multiplier - math.fsum(terms)) <= 8.0 * 2.0**-53 * scale
 
 
 def _appended(run, x0):
@@ -1146,9 +1159,9 @@ def test_an_overflowing_delta_means_no_second_spike():
     assert smap.boundary() == BoundaryInfo(sigma=0.9999999999999019, n=1)
     assert smap.spike_count(0.9999999999999019) == 1
     assert smap.spike_count(math.nextafter(0.9999999999999019, 0.0)) == 0
-    for run in (contraction_margin, attractor):  # the margin's slope and the branches'
-        with pytest.raises(DomainError, match="delta is None or infinite"):
-            run(model, forcing)
+    # the one-spike branch has no slope, so the branch map refuses the attractor
+    with pytest.raises(DomainError, match="delta is None or infinite"):
+        attractor(model, forcing)
 
 
 def test_best_candidate_takes_the_first_of_equally_close_returns():
