@@ -9,10 +9,12 @@ period, states left of it n-1 (right-branch convention at the boundary
 itself), up to a band of a few thousand ulps around ``sigma`` where the
 rounded spike count mixes n and n-1.
 
-Periodic attractors are detected by iterating the map, with symbolic
-itineraries over {L, R} taken relative to ``sigma``:  R marks orbit points on
-or right of the boundary.  The firing-number n/p and rotation number (#R)/p
-are kept as exact rationals.
+A linear map whose two affine branches both contract finds its periodic
+attractor by a Stern-Brocot descent over the branch constants; any other map
+iterates under Brent's cycle detector.  Symbolic itineraries over {L, R} are
+taken relative to ``sigma``:  R marks orbit points on or right of the
+boundary.  The firing-number n/p and rotation number (#R)/p are kept as exact
+rationals.
 """
 
 from __future__ import annotations
@@ -91,9 +93,12 @@ class _OrbitFields(NamedTuple):
 class OrbitOptions(_Checked, _OrbitFields):
     """Iteration budget and tolerances for attractor detection.
 
-    :func:`attractor` applies the map at most ``transient + 2*max_period``
-    times from ``seed`` and reports cycles of at most ``max_period`` maps;
-    ``spike_cap`` bounds the spikes of one map.  The three counts are
+    :func:`attractor` reports cycles of at most ``max_period`` maps, and
+    ``spike_cap`` bounds the spikes of one map.  Brent's detector applies
+    the map at most ``transient + 2*max_period`` times from ``seed`` and
+    compares states within ``state_tol``; the descent of a linear map with
+    both branch slopes below 1 reads ``max_period`` alone (``seed`` must
+    still lie in [0, theta)).  The three counts are
     integers; out-of-domain values raise :class:`~ifstrobe.model.DomainError`.
     Every summary computes its cycle's multiplier, ``log_multiplier``.
     """
@@ -115,13 +120,17 @@ class OrbitSummary(NamedTuple):
 
     ``eta`` = spikes_n / period_p and ``rho`` = (#R) / period_p are exact
     rationals; ``rate`` = eta / T.  ``word`` is the itinerary in its
-    lexicographically minimal cyclic rotation; when no boundary lies in
+    lexicographically minimal cyclic rotation, and ``points[i]`` is the
+    cycle's point with the symbol ``word[i]``; when no boundary lies in
     [0, theta) the orbit is single-branch and the word is "L" * p by
-    convention.  ``converged`` is True when a cycle of length at most
-    ``max_period`` was verified by a second cycle within the budget of
-    :class:`OrbitOptions`.  Otherwise, when the budget ran out or the verified
-    cycle is longer than ``max_period``, the fields describe the best
-    candidate cycle among the last ``2*max_period`` map applications.
+    convention.  ``converged`` is True when the descent found the cycle
+    (its points are then the cycle's, to rounding) or when Brent's detector
+    verified a cycle of length at most ``max_period`` by a second cycle
+    within the budget of :class:`OrbitOptions` (its points are then states
+    within about ``10*state_tol/(1 - S)`` of the cycle).  Otherwise, when the
+    budget ran out or the verified cycle is longer than ``max_period``, the
+    fields describe the best candidate cycle among the last
+    ``2*max_period`` map applications.
     ``log_multiplier`` is log S, S the product of the map's slopes at the
     p ``points``: the cycle contracts where it is below 0, the one verdict
     a sweep reports as ``contraction_ok`` (see :func:`_log_multiplier`).
@@ -137,6 +146,18 @@ class OrbitSummary(NamedTuple):
     converged: bool
     log_multiplier: float
     single_branch: bool
+
+
+class _Branches(NamedTuple):
+    """A linear map's two affine branches (see :meth:`StrobeMap._build_branches`)."""
+
+    sigma: float
+    c: float
+    s_L: float
+    n_L: int
+    z: float
+    s_R: float
+    n_R: int
 
 
 class StrobeMap:
@@ -270,46 +291,47 @@ class StrobeMap:
             return
         if n >= stop:
             return
-        branches = self._branches or self._build_branches()
-        sigma, (c_left, s_left, n_left), (z_right, s_right, n_right) = branches
+        sigma, c, s_L, n_L, z, s_R, n_R = self._branches or self._build_branches()
         theta = self._theta
         push_state, push_count = states.append, counts.append
         while n < stop:
             if not 0.0 <= x < theta:
                 raise _outside_domain(x, theta)
             if x >= sigma:
-                x = z_right + s_right * (x - sigma)
-                push_count(n_right)
+                x = z + s_R * (x - sigma)
+                push_count(n_R)
             else:
-                x = c_left + s_left * x
-                push_count(n_left)
+                x = c + s_L * x
+                push_count(n_L)
             push_state(x)
             n += 1
             if abs(x - target) < tol:
                 return
 
-    def _build_branches(self) -> tuple[float, tuple[float, float, int], tuple[float, float, int]]:
-        """Keep and return sigma and the linear map's left and right branches ``(c, s, k)``.
+    def _build_branches(self) -> _Branches:
+        """Keep and return sigma and the linear map's left and right branches.
 
-        x < sigma maps to ``c + s*x`` with k = n - 1 spikes, c the image of 0
-        had its k-th spike come at ``k*delta``; x >= sigma maps to ``z + s*(x
-        - sigma)`` with n, z the image of sigma (its n-th spike at ``t1 +
-        (n-1)*delta``).  Two terms of one sign (for ``b >= 0``): an expanding
-        right branch loses nothing to the cancellation of ``z - s*sigma``.
-        Without a boundary the left form with ``k = spike_count(0.0)`` serves
-        every state, and sigma is inf.  Errors of :meth:`boundary` and counts
-        past ``spike_cap`` raise here.
+        x < sigma maps to ``c + s_L*x`` with n_L = n - 1 spikes, c the image
+        of 0 had its n_L-th spike come at ``n_L*delta``; x >= sigma maps to ``z
+        + s_R*(x - sigma)`` with n_R = n, z the image of sigma (its n-th spike
+        at ``t1 + (n-1)*delta``).  Two terms of one sign (for ``b >= 0``): an
+        expanding right branch loses nothing to the cancellation of ``z -
+        s_R*sigma``.  Without a boundary the left form with ``n_L =
+        spike_count(0.0)`` serves every state, as both branches, and sigma is
+        inf.  Errors of :meth:`boundary` and counts past ``spike_cap`` raise
+        here.
         """
         info = self.boundary()
         k = self.spike_count(0.0) if info is None else info.n - 1
         c = self._image(0.0, self._pulse - (k * self._spacing if k else 0.0))
-        left = (c, self._slope(k), k)
-        sigma, right = math.inf, left
-        if info is not None:
+        s = self._slope(k)
+        if info is None:
+            self._branches = _Branches(math.inf, c, s, k, c, s, k)
+        else:
             sigma, n = info.sigma, info.n
             last = self._on.hit_time(sigma) + ((n - 1) * self._spacing if n > 1 else 0.0)
-            right = (self._image(0.0, self._pulse - last), self._slope(n), n)
-        self._branches = sigma, left, right
+            z = self._image(0.0, self._pulse - last)
+            self._branches = _Branches(sigma, c, s, k, z, self._slope(n), n)
         return self._branches
 
     def _slope(self, k: int) -> float:
@@ -503,7 +525,12 @@ def fixed_point(
     """Fixed point of the map restricted to its n-spike continuity branch.
 
     Absent when the requested branch does not exist or its fixed point has
-    moved outside the branch domain.
+    moved outside the branch domain.  A linear field takes it in closed
+    form from its affine branches (:meth:`StrobeMap._build_branches`):
+    ``c/(1 - s_L)`` left of sigma, ``sigma + (z - sigma)/(1 - s_R)`` at or
+    right of it; a slope that rounds to exactly 1 makes the branch a
+    translation, with no isolated fixed point, and gives None.  A generic
+    field solves ``apply(x) = x`` on the branch by Brent's method.
     """
     _check_count("spike count n", n, 0)
     theta = model.theta
@@ -520,6 +547,14 @@ def fixed_point(
         lo, hi = 0.0, math.nextafter(info.sigma, 0.0)
     else:
         return None
+    if not smap._generic:
+        sigma, c, s_L, _, z, s_R, _ = smap._branches or smap._build_branches()
+        right = info is not None and n == info.n
+        s = s_R if right else s_L
+        if s == 1.0:
+            return None
+        x = sigma + (z - sigma) / (1.0 - s) if right else c / (1.0 - s)
+        return x if lo <= x <= hi else None
 
     def defect(x: float) -> float:
         return smap.apply(x)[0] - x
@@ -550,8 +585,8 @@ def rotation_number(word: str) -> Fraction:
     return Fraction(word.count("R"), len(word))
 
 
-def _least_rotation(word: str) -> str:
-    """Lexicographically minimal cyclic rotation (Booth's algorithm)."""
+def _least_rotation_start(word: str) -> int:
+    """The k of the lexicographically minimal rotation ``word[k:] + word[:k]`` (Booth's algorithm)."""
     doubled = word + word
     fail = [-1] * len(doubled)
     k = 0
@@ -568,7 +603,7 @@ def _least_rotation(word: str) -> str:
             fail[j - k] = -1
         else:
             fail[j - k] = i + 1
-    return word[k:] + word[:k]
+    return k
 
 
 def _best_candidate(states: list[float], max_period: int) -> int:
@@ -629,11 +664,15 @@ def _map_slope(smap: StrobeMap, x0: float, spikes: int, last: float) -> float:
 
 
 def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) -> OrbitSummary:
-    """Iterate the map to the periodic attractor and summarize it.
+    """Find the map's periodic attractor and summarize it.
 
-    The map is applied at most ``transient + 2*max_period`` times
-    (``opts``), by one :meth:`StrobeMap.iterate` call between checkpoints of
-    the detector.  Each state is compared with an anchor that moves after 1,
+    A linear map whose branch slopes are both below 1 has one attracting
+    cycle, found by a Stern-Brocot descent over its branch constants with
+    no map applied (:func:`_descend`): ``converged`` unless its period
+    passes ``max_period``.  Every other map, and such a map past
+    ``max_period``, runs Brent's detector, unchanged.  It applies the map
+    at most ``transient + 2*max_period`` times (``opts``), by one
+    :meth:`StrobeMap.iterate` call between checkpoints of the detector.  Each state is compared with an anchor that moves after 1,
     2, 4, ... maps without a return (Brent's cycle detection), once more
     when ``transient`` maps are spent, and to the current state after a
     failed verification.  A return within ``state_tol`` at distance p, the only
@@ -652,6 +691,145 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
 
 def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
     """:func:`attractor` of a map already built, with ``opts.spike_cap`` as its cap."""
+    cycle = None if smap._generic else _descend(smap, opts)
+    if cycle is None:
+        word, points, n_spikes, converged = _detect(smap, opts)
+    else:
+        word, points = cycle[0], tuple(cycle[1])
+        _, _, _, n_L, _, _, n_R = smap._branches
+        n_spikes = len(word) * n_L + word.count("R") * (n_R - n_L)
+        converged = True
+    p = len(points)
+    return OrbitSummary(
+        period_p=p,
+        spikes_n=n_spikes,
+        word=word,
+        eta=Fraction(n_spikes, p),
+        rho=Fraction(word.count("R"), p),
+        rate=n_spikes / (p * smap.forcing.T),
+        points=points,
+        converged=converged,
+        log_multiplier=_log_multiplier(smap, points, n_spikes),
+        single_branch=smap.boundary() is None,
+    )
+
+
+def _side_test(br: _Branches, word: str, x: float, band: float) -> tuple[int, list[float]]:
+    """Step ``word``'s branches from x: 0 and the points when each lies on its symbol's side.
+
+    A point within ``band`` of sigma lies on either side.  Otherwise the
+    first point off its side stops the walk: an L point right of sigma
+    gives +1 (the rotation number lies above the word's), an R point left
+    of it -1, with the points stepped so far.
+    """
+    sigma, c, s_L, _, z, s_R, _ = br
+    points: list[float] = []
+    for symbol in word:
+        points.append(x)
+        if symbol == "L":
+            if x - sigma >= band:
+                return 1, points
+            x = c + s_L * x
+        else:
+            if sigma - x >= band:
+                return -1, points
+            x = z + s_R * (x - sigma)
+    return 0, points
+
+
+def _then(u: tuple, v: tuple) -> tuple:
+    """The word u then v, each ``(q, C, S, word)`` for the affine map ``C + S*x`` it composes."""
+    return u[0] + v[0], v[1] + v[2] * u[1], u[2] * v[2], u[3] + v[3]
+
+
+def _descend(smap: StrobeMap, opts: OrbitOptions) -> tuple[str, list[float]] | None:
+    """A linear map's cycle, word and points, by Stern-Brocot descent; None for the detector.
+
+    It runs where both branch slopes are below 1.  Every image then lies
+    in J = [z, b], b = c + s_L*sigma the left limit at sigma, and on J the
+    map is injective: ``s_R*(b - sigma) + s_L*(sigma - z) <= b - z``, as
+    both slopes are at most 1.  So it has one rotation number rho, the
+    share of R symbols, and at most one cycle of rotation number p/q: the
+    q-fold composition along its word, the lower Christoffel word, is
+    affine with slope below 1.  That cycle attracts every seed, and
+    :func:`_stern_brocot` finds it.  None, for Brent's detector, where a
+    slope is 1 or more, where the search passes ``max_period`` (the only
+    field of ``opts`` it reads), or where a point of the cycle leaves [0,
+    theta).  The seed must lie in [0, theta) on both paths.
+    """
+    br = smap._branches or smap._build_branches()
+    theta, seed = smap._theta, opts.seed
+    if not 0.0 <= seed < theta:
+        raise _outside_domain(seed, theta)
+    if not (br.s_L < 1.0 and br.s_R < 1.0):
+        return None
+    cycle = _stern_brocot(br, opts.max_period, 2.0**-50 * theta)
+    if cycle is None or not (0.0 <= min(cycle[1]) and max(cycle[1]) < theta):
+        return None
+    return cycle
+
+
+def _stern_brocot(br: _Branches, cap: int, unit: float) -> tuple[str, list[float]] | None:
+    """The word and points of the cycle of rotation number p/q, q at most ``cap``, else None.
+
+    It tries 0/1 (the left fixed point ``c/(1 - s_L)``) and 1/1 (the right
+    one, ``sigma + (z - sigma)/(1 - s_R)``), then mediants.  A mediant's
+    word is its lower parent's then its upper parent's, so its map ``C +
+    S*x`` is one product of theirs (:func:`_then`), and its candidate
+    point is ``C/(1 - S)``.  :func:`_side_test` steps the candidate's q
+    points along its word, with a band of ``q*unit/(1 - S)`` around sigma,
+    the candidate's rounding, and accepts it or tells on which side of p/q
+    rho lies.  Each run of one direction gallops by doubling steps until
+    the side flips, then bisects with the halved steps, so the tests grow
+    with the log of each partial quotient.  The word, a Lyndon word, is
+    its least rotation, and ``points[i]`` has the symbol ``word[i]``.
+    """
+    sigma, c, s_L, _, z, s_R, _ = br
+
+    def test(node: tuple, x: float | None = None) -> tuple[int, list[float]]:
+        q, C, S, word = node
+        return _side_test(br, word, C / (1.0 - S) if x is None else x, q * unit / (1.0 - S))
+
+    lo, hi = (1, c, s_L, "L"), (1, z - s_R * sigma, s_R, "R")
+    for node, x in ((lo, None), (hi, sigma + (z - sigma) / (1.0 - s_R))):
+        d, points = test(node, x)
+        if not d:
+            return node[3], points
+    while True:
+        node = _then(lo, hi)
+        if node[0] > cap:
+            return None
+        d, points = test(node)
+        if not d:
+            return node[3], points
+        # rho lies beyond node, toward hi for d > 0 and toward lo for d < 0
+        base, step, halves = node, hi if d > 0 else lo, []
+        while True:
+            cand = _then(base, step) if d > 0 else _then(step, base)
+            if cand[0] > cap:
+                break
+            e, points = test(cand)
+            if not e:
+                return cand[3], points
+            if e != d:
+                break
+            base = cand
+            halves.append(step)
+            step = _then(step, step)
+        for step in reversed(halves):
+            cand = _then(base, step) if d > 0 else _then(step, base)
+            if cand[0] > cap:  # the gallop stopped at the cap, not at a flip
+                continue
+            e, points = test(cand)
+            if not e:
+                return cand[3], points
+            if e == d:
+                base = cand
+        lo, hi = (base, _then(base, hi)) if d > 0 else (_then(lo, base), base)
+
+
+def _detect(smap: StrobeMap, opts: OrbitOptions) -> tuple[str, tuple[float, ...], int, bool]:
+    """Brent's detector: the word, points, spikes and ``converged`` of :func:`attractor`."""
     tol, transient = opts.state_tol, opts.transient
     budget = transient + 2 * opts.max_period
     states = [opts.seed]
@@ -690,27 +868,11 @@ def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
         window = len(counts) - 2 * opts.max_period
         states, counts, start = states[window:], counts[window:], 0
         p = _best_candidate(states, opts.max_period)
-    points = tuple(states[start : start + p])
+    points = states[start : start + p]
     n_spikes = sum(counts[start : start + p])
-
     info = smap.boundary()
     if info is None:
-        word = "L" * p
-        single_branch = True
-    else:
-        word = "".join("R" if pt >= info.sigma else "L" for pt in points)
-        single_branch = False
-    word = _least_rotation(word)
-
-    return OrbitSummary(
-        period_p=p,
-        spikes_n=n_spikes,
-        word=word,
-        eta=Fraction(n_spikes, p),
-        rho=Fraction(word.count("R"), p),
-        rate=n_spikes / (p * smap.forcing.T),
-        points=points,
-        converged=converged,
-        log_multiplier=_log_multiplier(smap, points, n_spikes),
-        single_branch=single_branch,
-    )
+        return "L" * p, tuple(points), n_spikes, converged
+    word = "".join("R" if pt >= info.sigma else "L" for pt in points)
+    k = _least_rotation_start(word)
+    return word[k:] + word[:k], tuple(points[k:] + points[:k]), n_spikes, converged

@@ -31,7 +31,7 @@ from .strobe import (
     SpikeRunawayError,
     StrobeMap,
     _attractor,
-    _least_rotation,
+    _least_rotation_start,
 )
 
 if TYPE_CHECKING:
@@ -620,7 +620,9 @@ def verify_adding(samples: Sequence[StaircaseSample]) -> AddingReport:
             omega = _band_word(right, band)
             expected_word = None
             if sigma is not None and omega is not None:
-                expected_word = _least_rotation(sigma + omega)
+                word = sigma + omega
+                k = _least_rotation_start(word)
+                expected_word = word[k:] + word[:k]
             if found is None:
                 status = "unresolved"
                 detail = f"no window at {mediant} sampled in ({left.t_hi}, {right.t_lo})"

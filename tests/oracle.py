@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 from ifstrobe import GenericModel, StrobeMap, flow, time_to_threshold
+from ifstrobe._brent import brentq
 
 A_STAR = -0.5
 B_STAR = 0.2
@@ -166,3 +167,37 @@ def flows_map(model, forcing, spike_cap: int, on: type = _Flows) -> StrobeMap:
     store = {(forcing.A, True): on(model, forcing.A), (0.0, False): _Flows(model, 0.0)}
     generic = GenericModel(f=model.f, f_deriv=model.f_deriv, theta=model.theta)
     return StrobeMap(generic, forcing, spike_cap, _orbits=store)
+
+
+def brentq_fixed_point(model, forcing, n: int, spike_cap: int) -> float | None:
+    """The fixed point of the n-spike branch as Brent's method finds it on ``apply(x) - x``.
+
+    The branch domain is ``fixed_point``'s: [sigma, top] for n spikes, [0,
+    sigma) for n - 1, [0, top] without a boundary when 0 spikes n times.
+    None without a sign change, or when the root is the discontinuity
+    (its image spikes otherwise or misses it by more than 1e-12).
+    """
+    smap = StrobeMap(model, forcing, spike_cap)
+    top, info = math.nextafter(model.theta, 0.0), smap.boundary()
+    if info is None:
+        if smap.spike_count(0.0) != n:
+            return None
+        lo, hi = 0.0, top
+    elif n in (info.n, info.n - 1):
+        lo, hi = (info.sigma, top) if n == info.n else (0.0, math.nextafter(info.sigma, 0.0))
+    else:
+        return None
+
+    def defect(x: float) -> float:
+        return smap.apply(x)[0] - x
+
+    d_lo, d_hi = defect(lo), defect(hi)
+    if d_lo == 0.0 or d_hi == 0.0:
+        return lo if d_lo == 0.0 else hi
+    if math.copysign(1.0, d_lo) == math.copysign(1.0, d_hi):
+        return None
+    root = brentq(defect, lo, hi, xtol=1e-14)
+    image, spikes = smap.apply(root)
+    if spikes != n or abs(image - root) > 1e-12 * max(1.0, model.theta):
+        return None
+    return root

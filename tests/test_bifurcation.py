@@ -247,7 +247,8 @@ def test_log_multiplier_agrees_with_numeric_derivative(lif):
 def test_a_cycle_through_an_expanding_branch_can_contract(lif, lif_generic):
     # fast forcing: the right branch stretches (slope 1.16), the cycle contracts
     forcing = Forcing(A=10 / 3, T=0.01, d=0.2)
-    _, (_, s_left, _), (_, s_right, _) = StrobeMap(lif, forcing)._build_branches()
+    branches = StrobeMap(lif, forcing)._build_branches()
+    s_left, s_right = branches.s_L, branches.s_R
     assert s_right > 1.0 > s_left
     orbit = attractor(lif, forcing)
     assert orbit.converged and "R" in orbit.word

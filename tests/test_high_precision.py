@@ -20,6 +20,7 @@ from ifstrobe import (
     Side,
     SpikeRunawayError,
     StrobeMap,
+    attractor,
     bif_A,
     boundary_sigma,
     critical_dose,
@@ -140,3 +141,49 @@ def test_branch_images_match_high_precision(a, theta, rest, dose, T, d, share, e
     assume(spikes == counts[0])  # the band of mixed counts around sigma
     bound = oracle.branch_error_bound(a, model.b, theta, forcing.A, T, smap.delta, spikes)
     assert abs(mp.mpf(states[1]) - exact) <= bound
+
+
+def test_one_spike_right_fixed_point_matches_high_precision():
+    # T = 3: the attractor is the two-spike branch's fixed point, right of sigma,
+    # taken in closed form as sigma + (z - sigma)/(1 - s_R)
+    forcing = Forcing(A=10 / 3, T=3.0, d=0.2)
+    got = fixed_point(LIF, forcing, 2)
+    exact = mp.findroot(lambda x: mp_image(LIF, forcing, x)[0] - x, mp.mpf(got))
+    assert mp_image(LIF, forcing, exact)[1] == 2
+    assert abs(mp.mpf(got) - exact) <= 4 * math.ulp(got)
+
+
+# descent cycles of the LIF with periods 1 to 277: (A, T, d) and the period
+DESCENT_CYCLES = [
+    ((10 / 3, 1.6, 0.2), 1),
+    ((10 / 3, 1.1, 0.2), 3),
+    ((10 / 3, 1.0, 0.2), 8),
+    ((10 / 3, 0.5, 0.2), 13),
+    ((3.308526683630994, 0.3407191579772489, 0.8955593155137267), 162),
+    ((4.2886584669045416, 0.24827390412412392, 0.7973355094948102), 277),
+]
+
+
+@pytest.mark.parametrize("forcing, period", DESCENT_CYCLES)
+def test_descent_cycles_match_their_word_composed_in_high_precision(forcing, period):
+    # the float branch constants taken as exact: the word's q branches composed
+    # in 50 digits give the cycle C/(1 - S), and each float point lies within
+    # half the rounding band of the descent, q*2**-51*theta/(1 - S), of it
+    forcing = Forcing(*forcing)
+    orbit = attractor(LIF, forcing)
+    assert orbit.converged and orbit.period_p == period
+    sigma, c, s_L, _, z, s_R, _ = (mp.mpf(v) for v in StrobeMap(LIF, forcing)._build_branches())
+
+    def step(symbol, x):
+        return c + s_L * x if symbol == "L" else z + s_R * (x - sigma)
+
+    C, S = mp.mpf(0), mp.mpf(1)
+    for symbol in orbit.word:
+        C, S = step(symbol, C), S * (s_L if symbol == "L" else s_R)
+    bound = period * 2.0**-51 * float(THETA) / float(1 - S)
+    x = C / (1 - S)
+    for symbol, point in zip(orbit.word, orbit.points):
+        assert abs(mp.mpf(point) - x) <= bound
+        assert (x >= sigma) == (symbol == "R")  # the exact cycle has the word
+        x = step(symbol, x)
+    assert abs(x - C / (1 - S)) < mp.mpf(10) ** -45

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 import struct
@@ -41,7 +42,7 @@ from ifstrobe.strobe import (
     STATE_TOL,
     _best_candidate,
     _from_ordinal,
-    _least_rotation,
+    _least_rotation_start,
     _ordinal,
     _repeats,
 )
@@ -684,6 +685,16 @@ def test_fixed_point_absent_outside_window(lif):
     assert fixed_point(lif, forcing, 1) is None
 
 
+def test_a_branch_slope_of_exactly_one_has_no_fixed_point(lif):
+    # T = delta: the one-spike branch's slope exp(a*(T - delta)) is exp(0) = 1,
+    # so the branch translates by z - sigma and fixes no point
+    forcing = Forcing(A=10 / 3, T=time_to_threshold(lif, 10 / 3, 0.0), d=0.5)
+    branches = StrobeMap(lif, forcing)._build_branches()
+    assert (branches.n_R, branches.s_R) == (1, 1.0) and branches.z < branches.sigma
+    assert fixed_point(lif, forcing, 1) is None
+    assert oracle.brentq_fixed_point(lif, forcing, 1, SPIKE_CAP) is None
+
+
 def test_rotation_number_values():
     assert rotation_number("LR") == Fraction(1, 2)
     assert rotation_number("LLLLR") == Fraction(1, 5)
@@ -700,7 +711,8 @@ def test_least_rotation_is_minimal():
     for _ in range(50):
         word = "".join(rng.choice(["L", "R"], size=rng.integers(1, 12)))
         best = min(word[i:] + word[:i] for i in range(len(word)))
-        assert _least_rotation(word) == best
+        k = _least_rotation_start(word)
+        assert 0 <= k < len(word) and word[k:] + word[:k] == best
 
 
 def test_attractor_subthreshold_fixed_point(lif):
@@ -884,11 +896,13 @@ def _attractor_map_by_map(model, forcing, opts):
         start = len(counts) - 2 * opts.max_period
         lengths = range(1, min(len(counts) - start, opts.max_period) + 1)
         p = min(lengths, key=lambda q: abs(states[start + q] - states[start]))
-    points = tuple(states[start : start + p])
+    points = states[start : start + p]
     n_spikes = sum(counts[start : start + p])
     info = smap.boundary()
     word = "L" * p if info is None else "".join("R" if x >= info.sigma else "L" for x in points)
-    word = _least_rotation(word)
+    # the least rotation, its points turned with it so that points[i] has the symbol word[i]
+    k = _least_rotation_start(word)
+    word, points = word[k:] + word[:k], tuple(points[k:] + points[:k])
     return OrbitSummary(
         period_p=p,
         spikes_n=n_spikes,
@@ -943,6 +957,15 @@ def _attractor_cases(draw):
     return model, forcing, opts
 
 
+def _descent_runs(model, forcing, opts):
+    """Whether ``attractor`` finds the cycle by descent: its branches build and both slopes are below 1."""
+    try:
+        branches = StrobeMap(model, forcing, opts.spike_cap)._build_branches()
+    except (ValueError, SpikeRunawayError, IntegrationError):
+        return False
+    return branches.s_L < 1.0 and branches.s_R < 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_attractor_cases())
 @example(case=(LinearModel(a=-0.5, b=0.2), UNCONVERGED, OrbitOptions()))
@@ -951,9 +974,129 @@ def _attractor_cases(draw):
     case=(LinearModel(a=-0.5, b=0.2), ANCHOR_AT_TRANSIENT, OrbitOptions(transient=4000, max_period=20))
 )
 def test_attractor_equals_its_detector_stepped_map_by_map(case):
+    # where a branch slope is 1 or more, or the branches raise, the detector runs
     model, forcing, opts = case
+    assume(not _descent_runs(model, forcing, opts))
     expected = _summary_bits(lambda: _attractor_map_by_map(model, forcing, opts))
     assert _summary_bits(lambda: attractor(model, forcing, opts)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases())
+@example(case=(LinearModel(a=-0.5, b=0.2), Forcing(A=10 / 3, T=1.0, d=0.2), OrbitOptions()))
+def test_the_descent_finds_the_cycle_the_detector_converges_to(case):
+    # where both slopes are below 1 the descent runs; where the detector, given
+    # a generous transient, converges, every field but the points is equal bit
+    # for bit.  The detector stops when a cycle repeats within 10*state_tol,
+    # which puts its points within 10*state_tol/(1 - S) of the cycle
+    model, forcing, opts = case
+    assume(_descent_runs(model, forcing, opts))
+    opts = opts._replace(transient=50_000)
+    detected = _attractor_map_by_map(model, forcing, opts)
+    assume(detected.converged)
+    orbit = attractor(model, forcing, opts)
+    assert orbit.converged
+    exact = ("period_p", "spikes_n", "word", "eta", "rho", "rate", "log_multiplier", "single_branch")
+    assert _summary_bits(lambda: tuple(getattr(orbit, f) for f in exact)) == _summary_bits(
+        lambda: tuple(getattr(detected, f) for f in exact)
+    )
+    for x, y in zip(orbit.points, detected.points, strict=True):
+        assert abs(x - y) < 10.0 * opts.state_tol / -math.expm1(orbit.log_multiplier)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases())
+def test_a_descent_cycle_returns_to_its_first_point(case):
+    # q steps of the branches along the word from points[0] come back to it
+    # within the rounding of the word's composition, a few ulps of theta
+    model, forcing, opts = case
+    assume(_descent_runs(model, forcing, opts))
+    orbit = attractor(model, forcing, opts)
+    assume(orbit.converged)
+    sigma, c, s_L, _, z, s_R, _ = StrobeMap(model, forcing, opts.spike_cap)._build_branches()
+    x = orbit.points[0]
+    for j, symbol in enumerate(orbit.word):
+        assert x == orbit.points[j]
+        x = c + s_L * x if symbol == "L" else z + s_R * (x - sigma)
+    assert abs(x - orbit.points[0]) <= 4.0 * orbit.period_p * math.ulp(model.theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases())
+@example(case=(LinearModel(a=-0.5, b=0.2), UNCONVERGED, OrbitOptions()))
+@example(case=(LinearModel(a=-0.5, b=0.2), Forcing(A=10 / 3, T=1.0, d=0.2), OrbitOptions()))
+def test_each_point_carries_the_symbol_of_its_place_in_the_word(case):
+    # word[i] is the side of sigma of points[i], whichever path found the
+    # cycle; a descent point within its rounding band of sigma counts either way
+    model, forcing, opts = case
+    try:
+        orbit = attractor(model, forcing, opts)
+        info = StrobeMap(model, forcing, opts.spike_cap).boundary()
+    except (ValueError, SpikeRunawayError, IntegrationError):
+        assume(False)
+    assert len(orbit.word) == len(orbit.points) == orbit.period_p
+    if orbit.single_branch:
+        assert info is None and orbit.word == "L" * orbit.period_p
+        return
+    band = 0.0
+    if orbit.converged and _descent_runs(model, forcing, opts):
+        # twice the descent's band q*2**-50*theta/(1 - S), S read off log S
+        band = orbit.period_p * 2.0**-49 * model.theta / -math.expm1(orbit.log_multiplier)
+    for symbol, x in zip(orbit.word, orbit.points):
+        assert symbol == ("R" if x >= info.sigma else "L") or abs(x - info.sigma) < band
+
+
+# a LIF forcing whose rotation number 161/162 has the partial quotient 161
+PARTIAL_QUOTIENT_161 = Forcing(A=3.308526683630994, T=0.3407191579772489, d=0.8955593155137267)
+
+
+def test_a_long_run_of_one_direction_costs_the_log_of_its_length(lif, monkeypatch):
+    # 0/1, 1/1, then the mediants gallop 1/2, 2/3, 4/5, ..., 128/129, 256/257
+    # and bisect down to 161/162: 18 tests, where one test per mediant would take 162
+    module = importlib.import_module("ifstrobe.strobe")
+    side_test, words = module._side_test, []
+
+    def counting(branches, word, x, band):
+        words.append(word)
+        return side_test(branches, word, x, band)
+
+    monkeypatch.setattr(module, "_side_test", counting)
+    orbit = attractor(lif, PARTIAL_QUOTIENT_161)
+    assert orbit.converged and orbit.rho == Fraction(161, 162)
+    assert orbit.word == "L" + "R" * 161
+    assert len(words) == 18 <= 2 * math.ceil(math.log2(162)) + 4
+    # past max_period the descent stops and Brent's detector runs: no cycle of
+    # at most 100 maps, so the node is unconverged, as a scan's capped node
+    words.clear()
+    capped = attractor(lif, PARTIAL_QUOTIENT_161, OrbitOptions(max_period=100))
+    assert not capped.converged and capped.period_p <= 100
+    assert max(map(len, words)) <= 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases(), n=st.integers(0, 6))
+@example(case=(LinearModel(a=-0.5, b=0.2), Forcing(A=10 / 3, T=1.6, d=0.2), OrbitOptions()), n=1)
+@example(case=(LinearModel(a=-0.5, b=0.2), Forcing(A=0.25, T=2.0, d=0.5), OrbitOptions()), n=0)
+def test_a_linear_fixed_point_is_the_brent_root_of_its_branch(case, n):
+    # the closed form exists where Brent's method on apply(x) - x finds a root,
+    # and agrees with it to 1e-14 times the branch's condition 1/|1 - s|, plus
+    # the rounding by which apply and the branch may differ (as in the branch
+    # cycle test below), which grows without bound near the critical dose
+    model, forcing, opts = case
+    try:
+        x = fixed_point(model, forcing, n, opts.spike_cap)
+        root = oracle.brentq_fixed_point(model, forcing, n, opts.spike_cap)
+        smap = StrobeMap(model, forcing, opts.spike_cap)
+        branches = smap._build_branches()
+    except (ValueError, SpikeRunawayError, IntegrationError):
+        assume(False)
+    assert (x is None) == (root is None)
+    if x is not None:
+        s = branches.s_R if n == branches.n_R and branches.sigma < math.inf else branches.s_L
+        bound = oracle.branch_error_bound(
+            model.a, model.b, model.theta, forcing.A, forcing.T, smap.delta, n
+        )
+        assert abs(x - root) <= (1e-14 * max(1.0, model.theta) + 2.0 * bound) / abs(1.0 - s)
 
 
 @settings(max_examples=200, deadline=None)
