@@ -96,10 +96,13 @@ class OrbitOptions(_Checked, _OrbitFields):
     :func:`attractor` reports cycles of at most ``max_period`` maps, and
     ``spike_cap`` bounds the spikes of one map.  Brent's detector applies
     the map at most ``transient + 2*max_period`` times from ``seed`` and
-    compares states within ``state_tol``; the descent of a linear map with
-    both branch slopes below 1 reads ``max_period`` alone (``seed`` must
-    still lie in [0, theta)).  The three counts are
-    integers; out-of-domain values raise :class:`~ifstrobe.model.DomainError`.
+    compares states within ``state_tol``; on a closed linear map (see
+    :meth:`StrobeMap.iterate`) an unconverged run stops after ``transient +
+    max_period``, where no later return could still be verified.  The
+    descent of a linear map with both branch slopes below 1 reads
+    ``max_period`` alone (``seed`` must still lie in [0, theta)).  The
+    three counts are integers; out-of-domain values raise
+    :class:`~ifstrobe.model.DomainError`.
     Every summary computes its cycle's multiplier, ``log_multiplier``.
     """
 
@@ -130,7 +133,8 @@ class OrbitSummary(NamedTuple):
     within about ``10*state_tol/(1 - S)`` of the cycle).  Otherwise, when the
     budget ran out or the verified cycle is longer than ``max_period``, the
     fields describe the best candidate cycle among the last
-    ``2*max_period`` map applications.
+    ``2*max_period`` maps of the budget, or of the run that verified the
+    long cycle.
     ``log_multiplier`` is log S, S the product of the map's slopes at the
     p ``points``: the cycle contracts where it is below 0, the one verdict
     a sweep reports as ``contraction_ok`` (see :func:`_log_multiplier`).
@@ -242,8 +246,10 @@ class StrobeMap:
         # the offset of spike spike_cap + 1 from the first, which must not come
         # (a cap past the largest double bounds nothing more)
         self._cap_span = min(spike_cap, sys.float_info.max) * spacing
-        # found on first use: the boundary, as (info,), and iterate's branches
+        # found on first use: the boundary, as (info,), iterate's branches and
+        # whether they map [0, theta) into itself (a generic map never is)
         self._edge = self._branches = None
+        self._closed = False if self._generic else None
 
     def apply(self, x0: float, times: list[float] | None = None) -> tuple[float, int]:
         """Image of x0 after one period and the number of spikes on the way.
@@ -276,7 +282,10 @@ class StrobeMap:
         first map (:meth:`_build_branches`), in one loop with no call per
         map: the exact map's image to within rounding, not :meth:`apply`'s
         bit for bit, and a count that follows sigma in the band of mixed
-        counts.  For a generic model each map is :meth:`apply`'s.
+        counts.  A closed branch map, one whose every image of [0, theta)
+        lies in it, tests the starting state alone; any other tests each
+        state before it steps it and raises ValueError at the first outside
+        the domain.  For a generic model each map is :meth:`apply`'s.
         """
         n, x = len(counts), states[-1]
         if self._generic:
@@ -294,8 +303,11 @@ class StrobeMap:
         sigma, c, s_L, n_L, z, s_R, n_R = self._branches or self._build_branches()
         theta = self._theta
         push_state, push_count = states.append, counts.append
+        if not 0.0 <= x < theta:
+            raise _outside_domain(x, theta)
+        closed = self._is_closed()  # every image then lies in [0, theta): none is tested
         while n < stop:
-            if not 0.0 <= x < theta:
+            if not (closed or 0.0 <= x < theta):
                 raise _outside_domain(x, theta)
             if x >= sigma:
                 x = z + s_R * (x - sigma)
@@ -333,6 +345,27 @@ class StrobeMap:
             z = self._image(0.0, self._pulse - last)
             self._branches = _Branches(sigma, c, s, k, z, self._slope(n), n)
         return self._branches
+
+    def _is_closed(self) -> bool:
+        """Whether every image of [0, theta) lies in it, found once; a generic map is not.
+
+        The rounded ``x - sigma``, ``s*x`` and ``c + y`` of the branch map
+        never decrease, so each branch maps its states between the images of
+        its two extreme states (0 and the double below sigma, sigma and the
+        last double below theta): the map is closed when those images lie in
+        [0, theta), a NaN never.  Errors of :meth:`_build_branches` raise.
+        """
+        if self._closed is None:
+            sigma, c, s_L, _, z, s_R, _ = self._branches or self._build_branches()
+            theta = self._theta
+            top = math.nextafter(theta, 0.0)
+            if sigma == math.inf:
+                images = (c + s_L * 0.0, c + s_L * top)
+            else:
+                left = c + s_L * math.nextafter(sigma, 0.0)
+                images = (c + s_L * 0.0, left, z + s_R * 0.0, z + s_R * (top - sigma))
+            self._closed = all(0.0 <= y < theta for y in images)
+        return self._closed
 
     def _slope(self, k: int) -> float:
         """``exp(a*(T - k*delta))``, the slope of a linear map's k-spike branch."""
@@ -586,24 +619,33 @@ def rotation_number(word: str) -> Fraction:
 
 
 def _least_rotation_start(word: str) -> int:
-    """The k of the lexicographically minimal rotation ``word[k:] + word[:k]`` (Booth's algorithm)."""
+    """The least k of the lexicographically minimal rotation ``word[k:] + word[:k]``.
+
+    A two-index scan over the doubled word: the rotations at i < j agree on
+    their first k letters, and at the first letter where they differ the
+    greater one and the k rotations after it, each greater than its
+    counterpart, drop out.  Every comparison raises i + j + k, which stays
+    below 3n, so the scan makes at most 3n letter comparisons.  It stops
+    when j passes the word or two rotations agree on all n letters, and i
+    is then the least start.
+    """
+    n = len(word)
     doubled = word + word
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        sj = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a = doubled[i + k]
+        b = doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+            if i >= j:
+                i, j = j, i if i > j else j + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i
 
 
 def _best_candidate(states: list[float], max_period: int) -> int:
@@ -670,19 +712,24 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     cycle, found by a Stern-Brocot descent over its branch constants with
     no map applied (:func:`_descend`): ``converged`` unless its period
     passes ``max_period``.  Every other map, and such a map past
-    ``max_period``, runs Brent's detector, unchanged.  It applies the map
-    at most ``transient + 2*max_period`` times (``opts``), by one
-    :meth:`StrobeMap.iterate` call between checkpoints of the detector.  Each state is compared with an anchor that moves after 1,
-    2, 4, ... maps without a return (Brent's cycle detection), once more
-    when ``transient`` maps are spent, and to the current state after a
-    failed verification.  A return within ``state_tol`` at distance p, the only
-    candidate since shorter ones failed from the same anchor, is verified by
-    p more maps: states repeat within 10*state_tol with equal per-step spike
-    counts.  A cycle longer than ``max_period``, or none within the budget,
-    gives ``converged=False`` and the closest candidate cycle among the last
-    2*max_period maps (expected only where the map loses contraction).  A
-    linear map steps its branches (:meth:`StrobeMap.iterate`),
-    split at the boundary that also sets the word.
+    ``max_period``, runs Brent's detector (:func:`_detect`).  It applies
+    the map at most ``transient + 2*max_period`` times (``opts``), by one
+    :meth:`StrobeMap.iterate` call between checkpoints of the detector.
+    Each state is compared with an anchor that moves after 1, 2, 4, ...
+    maps without a return (Brent's cycle detection), once more when
+    ``transient`` maps are spent, and to the current state after a failed
+    verification.  A return within ``state_tol`` at distance p, the only
+    candidate since shorter ones failed from the same anchor, is verified
+    by p more maps: states repeat within 10*state_tol with equal per-step
+    spike counts.  A cycle longer than ``max_period``, or none within the
+    budget, gives ``converged=False`` and the closest candidate cycle among
+    the last 2*max_period maps of the budget (expected only where the map
+    loses contraction).  A linear map steps its branches
+    (:meth:`StrobeMap.iterate`), split at the boundary that also sets the
+    word; on a closed one, where no map can leave [0, theta), the detector
+    stops once no return can still be verified within the budget, so an
+    unconverged run spends ``transient + max_period`` maps.  The word is
+    the itinerary's least rotation (:func:`_least_rotation_start`).
     """
     if opts is None:
         opts = OrbitOptions()
@@ -829,9 +876,20 @@ def _stern_brocot(br: _Branches, cap: int, unit: float) -> tuple[str, list[float
 
 
 def _detect(smap: StrobeMap, opts: OrbitOptions) -> tuple[str, tuple[float, ...], int, bool]:
-    """Brent's detector: the word, points, spikes and ``converged`` of :func:`attractor`."""
+    """Brent's detector: the word, points, spikes and ``converged`` of :func:`attractor`.
+
+    Past the transient the anchor lies at or after ``transient``, and a
+    return at distance lam verifies only if ``anchor + 2*lam`` is within
+    the budget.  On a closed linear map, where no later map can raise, the
+    search from an anchor therefore stops at ``(anchor + budget)//2``;
+    without a return by then the run ends unconverged, with the states up
+    to ``transient + max_period`` that the candidate search reads, and the
+    result of the full budget.  Any other map spends the whole budget, so
+    that a map that leaves the domain still raises.
+    """
     tol, transient = opts.state_tol, opts.transient
     budget = transient + 2 * opts.max_period
+    closed = smap._is_closed()
     states = [opts.seed]
     counts: list[int] = []
     anchor, power = 0, 1  # index of the anchor; maps it waits before it moves
@@ -850,7 +908,15 @@ def _detect(smap: StrobeMap, opts: OrbitOptions) -> tuple[str, tuple[float, ...]
                     break
                 anchor, power, lam = i, 1, 0
             continue
-        stop = min(anchor + power, transient) if i < transient else budget
+        if i < transient:
+            stop = min(anchor + power, transient)
+        elif closed:
+            # a later return could not be verified within the budget
+            stop = (anchor + budget) // 2
+            if i >= stop:
+                break
+        else:
+            stop = budget
         smap.iterate(states, counts, stop, states[anchor], tol)
         i = len(counts)
         if abs(states[i] - states[anchor]) < tol:
@@ -863,9 +929,11 @@ def _detect(smap: StrobeMap, opts: OrbitOptions) -> tuple[str, tuple[float, ...]
         p = period
         start = len(counts) - p
     else:
-        # keep the last 2*max_period maps alone: the states before them are
-        # freed before the candidate search builds its gaps
-        window = len(counts) - 2 * opts.max_period
+        # keep the last 2*max_period maps of the run, or of the budget when
+        # no cycle was verified (an early stop computes their first
+        # max_period + 1 states, all the search reads): the states before
+        # them are freed before the candidate search builds its gaps
+        window = (len(counts) if period else budget) - 2 * opts.max_period
         states, counts, start = states[window:], counts[window:], 0
         p = _best_candidate(states, opts.max_period)
     points = states[start : start + p]

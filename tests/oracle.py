@@ -9,6 +9,8 @@ margin from field values on nonlinear fields.  ``_Flows`` is the
 public-function reference: a drive whose hit times and flows are the
 package's public ``time_to_threshold`` and ``flow``, which
 :func:`flows_map` puts under a map in place of its closed form.
+:func:`booth_least_rotation` is the reference for the package's least
+rotation.
 """
 
 from __future__ import annotations
@@ -201,3 +203,25 @@ def brentq_fixed_point(model, forcing, n: int, spike_cap: int) -> float | None:
     if spikes != n or abs(image - root) > 1e-12 * max(1.0, model.theta):
         return None
     return root
+
+
+def booth_least_rotation(word: str) -> int:
+    """The least k of the lexicographically minimal rotation ``word[k:] + word[:k]``,
+    by Booth's failure-function algorithm (Inf. Process. Lett. 10, 1980)."""
+    doubled = word + word
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        sj = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != doubled[k + i + 1]:
+            if sj < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != doubled[k + i + 1]:
+            if sj < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k

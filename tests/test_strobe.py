@@ -1,5 +1,7 @@
 import importlib
+import itertools
 import math
+import operator
 import re
 import struct
 import sys
@@ -710,9 +712,28 @@ def test_least_rotation_is_minimal():
     rng = np.random.default_rng(3)
     for _ in range(50):
         word = "".join(rng.choice(["L", "R"], size=rng.integers(1, 12)))
-        best = min(word[i:] + word[:i] for i in range(len(word)))
-        k = _least_rotation_start(word)
-        assert 0 <= k < len(word) and word[k:] + word[:k] == best
+        rotations = [word[i:] + word[:i] for i in range(len(word))]
+        # the least start on ties, as in a word that repeats a shorter one
+        assert _least_rotation_start(word) == rotations.index(min(rotations))
+        assert _least_rotation_start(word * 3) == rotations.index(min(rotations))
+
+
+def test_least_rotation_agrees_with_booth_on_every_short_word():
+    words = ["".join(w) for n in range(1, 15) for w in itertools.product("LR", repeat=n)]
+    assert len(words) == 32_766
+    assert [_least_rotation_start(w) for w in words] == list(
+        map(oracle.booth_least_rotation, words)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    word=st.text(alphabet="LR", min_size=1, max_size=3000)
+    | st.builds(operator.mul, st.text(alphabet="LR", min_size=1, max_size=40), st.integers(1, 80))
+)
+@example(word="LR" * 1_499 + "LRR")
+def test_least_rotation_agrees_with_booth(word):
+    assert _least_rotation_start(word) == oracle.booth_least_rotation(word)
 
 
 def test_attractor_subthreshold_fixed_point(lif):
@@ -815,15 +836,29 @@ def test_attractor_anchors_once_more_when_the_transient_is_spent(lif):
 # amplitude correction at T = delta: duty cycle 1 - 1e-12, no contraction
 UNCONVERGED = Forcing(A=0.6667, T=3 * (1 + 1e-12), d=1 / (1 + 1e-12))
 
+# a linear map that is not closed, with s_R = 1.124: from 0 its 13th image,
+# 1.3445, leaves [0, theta), so with transient=10 and max_period=2 map 14
+# raises, after the point (map 12) where a closed map's detector stops
+ESCAPES_PAST_THE_STOP = (
+    LinearModel(a=-1.1041925652075497, b=2.2893927390134987, theta=1.3203550112248243),
+    Forcing(A=6.7290575656468405, T=0.053669611006521074, d=0.3466738256019085),
+)
+
 
 @pytest.mark.parametrize(
     "opts", [OrbitOptions(), OrbitOptions(transient=300, max_period=50)], ids=["default", "short"]
 )
-def test_attractor_budget_bounds_the_map_applications(lif, strobe_calls, opts):
-    orbit = attractor(lif, UNCONVERGED, opts)
+@pytest.mark.parametrize("kind", ["linear", "generic"])
+def test_attractor_budget_bounds_the_map_applications(request, strobe_calls, kind, opts):
+    # the linear map is closed, so its detector stops once no return can still
+    # be verified within the budget: max_period maps past the transient.  A
+    # generic map spends the whole budget, as a later map could raise
+    model = request.getfixturevalue("lif" if kind == "linear" else "lif_generic")
+    orbit = attractor(model, UNCONVERGED, opts)
     assert not orbit.converged
     assert 1 <= orbit.period_p <= opts.max_period
-    assert len(strobe_calls) == opts.transient + 2 * opts.max_period
+    spent = opts.transient + (1 if kind == "linear" else 2) * opts.max_period
+    assert len(strobe_calls) == spent
 
 
 def _branch_map(smap):
@@ -973,12 +1008,44 @@ def _descent_runs(model, forcing, opts):
 @example(
     case=(LinearModel(a=-0.5, b=0.2), ANCHOR_AT_TRANSIENT, OrbitOptions(transient=4000, max_period=20))
 )
+@example(case=(*ESCAPES_PAST_THE_STOP, OrbitOptions(transient=10, max_period=2)))
 def test_attractor_equals_its_detector_stepped_map_by_map(case):
-    # where a branch slope is 1 or more, or the branches raise, the detector runs
+    # where a branch slope is 1 or more, or the branches raise, the detector
+    # runs; the oracle spends the whole budget, so an error that only a map
+    # past the early stop of a closed map would meet must still be raised
     model, forcing, opts = case
     assume(not _descent_runs(model, forcing, opts))
     expected = _summary_bits(lambda: _attractor_map_by_map(model, forcing, opts))
     assert _summary_bits(lambda: attractor(model, forcing, opts)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_attractor_cases(), shares=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+@example(case=(LinearModel(a=-0.5, b=0.2), UNCONVERGED, OrbitOptions()), shares=[0.5])
+@example(case=(*ESCAPES_PAST_THE_STOP, OrbitOptions()), shares=[0.5])
+def test_a_map_is_closed_when_the_images_of_its_extreme_states_stay_in_the_domain(case, shares):
+    # each rounded branch never decreases, so the images of 0, the state
+    # below sigma, sigma and the last state below theta bound every image
+    model, forcing, opts = case
+    try:
+        smap = StrobeMap(model, forcing, opts.spike_cap)
+        sigma, c, s_L, _, z, s_R, _ = smap._build_branches()
+    except (ValueError, SpikeRunawayError, IntegrationError):
+        return
+    theta = model.theta
+    top = math.nextafter(theta, 0.0)
+    if sigma == math.inf:
+        images = [c + s_L * x for x in (0.0, top)]
+    else:
+        images = [c + s_L * x for x in (0.0, math.nextafter(sigma, 0.0))]
+        images += [z + s_R * (x - sigma) for x in (sigma, top)]
+    assert smap._is_closed() == all(0.0 <= y < theta for y in images)
+    if smap._is_closed():
+        extremes = [0.0, top] if sigma == math.inf else [0.0, sigma, top]
+        for x in [min(share * theta, top) for share in shares] + extremes:
+            states, counts = [x], []
+            smap.iterate(states, counts, 1, 0.0, 0.0)
+            assert 0.0 <= states[-1] < theta
 
 
 @settings(max_examples=200, deadline=None)
