@@ -721,7 +721,10 @@ def flow(model: Model, drive: float, t: float, x0: float) -> float:
     """Solution at time ``t`` of x' = f(x) + drive from x(0) = x0, no reset.
 
     A linear field's is :meth:`_LinearDrive.flow`, a generic one's a
-    :func:`solve_ivp` run.
+    :func:`solve_ivp` run from x0, started afresh on each call: the stored
+    orbits (:class:`_DriveOrbits`) serve only the maps of
+    :class:`~ifstrobe.strobe.StrobeMap`, which read the model kind once,
+    where they are built.
     """
     if t < 0.0:
         raise ValueError("flow duration must be >= 0")
@@ -741,7 +744,8 @@ def time_to_threshold(model: Model, drive: float, x0: float) -> float | None:
     it from an x0 where f(x0) + drive <= 0: the state rests or moves away
     from its repelling rest point.  Past that test a linear hit time is
     :meth:`_LinearDrive.hit_time`; a generic one is the ``delta`` of one
-    :class:`_Orbit` run from x0.
+    :class:`_Orbit` run from x0, started afresh on each call, not a lookup
+    on a map's stored orbits (see :func:`flow`).
     """
     theta = model.theta
     if x0 > theta:

@@ -97,7 +97,7 @@ class OrbitOptions(_Checked, _OrbitFields):
     ``spike_cap`` bounds the spikes of one map.  Brent's detector applies
     the map at most ``transient + 2*max_period`` times from ``seed`` and
     compares states within ``state_tol``; on a closed linear map (see
-    :meth:`StrobeMap.iterate`) an unconverged run stops after ``transient +
+    :meth:`_LinearMap._is_closed`) an unconverged run stops after ``transient +
     max_period``, where no later return could still be verified.  The
     descent of a linear map with both branch slopes below 1 reads
     ``max_period`` alone (``seed`` must still lie in [0, theta)).  The
@@ -137,7 +137,7 @@ class OrbitSummary(NamedTuple):
     long cycle.
     ``log_multiplier`` is log S, S the product of the map's slopes at the
     p ``points``: the cycle contracts where it is below 0, the one verdict
-    a sweep reports as ``contraction_ok`` (see :func:`_log_multiplier`).
+    a sweep reports as ``contraction_ok`` (each map kind's ``_log_multiplier``).
     """
 
     period_p: int
@@ -153,7 +153,7 @@ class OrbitSummary(NamedTuple):
 
 
 class _Branches(NamedTuple):
-    """A linear map's two affine branches (see :meth:`StrobeMap._build_branches`)."""
+    """A linear map's two affine branches (see :meth:`_LinearMap._build_branches`)."""
 
     sigma: float
     c: float
@@ -162,6 +162,18 @@ class _Branches(NamedTuple):
     z: float
     s_R: float
     n_R: int
+
+    def fixed_point(self, right: bool) -> float | None:
+        """The fixed point of the right or the left branch's affine form, wherever it lies.
+
+        ``sigma + (z - sigma)/(1 - s_R)`` on the right, ``c/(1 - s_L)`` on
+        the left; None where the slope rounds to exactly 1, which makes the
+        branch a translation, with no isolated fixed point.
+        """
+        s = self.s_R if right else self.s_L
+        if s == 1.0:
+            return None
+        return self.sigma + (self.z - self.sigma) / (1.0 - s) if right else self.c / (1.0 - s)
 
 
 class StrobeMap:
@@ -185,9 +197,19 @@ class StrobeMap:
     it, through one interface for both model kinds: each drive has a
     ``delta``, a ``hit_time(x)`` and a ``flow(x, s)``, and :meth:`apply`,
     the spike count, the edge probes and the boundary's guess call them the
-    same way.  The model kind is read where the maths differs: which drives
-    are built, how :meth:`iterate` steps and how the cycle multiplier is
-    taken (:func:`_log_multiplier`).
+    same way.  The model kind is read once, where the map is built:
+    ``StrobeMap(model, ...)`` makes a private ``_LinearMap`` or
+    ``_GenericMap``, and pickle and copy rebuild the same class.  Each
+    holds the maths where the kinds differ behind the same private
+    members.  ``_drives`` builds the two drives.  ``_fixed_point`` solves
+    one branch for :func:`fixed_point`.  ``_log_multiplier`` takes a
+    cycle's multiplier.  ``_cycle`` finds the attractor without Brent's
+    detector, or gives None.  And ``iterate(states, counts, stop, target,
+    tol)`` applies the map from ``states[-1]`` until ``len(counts) ==
+    stop``: it appends each image to ``states`` and its spike count to
+    ``counts``, and stops early after an image within ``tol`` of
+    ``target`` (never when ``tol`` is 0).  The maps before an error stay
+    appended.
 
     A linear model must have ``a < 0``, the standing hypothesis of one
     attracting rest point; any other ``a``, 0.0 and -0.0 included, raises
@@ -195,24 +217,32 @@ class StrobeMap:
     drives are ``model._LinearDrive``'s closed form, the code of the public
     ``time_to_threshold`` and ``flow``, so :meth:`apply`, :meth:`spike_count`
     and the edge probes of :meth:`boundary` equal those functions bit for
-    bit, errors included.  :meth:`iterate` instead steps the map's two
-    exact affine branches, of n - 1 and n spikes, with slopes ``s_k =
-    exp(a*(T - k*delta))``, split at the boundary's sigma (see
-    :meth:`_build_branches`).  For a generic model every trajectory of a
-    constant drive is a time shift of a stored orbit
-    (``model._DriveOrbits``), one per drive and side of its rest point,
-    integrated once and extended on demand: the reset orbit is the run
-    ``time_to_threshold(model, A, 0.0)`` starts, the hit time from x0 is
-    ``delta - u_A(x0)``, u_A being the time at which that orbit passes x0,
-    and the image is read off the orbit of drive 0 at ``u_0(y) + (1 -
-    d)*T`` from the pulse-end state y.  So after construction its maps,
-    spike counts and edge probes start no integrator run beyond extending
-    those orbits, and its :meth:`iterate` is a loop over :meth:`apply`.  A
-    map builds its own orbits; the nodes of one ``sweep_T`` or
-    ``scan_plane`` call pass the call's store as the private ``_orbits``, a
-    dict of ``_DriveOrbits`` by ``(drive, threshold)``, and share the
-    orbits of each drive.
+    bit, errors included.  Its :meth:`iterate`, fixed points, multiplier
+    and descent instead read the map's two exact affine branches, of n - 1
+    and n spikes, with slopes ``s_k = exp(a*(T - k*delta))``, split at the
+    boundary's sigma (see :meth:`_LinearMap._build_branches`).  For a
+    generic model every trajectory of a constant drive is a time shift of a
+    stored orbit (``model._DriveOrbits``), one per drive and side of its
+    rest point, integrated once and extended on demand: the reset orbit is
+    the run ``time_to_threshold(model, A, 0.0)`` starts, the hit time from
+    x0 is ``delta - u_A(x0)``, u_A being the time at which that orbit
+    passes x0, and the image is read off the orbit of drive 0 at ``u_0(y) +
+    (1 - d)*T`` from the pulse-end state y.  So after construction its
+    maps, spike counts and edge probes start no integrator run beyond
+    extending those orbits; its :meth:`iterate` is a loop over
+    :meth:`apply`, its fixed point a root of ``apply(x) = x`` and its
+    multiplier the product of :func:`_map_slope` over the cycle.  A map
+    builds its own orbits; the nodes of one ``sweep_T`` or ``scan_plane``
+    call pass the call's store as the private ``_orbits``, a dict of
+    ``_DriveOrbits`` by ``(drive, threshold)``, and share the orbits of
+    each drive.
     """
+
+    def __new__(cls, model: Model | None = None, *args, **kwargs) -> StrobeMap:
+        # the one place the model kind is read; pickle and copy pass no model
+        if cls is StrobeMap:
+            cls = _GenericMap if isinstance(model, GenericModel) else _LinearMap
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -229,27 +259,16 @@ class StrobeMap:
         self._theta = model.theta
         self._pulse = pulse = forcing.pulse_width
         self._rest = forcing.T - pulse
-        self._generic = isinstance(model, GenericModel)
-        if self._generic:
-            self._on = _drive_orbits(model, forcing.A, True, _orbits)
-            self._off = _drive_orbits(model, 0.0, False, _orbits)
-        else:
-            a = model.a
-            if not a < 0.0:
-                raise DomainError(
-                    f"a linear field needs a < 0 (one attracting rest point), got a = {a!r}"
-                )
-            self._on, self._off = _LinearDrive(model, forcing.A), _LinearDrive(model, 0.0)
+        self._on, self._off = self._drives(_orbits)
         self.delta = delta = self._on.delta
         # the time between spikes after the first, inf when no second spike comes
         self._spacing = spacing = math.inf if delta is None else delta
         # the offset of spike spike_cap + 1 from the first, which must not come
         # (a cap past the largest double bounds nothing more)
         self._cap_span = min(spike_cap, sys.float_info.max) * spacing
-        # found on first use: the boundary, as (info,), iterate's branches and
-        # whether they map [0, theta) into itself (a generic map never is)
-        self._edge = self._branches = None
-        self._closed = False if self._generic else None
+        # found on first use: the boundary, as (info,), and a linear map's
+        # branches and whether they map [0, theta) into itself
+        self._edge = self._branches = self._closed = None
 
     def apply(self, x0: float, times: list[float] | None = None) -> tuple[float, int]:
         """Image of x0 after one period and the number of spikes on the way.
@@ -269,112 +288,6 @@ class StrobeMap:
         """The state after time s under the drive from x, then the off phase; a
         linear drive also runs a negative s, backwards, as a branch through 0 may need."""
         return self._off.flow(self._on.flow(x, s), self._rest)
-
-    def iterate(
-        self, states: list[float], counts: list[int], stop: int, target: float, tol: float
-    ) -> None:
-        """Apply the map from ``states[-1]`` until ``len(counts) == stop`` or a return.
-
-        Appends each image to ``states`` and its spike count to ``counts``,
-        and stops early after an image within ``tol`` of ``target`` (never
-        when ``tol`` is 0); the maps before an error stay appended.  For a
-        linear model each map is a step of the branch map, built before the
-        first map (:meth:`_build_branches`), in one loop with no call per
-        map: the exact map's image to within rounding, not :meth:`apply`'s
-        bit for bit, and a count that follows sigma in the band of mixed
-        counts.  A closed branch map, one whose every image of [0, theta)
-        lies in it, tests the starting state alone; any other tests each
-        state before it steps it and raises ValueError at the first outside
-        the domain.  For a generic model each map is :meth:`apply`'s.
-        """
-        n, x = len(counts), states[-1]
-        if self._generic:
-            apply = self.apply
-            while n < stop:
-                x, spikes = apply(x)
-                states.append(x)
-                counts.append(spikes)
-                n += 1
-                if abs(x - target) < tol:
-                    return
-            return
-        if n >= stop:
-            return
-        sigma, c, s_L, n_L, z, s_R, n_R = self._branches or self._build_branches()
-        theta = self._theta
-        push_state, push_count = states.append, counts.append
-        if not 0.0 <= x < theta:
-            raise _outside_domain(x, theta)
-        closed = self._is_closed()  # every image then lies in [0, theta): none is tested
-        while n < stop:
-            if not (closed or 0.0 <= x < theta):
-                raise _outside_domain(x, theta)
-            if x >= sigma:
-                x = z + s_R * (x - sigma)
-                push_count(n_R)
-            else:
-                x = c + s_L * x
-                push_count(n_L)
-            push_state(x)
-            n += 1
-            if abs(x - target) < tol:
-                return
-
-    def _build_branches(self) -> _Branches:
-        """Keep and return sigma and the linear map's left and right branches.
-
-        x < sigma maps to ``c + s_L*x`` with n_L = n - 1 spikes, c the image
-        of 0 had its n_L-th spike come at ``n_L*delta``; x >= sigma maps to ``z
-        + s_R*(x - sigma)`` with n_R = n, z the image of sigma (its n-th spike
-        at ``t1 + (n-1)*delta``).  Two terms of one sign (for ``b >= 0``): an
-        expanding right branch loses nothing to the cancellation of ``z -
-        s_R*sigma``.  Without a boundary the left form with ``n_L =
-        spike_count(0.0)`` serves every state, as both branches, and sigma is
-        inf.  Errors of :meth:`boundary` and counts past ``spike_cap`` raise
-        here.
-        """
-        info = self.boundary()
-        k = self.spike_count(0.0) if info is None else info.n - 1
-        c = self._image(0.0, self._pulse - (k * self._spacing if k else 0.0))
-        s = self._slope(k)
-        if info is None:
-            self._branches = _Branches(math.inf, c, s, k, c, s, k)
-        else:
-            sigma, n = info.sigma, info.n
-            last = self._on.hit_time(sigma) + ((n - 1) * self._spacing if n > 1 else 0.0)
-            z = self._image(0.0, self._pulse - last)
-            self._branches = _Branches(sigma, c, s, k, z, self._slope(n), n)
-        return self._branches
-
-    def _is_closed(self) -> bool:
-        """Whether every image of [0, theta) lies in it, found once; a generic map is not.
-
-        The rounded ``x - sigma``, ``s*x`` and ``c + y`` of the branch map
-        never decrease, so each branch maps its states between the images of
-        its two extreme states (0 and the double below sigma, sigma and the
-        last double below theta): the map is closed when those images lie in
-        [0, theta), a NaN never.  Errors of :meth:`_build_branches` raise.
-        """
-        if self._closed is None:
-            sigma, c, s_L, _, z, s_R, _ = self._branches or self._build_branches()
-            theta = self._theta
-            top = math.nextafter(theta, 0.0)
-            if sigma == math.inf:
-                images = (c + s_L * 0.0, c + s_L * top)
-            else:
-                left = c + s_L * math.nextafter(sigma, 0.0)
-                images = (c + s_L * 0.0, left, z + s_R * 0.0, z + s_R * (top - sigma))
-            self._closed = all(0.0 <= y < theta for y in images)
-        return self._closed
-
-    def _slope(self, k: int) -> float:
-        """``exp(a*(T - k*delta))``, the slope of a linear map's k-spike branch."""
-        if k and self._spacing == math.inf:
-            raise DomainError(
-                f"slope exp(a*(T - n*delta)) of the {k}-spike branch undefined: delta is None "
-                f"or infinite (delta = {self.delta}) under A={self.forcing.A}"
-            )
-        return math.exp(self.model.a * (self.forcing.T - (k * self._spacing if k else 0.0)))
 
     def spike_count(self, x0: float) -> int:
         """Spikes of one map application from x0, without its image.
@@ -461,16 +374,247 @@ class StrobeMap:
         return None if sigma is None else BoundaryInfo(sigma=sigma, n=n)
 
 
-def _drive_orbits(
-    model: GenericModel, drive: float, threshold: bool, store: dict | None
-) -> _DriveOrbits:
-    """The orbits of one drive: from ``store`` when given, built there on first use."""
-    if store is None:
-        return _DriveOrbits(model.f, drive, model.theta, threshold)
-    orbits = store.get((drive, threshold))
-    if orbits is None:
-        orbits = store[drive, threshold] = _DriveOrbits(model.f, drive, model.theta, threshold)
-    return orbits
+class _LinearMap(StrobeMap):
+    """A linear model's map: closed-form drives, stepped on its two exact affine branches."""
+
+    def _drives(self, store: dict | None) -> tuple[_LinearDrive, _LinearDrive]:
+        """The closed-form drives A and 0; ``a`` must be < 0 (``store`` serves generic maps)."""
+        a = self.model.a
+        if not a < 0.0:
+            raise DomainError(
+                f"a linear field needs a < 0 (one attracting rest point), got a = {a!r}"
+            )
+        return _LinearDrive(self.model, self.forcing.A), _LinearDrive(self.model, 0.0)
+
+    def iterate(
+        self, states: list[float], counts: list[int], stop: int, target: float, tol: float
+    ) -> None:
+        """Apply the map from ``states[-1]`` until ``len(counts) == stop`` or a return.
+
+        Each map is a step of the branch map, built before the first map
+        (:meth:`_build_branches`), in one loop with no call per map: the
+        exact map's image to within rounding, not :meth:`apply`'s bit for
+        bit, and a count that follows sigma in the band of mixed counts.  A
+        closed branch map, one whose every image of [0, theta) lies in it,
+        tests the starting state alone; any other tests each state before it
+        steps it and raises ValueError at the first outside the domain.
+        """
+        n, x = len(counts), states[-1]
+        if n >= stop:
+            return
+        sigma, c, s_L, n_L, z, s_R, n_R = self._branches or self._build_branches()
+        theta = self._theta
+        push_state, push_count = states.append, counts.append
+        if not 0.0 <= x < theta:
+            raise _outside_domain(x, theta)
+        closed = self._is_closed()  # every image then lies in [0, theta): none is tested
+        for _ in range(n, stop):
+            if not (closed or 0.0 <= x < theta):
+                raise _outside_domain(x, theta)
+            if x >= sigma:
+                x = z + s_R * (x - sigma)
+                push_count(n_R)
+            else:
+                x = c + s_L * x
+                push_count(n_L)
+            push_state(x)
+            if abs(x - target) < tol:
+                return
+
+    def _build_branches(self) -> _Branches:
+        """Keep and return sigma and the map's left and right branches.
+
+        x < sigma maps to ``c + s_L*x`` with n_L = n - 1 spikes, c the image
+        of 0 had its n_L-th spike come at ``n_L*delta``; x >= sigma maps to ``z
+        + s_R*(x - sigma)`` with n_R = n, z the image of sigma (its n-th spike
+        at ``t1 + (n-1)*delta``).  Two terms of one sign (for ``b >= 0``): an
+        expanding right branch loses nothing to the cancellation of ``z -
+        s_R*sigma``.  Without a boundary the left form with ``n_L =
+        spike_count(0.0)`` serves every state, as both branches, and sigma is
+        inf.  Errors of :meth:`boundary` and counts past ``spike_cap`` raise
+        here.
+        """
+        info = self.boundary()
+        k = self.spike_count(0.0) if info is None else info.n - 1
+        c = self._image(0.0, self._pulse - (k * self._spacing if k else 0.0))
+        s = self._slope(k)
+        if info is None:
+            self._branches = _Branches(math.inf, c, s, k, c, s, k)
+        else:
+            sigma, n = info.sigma, info.n
+            last = self._on.hit_time(sigma) + ((n - 1) * self._spacing if n > 1 else 0.0)
+            z = self._image(0.0, self._pulse - last)
+            self._branches = _Branches(sigma, c, s, k, z, self._slope(n), n)
+        return self._branches
+
+    def _is_closed(self) -> bool:
+        """Whether every image of [0, theta) lies in it, found once.
+
+        The rounded ``x - sigma``, ``s*x`` and ``c + y`` of the branch map
+        never decrease, so each branch maps its states between the images of
+        its two extreme states (0 and the double below sigma, sigma and the
+        last double below theta): the map is closed when those images lie in
+        [0, theta), a NaN never.  Errors of :meth:`_build_branches` raise.
+        """
+        if self._closed is None:
+            sigma, c, s_L, _, z, s_R, _ = self._branches or self._build_branches()
+            theta = self._theta
+            top = math.nextafter(theta, 0.0)
+            if sigma == math.inf:
+                images = (c + s_L * 0.0, c + s_L * top)
+            else:
+                left = c + s_L * math.nextafter(sigma, 0.0)
+                images = (c + s_L * 0.0, left, z + s_R * 0.0, z + s_R * (top - sigma))
+            self._closed = all(0.0 <= y < theta for y in images)
+        return self._closed
+
+    def _slope(self, k: int) -> float:
+        """``exp(a*(T - k*delta))``, the slope of the k-spike branch."""
+        if k and self._spacing == math.inf:
+            raise DomainError(
+                f"slope exp(a*(T - n*delta)) of the {k}-spike branch undefined: delta is None "
+                f"or infinite (delta = {self.delta}) under A={self.forcing.A}"
+            )
+        return math.exp(self.model.a * (self.forcing.T - (k * self._spacing if k else 0.0)))
+
+    def _fixed_point(self, n: int, lo: float, hi: float) -> float | None:
+        """The closed-form fixed point of the branch [lo, hi] (:meth:`_Branches.fixed_point`).
+
+        The right branch is the one that starts at sigma; None where the
+        fixed point lies outside [lo, hi] or the slope rounds to exactly 1.
+        """
+        br = self._branches or self._build_branches()
+        x = br.fixed_point(lo == br.sigma)
+        return None if x is None or not lo <= x <= hi else x
+
+    def _log_multiplier(self, points: tuple[float, ...], spikes: int) -> float:
+        """log S of a cycle of p ``points`` and N ``spikes``: ``a*(p*T - N*delta)``.
+
+        The k-spike branch has slope ``exp(a*(T - k*delta))``; a spiking
+        branch with an infinite spacing has raised when the branches were
+        built.
+        """
+        spacing = self._spacing
+        return self.model.a * (len(points) * self.forcing.T - (spikes * spacing if spikes else 0.0))
+
+    def _cycle(self, opts: OrbitOptions) -> tuple[str, tuple[float, ...], int, bool] | None:
+        """The cycle by Stern-Brocot descent, as :func:`_detect` reports it; None for the detector.
+
+        It runs where both branch slopes are below 1.  Every image then lies
+        in J = [z, b], b = c + s_L*sigma the left limit at sigma, and on J the
+        map is injective: ``s_R*(b - sigma) + s_L*(sigma - z) <= b - z``, as
+        both slopes are at most 1.  So it has one rotation number rho, the
+        share of R symbols, and at most one cycle of rotation number p/q: the
+        q-fold composition along its word, the lower Christoffel word, is
+        affine with slope below 1.  That cycle attracts every seed, and
+        :func:`_stern_brocot` finds it.  None, for Brent's detector, where a
+        slope is 1 or more, where the search passes ``max_period`` (the only
+        field of ``opts`` it reads), or where a point of the cycle leaves [0,
+        theta).  The seed must lie in [0, theta) on both paths.
+        """
+        br = self._branches or self._build_branches()
+        theta, seed = self._theta, opts.seed
+        if not 0.0 <= seed < theta:
+            raise _outside_domain(seed, theta)
+        if not (br.s_L < 1.0 and br.s_R < 1.0):
+            return None
+        cycle = _stern_brocot(br, opts.max_period, 2.0**-50 * theta)
+        if cycle is None or not (0.0 <= min(cycle[1]) and max(cycle[1]) < theta):
+            return None
+        word, points = cycle
+        n_spikes = len(word) * br.n_L + word.count("R") * (br.n_R - br.n_L)
+        return word, tuple(points), n_spikes, True
+
+
+class _GenericMap(StrobeMap):
+    """A generic model's map: its drives read stored orbits, its iterate applies the map."""
+
+    def _drives(self, store: dict | None) -> tuple[_DriveOrbits, _DriveOrbits]:
+        """The orbits of the drives A and 0: from ``store`` when given, built there on first use."""
+        model, store = self.model, {} if store is None else store
+        for drive, threshold in ((self.forcing.A, True), (0.0, False)):
+            if (drive, threshold) not in store:
+                store[drive, threshold] = _DriveOrbits(model.f, drive, model.theta, threshold)
+        return store[self.forcing.A, True], store[0.0, False]
+
+    def iterate(
+        self, states: list[float], counts: list[int], stop: int, target: float, tol: float
+    ) -> None:
+        """Apply the map from ``states[-1]`` until ``len(counts) == stop`` or a return.
+
+        Each map is :meth:`apply`'s, which raises ValueError outside [0, theta).
+        """
+        x = states[-1]
+        for _ in range(len(counts), stop):
+            x, spikes = self.apply(x)
+            states.append(x)
+            counts.append(spikes)
+            if abs(x - target) < tol:
+                return
+
+    def _is_closed(self) -> bool:
+        """False: no bound keeps a generic map's images in [0, theta)."""
+        return False
+
+    def _fixed_point(self, n: int, lo: float, hi: float) -> float | None:
+        """The root of ``apply(x) = x`` on the n-spike branch [lo, hi] by Brent's method.
+
+        None without a sign change, or where the root is the discontinuity
+        at the branch edge: its image spikes otherwise than n times or
+        misses it by more than ``1e-12*max(1, theta)``.
+        """
+
+        def defect(x: float) -> float:
+            return self.apply(x)[0] - x
+
+        d_lo, d_hi = defect(lo), defect(hi)
+        if d_lo == 0.0 or d_hi == 0.0:
+            return lo if d_lo == 0.0 else hi
+        if math.copysign(1.0, d_lo) == math.copysign(1.0, d_hi):
+            return None
+        root = brentq(defect, lo, hi, xtol=1e-14)
+        image, spikes = self.apply(root)
+        if spikes != n or abs(image - root) > 1e-12 * max(1.0, self._theta):
+            return None
+        return root
+
+    def _log_multiplier(self, points: tuple[float, ...], spikes: int) -> float:
+        """log S of a cycle through ``points``: the sum of the logs of :func:`_map_slope`.
+
+        A slope that underflows to 0 gives -inf.
+        """
+        total = 0.0
+        for x in points:
+            slope = _map_slope(self, x, *self._spikes(x))
+            total += math.log(slope) if slope else -math.inf
+        return total
+
+    def _cycle(self, opts: OrbitOptions) -> None:
+        """None: a generic map's cycle is Brent's detector's."""
+        return None
+
+
+def _map_slope(smap: _GenericMap, x0: float, spikes: int, last: float) -> float:
+    """The generic map's derivative at x0, which spikes ``spikes`` times, the last at ``last``.
+
+    Along a constant drive D the flow's derivative is ``g_D(end)/g_D(start)``,
+    g_D = f + D, and a reset's saltation cancels the factors of the hit
+    times, so the map's slope is ``g_A(y)*g_0(z) / (g_A(x0)*g_0(y))``, y the
+    pulse-end state and z the image.  With spikes, ``g_A(y)/g_A(x0)`` is
+    taken as it is: both states lie on the reset orbit, where g_A is at
+    least f(theta) + A.  Each reset-free flow, the off phase and an on phase
+    without spikes, takes :func:`~ifstrobe.model._flow_slope`'s rule, which
+    replaces the quotient by ``exp(s*f')`` near the drive's rest point.
+    """
+    model, A, rest = smap.model, smap.forcing.A, smap._rest
+    s = smap._pulse - last
+    y = smap._on.flow(0.0 if spikes else x0, s)
+    z = smap._off.flow(y, rest)
+    if spikes:
+        on = (model.f(y) + A) / (model.f(x0) + A)
+    else:
+        on = _flow_slope(model, A, s, x0, y)
+    return on * _flow_slope(model, 0.0, rest, y, z)
 
 
 def strobe(model: Model, forcing: Forcing, x0: float, spike_cap: int = SPIKE_CAP) -> StrobeResult:
@@ -559,15 +703,14 @@ def fixed_point(
 
     Absent when the requested branch does not exist or its fixed point has
     moved outside the branch domain.  A linear field takes it in closed
-    form from its affine branches (:meth:`StrobeMap._build_branches`):
+    form from its affine branches (:meth:`_Branches.fixed_point`):
     ``c/(1 - s_L)`` left of sigma, ``sigma + (z - sigma)/(1 - s_R)`` at or
     right of it; a slope that rounds to exactly 1 makes the branch a
     translation, with no isolated fixed point, and gives None.  A generic
     field solves ``apply(x) = x`` on the branch by Brent's method.
     """
     _check_count("spike count n", n, 0)
-    theta = model.theta
-    top = math.nextafter(theta, 0.0)
+    top = math.nextafter(model.theta, 0.0)
     smap = StrobeMap(model, forcing, spike_cap)
     info = smap.boundary()
     if info is None:
@@ -580,32 +723,7 @@ def fixed_point(
         lo, hi = 0.0, math.nextafter(info.sigma, 0.0)
     else:
         return None
-    if not smap._generic:
-        sigma, c, s_L, _, z, s_R, _ = smap._branches or smap._build_branches()
-        right = info is not None and n == info.n
-        s = s_R if right else s_L
-        if s == 1.0:
-            return None
-        x = sigma + (z - sigma) / (1.0 - s) if right else c / (1.0 - s)
-        return x if lo <= x <= hi else None
-
-    def defect(x: float) -> float:
-        return smap.apply(x)[0] - x
-
-    d_lo = defect(lo)
-    d_hi = defect(hi)
-    if d_lo == 0.0:
-        return lo
-    if d_hi == 0.0:
-        return hi
-    if math.copysign(1.0, d_lo) == math.copysign(1.0, d_hi):
-        return None
-    root = brentq(defect, lo, hi, xtol=1e-14)
-    # a sign change at the branch edge is the discontinuity, not a fixed point
-    image, spikes = smap.apply(root)
-    if spikes != n or abs(image - root) > 1e-12 * max(1.0, theta):
-        return None
-    return root
+    return smap._fixed_point(n, lo, hi)
 
 
 def rotation_number(word: str) -> Fraction:
@@ -662,59 +780,16 @@ def _repeats(states: list[float], counts: list[int], start: int, p: int, tol: fl
     )
 
 
-def _log_multiplier(smap: StrobeMap, points: tuple[float, ...], spikes: int) -> float:
-    """log S, S the cycle multiplier: the product of the map's slopes at ``points``.
-
-    A linear map's k-spike branch has slope ``exp(a*(T - k*delta))``, so
-    for p points and ``spikes`` = N spikes in all log S is ``a*(p*T -
-    N*delta)``; a spiking branch with an infinite spacing has raised when
-    the branches were built.  A generic map adds up the logs of
-    :func:`_map_slope` at each point, a slope that underflows to 0 giving
-    -inf.
-    """
-    if not smap._generic:
-        spacing = smap._spacing
-        return smap.model.a * (len(points) * smap.forcing.T - (spikes * spacing if spikes else 0.0))
-    total = 0.0
-    for x in points:
-        slope = _map_slope(smap, x, *smap._spikes(x))
-        total += math.log(slope) if slope else -math.inf
-    return total
-
-
-def _map_slope(smap: StrobeMap, x0: float, spikes: int, last: float) -> float:
-    """The generic map's derivative at x0, which spikes ``spikes`` times, the last at ``last``.
-
-    Along a constant drive D the flow's derivative is ``g_D(end)/g_D(start)``,
-    g_D = f + D, and a reset's saltation cancels the factors of the hit
-    times, so the map's slope is ``g_A(y)*g_0(z) / (g_A(x0)*g_0(y))``, y the
-    pulse-end state and z the image.  With spikes, ``g_A(y)/g_A(x0)`` is
-    taken as it is: both states lie on the reset orbit, where g_A is at
-    least f(theta) + A.  Each reset-free flow, the off phase and an on phase
-    without spikes, takes :func:`~ifstrobe.model._flow_slope`'s rule, which
-    replaces the quotient by ``exp(s*f')`` near the drive's rest point.
-    """
-    model, A, rest = smap.model, smap.forcing.A, smap._rest
-    s = smap._pulse - last
-    y = smap._on.flow(0.0 if spikes else x0, s)
-    z = smap._off.flow(y, rest)
-    if spikes:
-        on = (model.f(y) + A) / (model.f(x0) + A)
-    else:
-        on = _flow_slope(model, A, s, x0, y)
-    return on * _flow_slope(model, 0.0, rest, y, z)
-
-
 def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) -> OrbitSummary:
     """Find the map's periodic attractor and summarize it.
 
     A linear map whose branch slopes are both below 1 has one attracting
     cycle, found by a Stern-Brocot descent over its branch constants with
-    no map applied (:func:`_descend`): ``converged`` unless its period
+    no map applied (:meth:`_LinearMap._cycle`): ``converged`` unless its period
     passes ``max_period``.  Every other map, and such a map past
     ``max_period``, runs Brent's detector (:func:`_detect`).  It applies
     the map at most ``transient + 2*max_period`` times (``opts``), by one
-    :meth:`StrobeMap.iterate` call between checkpoints of the detector.
+    ``iterate`` call of the map between checkpoints of the detector.
     Each state is compared with an anchor that moves after 1, 2, 4, ...
     maps without a return (Brent's cycle detection), once more when
     ``transient`` maps are spent, and to the current state after a failed
@@ -725,7 +800,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
     budget, gives ``converged=False`` and the closest candidate cycle among
     the last 2*max_period maps of the budget (expected only where the map
     loses contraction).  A linear map steps its branches
-    (:meth:`StrobeMap.iterate`), split at the boundary that also sets the
+    (:meth:`_LinearMap.iterate`), split at the boundary that also sets the
     word; on a closed one, where no map can leave [0, theta), the detector
     stops once no return can still be verified within the budget, so an
     unconverged run spends ``transient + max_period`` maps.  The word is
@@ -738,14 +813,7 @@ def attractor(model: Model, forcing: Forcing, opts: OrbitOptions | None = None) 
 
 def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
     """:func:`attractor` of a map already built, with ``opts.spike_cap`` as its cap."""
-    cycle = None if smap._generic else _descend(smap, opts)
-    if cycle is None:
-        word, points, n_spikes, converged = _detect(smap, opts)
-    else:
-        word, points = cycle[0], tuple(cycle[1])
-        _, _, _, n_L, _, _, n_R = smap._branches
-        n_spikes = len(word) * n_L + word.count("R") * (n_R - n_L)
-        converged = True
+    word, points, n_spikes, converged = smap._cycle(opts) or _detect(smap, opts)
     p = len(points)
     return OrbitSummary(
         period_p=p,
@@ -756,7 +824,7 @@ def _attractor(smap: StrobeMap, opts: OrbitOptions) -> OrbitSummary:
         rate=n_spikes / (p * smap.forcing.T),
         points=points,
         converged=converged,
-        log_multiplier=_log_multiplier(smap, points, n_spikes),
+        log_multiplier=smap._log_multiplier(points, n_spikes),
         single_branch=smap.boundary() is None,
     )
 
@@ -789,38 +857,11 @@ def _then(u: tuple, v: tuple) -> tuple:
     return u[0] + v[0], v[1] + v[2] * u[1], u[2] * v[2], u[3] + v[3]
 
 
-def _descend(smap: StrobeMap, opts: OrbitOptions) -> tuple[str, list[float]] | None:
-    """A linear map's cycle, word and points, by Stern-Brocot descent; None for the detector.
-
-    It runs where both branch slopes are below 1.  Every image then lies
-    in J = [z, b], b = c + s_L*sigma the left limit at sigma, and on J the
-    map is injective: ``s_R*(b - sigma) + s_L*(sigma - z) <= b - z``, as
-    both slopes are at most 1.  So it has one rotation number rho, the
-    share of R symbols, and at most one cycle of rotation number p/q: the
-    q-fold composition along its word, the lower Christoffel word, is
-    affine with slope below 1.  That cycle attracts every seed, and
-    :func:`_stern_brocot` finds it.  None, for Brent's detector, where a
-    slope is 1 or more, where the search passes ``max_period`` (the only
-    field of ``opts`` it reads), or where a point of the cycle leaves [0,
-    theta).  The seed must lie in [0, theta) on both paths.
-    """
-    br = smap._branches or smap._build_branches()
-    theta, seed = smap._theta, opts.seed
-    if not 0.0 <= seed < theta:
-        raise _outside_domain(seed, theta)
-    if not (br.s_L < 1.0 and br.s_R < 1.0):
-        return None
-    cycle = _stern_brocot(br, opts.max_period, 2.0**-50 * theta)
-    if cycle is None or not (0.0 <= min(cycle[1]) and max(cycle[1]) < theta):
-        return None
-    return cycle
-
-
 def _stern_brocot(br: _Branches, cap: int, unit: float) -> tuple[str, list[float]] | None:
     """The word and points of the cycle of rotation number p/q, q at most ``cap``, else None.
 
-    It tries 0/1 (the left fixed point ``c/(1 - s_L)``) and 1/1 (the right
-    one, ``sigma + (z - sigma)/(1 - s_R)``), then mediants.  A mediant's
+    It tries 0/1 and 1/1, the fixed points of the left and the right
+    branch (:meth:`_Branches.fixed_point`), then mediants.  A mediant's
     word is its lower parent's then its upper parent's, so its map ``C +
     S*x`` is one product of theirs (:func:`_then`), and its candidate
     point is ``C/(1 - S)``.  :func:`_side_test` steps the candidate's q
@@ -831,15 +872,14 @@ def _stern_brocot(br: _Branches, cap: int, unit: float) -> tuple[str, list[float
     with the log of each partial quotient.  The word, a Lyndon word, is
     its least rotation, and ``points[i]`` has the symbol ``word[i]``.
     """
-    sigma, c, s_L, _, z, s_R, _ = br
 
     def test(node: tuple, x: float | None = None) -> tuple[int, list[float]]:
         q, C, S, word = node
         return _side_test(br, word, C / (1.0 - S) if x is None else x, q * unit / (1.0 - S))
 
-    lo, hi = (1, c, s_L, "L"), (1, z - s_R * sigma, s_R, "R")
-    for node, x in ((lo, None), (hi, sigma + (z - sigma) / (1.0 - s_R))):
-        d, points = test(node, x)
+    lo, hi = (1, br.c, br.s_L, "L"), (1, br.z - br.s_R * br.sigma, br.s_R, "R")
+    for node, right in ((lo, False), (hi, True)):
+        d, points = test(node, br.fixed_point(right))
         if not d:
             return node[3], points
     while True:

@@ -54,11 +54,22 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class WidthCorrection(NamedTuple):
-    """Fixed amplitude and duty cycle; the pulse widens with the period."""
-
+class _WidthFields(NamedTuple):
     A: float
     d: float
+
+
+class WidthCorrection(_Checked, _WidthFields):
+    """Fixed amplitude and duty cycle; the pulse widens with the period.
+
+    ``A`` is finite and >= 0 and ``d`` lies in (0, 1), the rules of
+    :class:`~ifstrobe.model.Forcing`, else DomainError.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        _check_forcing(A=self.A, d=self.d)
 
     @property
     def dose(self) -> float:
@@ -260,11 +271,12 @@ class _GridRunner:
 
     ``fn(task, orbits)`` takes the call's one store of drive orbits in
     process, kept across every ``map``; the pool sends its nodes in chunks,
-    each with a store of its own in the worker (:func:`_run_chunk`).  A
-    generic node's map takes its drives' orbits from the store (see
-    :class:`~ifstrobe.strobe.StrobeMap`), a linear one leaves it alone; a
-    stored orbit gives every lookup the value a fresh one gives, so no
-    node's result depends on the nodes before it.
+    each with a store of its own in the worker (:func:`_run_chunk`).  Each
+    node builds a :class:`~ifstrobe.strobe.StrobeMap`, which is a generic
+    or a linear map by its model: a generic map takes its drives' orbits
+    from the store, a linear one has closed-form drives and leaves it
+    alone.  A stored orbit gives every lookup the value a fresh one gives,
+    so no node's result depends on the nodes before it.
 
     With ``workers > 1`` nodes run in process first, in a strided order: with
     cap = min(workers, usable CPUs), node i is in stride i mod 4*cap, so the

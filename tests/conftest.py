@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ifstrobe import GenericModel, LinearModel, StrobeMap
+from ifstrobe.strobe import _GenericMap, _LinearMap
 
 
 def linear_f(x: float) -> float:
@@ -81,34 +82,40 @@ def stepper_runs(monkeypatch) -> list:
 def strobe_calls(monkeypatch) -> list:
     """One entry per map application, by ``StrobeMap.apply`` or ``StrobeMap.iterate``, from here on.
 
-    A generic ``iterate`` loops over ``apply``, so only the outermost call
-    counts: one entry per ``apply`` and one per state that ``iterate``
-    appends.
+    Each map kind has its own ``iterate``, and a generic one loops over
+    ``apply``, so only the outermost call counts: one entry per ``apply``
+    and one per state that ``iterate`` appends.
     """
-    apply, iterate = StrobeMap.apply, StrobeMap.iterate
     calls, running = [], []
 
-    def counting_apply(self, *args, **kwargs):
-        if not running:
-            calls.append(None)
-        running.append(None)
-        try:
-            return apply(self, *args, **kwargs)
-        finally:
-            running.pop()
+    def counting_apply(apply):
+        def counted(self, *args, **kwargs):
+            if not running:
+                calls.append(None)
+            running.append(None)
+            try:
+                return apply(self, *args, **kwargs)
+            finally:
+                running.pop()
 
-    def counting_iterate(self, states, counts, *args):
-        outermost, before = not running, len(counts)
-        running.append(None)
-        try:
-            return iterate(self, states, counts, *args)
-        finally:
-            running.pop()
-            if outermost:
-                calls.extend([None] * (len(counts) - before))
+        return counted
 
-    monkeypatch.setattr(StrobeMap, "apply", counting_apply)
-    monkeypatch.setattr(StrobeMap, "iterate", counting_iterate)
+    def counting_iterate(iterate):
+        def counted(self, states, counts, *args):
+            outermost, before = not running, len(counts)
+            running.append(None)
+            try:
+                return iterate(self, states, counts, *args)
+            finally:
+                running.pop()
+                if outermost:
+                    calls.extend([None] * (len(counts) - before))
+
+        return counted
+
+    monkeypatch.setattr(StrobeMap, "apply", counting_apply(StrobeMap.apply))
+    for kind in (_LinearMap, _GenericMap):
+        monkeypatch.setattr(kind, "iterate", counting_iterate(kind.iterate))
     return calls
 
 

@@ -126,6 +126,15 @@ def test_wide_window_width_approaches_rise_time_ratio(lif):
     assert width == pytest.approx(delta / d, rel=0.10)
 
 
+@pytest.mark.parametrize("n, side", [(1, Side.R), (1, Side.L), (2, Side.R)])
+def test_generic_bif_T_agrees_with_linear(lif, lif_generic, n, side):
+    # the same alignment solve on the integrator's flows and hit times
+    linear = bif_T(lif, n, side, 10 / 3, 0.2)
+    generic = bif_T(lif_generic, n, side, 10 / 3, 0.2)
+    for field in ("T", "xbar", "t_first"):
+        assert abs(getattr(generic, field) - getattr(linear, field)) < 1e-9, field
+
+
 def test_bif_T_solves_the_reset_hit_time_once(lif, monkeypatch):
     # delta = time_to_threshold(model, A, 0.0) depends on A alone
     from_reset = []
@@ -208,6 +217,16 @@ def test_rate_limits_conditional_point(lif):
     assert lim.r_zero == 0.0
     assert lim.T0 is not None and lim.T0 > 0.0
     assert lim.r_min == 0.0 and not lim.r_min_is_infimum
+
+
+def test_rate_limits_report_the_small_period_infimum(lif):
+    # at A = 0.8, d = 0.4 the small-period limit r_zero = 0.1535 lies below
+    # the rate 1/T1L = 0.1840 at the 1-spike window's left end: the least
+    # rate is that limit, approached as T -> 0 and taken at no period
+    lim = rate_limits(lif, 0.8, 0.4)
+    assert lim.r_zero == pytest.approx(0.1535, abs=1e-4)
+    assert lim.r_zero < 1.0 / lim.T1L
+    assert lim.r_min == lim.r_zero and lim.r_min_at is None and lim.r_min_is_infimum
 
 
 def test_rate_limits_rejects_non_spiking(lif):

@@ -184,6 +184,7 @@ def test_record_contract(cls):
 
 THETA_RULE = "theta must be finite and strictly positive"
 A_RULE = "amplitude A must be finite and >= 0"
+D_RULE = "duty cycle d must lie in the open interval (0, 1)"
 DELTA_RULE = "pulse duration delta must be finite and > 0"
 Q_RULE = "dose Q must be finite and >= 0"
 
@@ -195,11 +196,15 @@ CHECKED = [
     (GenericModel, {"f": math.cos, "f_deriv": math.sin}, {"theta": math.inf}, THETA_RULE),
     (Forcing, {"A": 1.0, "T": 2.0, "d": 0.5}, {"A": -1.0}, A_RULE),
     (Forcing, {"A": 1.0, "T": 2.0, "d": 0.5}, {"T": 0.0}, "period T must be finite and > 0"),
-    (Forcing, {"A": 1.0, "T": 2.0, "d": 0.5}, {"d": 1.0}, "duty cycle d must lie in the open"),
+    (Forcing, {"A": 1.0, "T": 2.0, "d": 0.5}, {"d": 1.0}, D_RULE),
     (OrbitOptions, {}, {"transient": -1}, "transient must be >= 0, got -1"),
     (OrbitOptions, {}, {"max_period": 0}, "max_period must be >= 1, got 0"),
     (OrbitOptions, {}, {"spike_cap": 2.0}, "spike_cap must be an integer, got 2.0"),
     (OrbitOptions, {}, {"state_tol": math.nan}, "state_tol must be finite and > 0, got nan"),
+    (WidthCorrection, {"A": 1.0, "d": 0.5}, {"A": math.nan}, A_RULE),
+    (WidthCorrection, {"A": 1.0, "d": 0.5}, {"A": -1.0}, A_RULE),
+    (WidthCorrection, {"A": 1.0, "d": 0.5}, {"d": 2.0}, D_RULE),
+    (WidthCorrection, {"A": 1.0, "d": 0.5}, {"d": 0.0}, D_RULE),
     (AmplitudeCorrection, {"delta": 1.0, "Q": 0.5}, {"delta": 0.0}, DELTA_RULE),
     (AmplitudeCorrection, {"delta": 1.0, "Q": 0.5}, {"delta": -1.0}, DELTA_RULE),
     (AmplitudeCorrection, {"delta": 1.0, "Q": 0.5}, {"delta": math.nan}, DELTA_RULE),

@@ -1,7 +1,9 @@
+import copy
 import importlib
 import itertools
 import math
 import operator
+import pickle
 import re
 import struct
 import sys
@@ -42,6 +44,9 @@ from ifstrobe.model import MAX_STEPS, _LinearDrive
 from ifstrobe.strobe import (
     SPIKE_CAP,
     STATE_TOL,
+    _GenericMap,
+    _LinearMap,
+    _attractor,
     _best_candidate,
     _from_ordinal,
     _least_rotation_start,
@@ -697,6 +702,28 @@ def test_a_branch_slope_of_exactly_one_has_no_fixed_point(lif):
     assert oracle.brentq_fixed_point(lif, forcing, 1, SPIKE_CAP) is None
 
 
+@pytest.mark.parametrize(
+    "forcing, n_fixed",
+    [
+        (Forcing(A=10 / 3, T=1.6, d=0.2), 1),
+        (Forcing(A=10 / 3, T=3.0, d=0.2), 2),
+        (Forcing(A=0.25, T=2.0, d=0.5), 0),
+    ],
+)
+def test_a_generic_fixed_point_is_the_closed_form_of_the_wrapped_field(
+    lif, lif_generic, forcing, n_fixed
+):
+    # Brent's method on apply(x) = x along the stored orbits, against the
+    # linear branch's closed form: one branch has a fixed point, and the
+    # integrator's error (rtol 1e-10) bounds the gap between the two
+    for n in range(4):
+        linear, generic = fixed_point(lif, forcing, n), fixed_point(lif_generic, forcing, n)
+        if n == n_fixed:
+            assert abs(generic - linear) < 1e-10
+        else:
+            assert linear is None and generic is None
+
+
 def test_rotation_number_values():
     assert rotation_number("LR") == Fraction(1, 2)
     assert rotation_number("LLLLR") == Fraction(1, 5)
@@ -951,6 +978,29 @@ def _attractor_map_by_map(model, forcing, opts):
         log_multiplier=model.a * (p * forcing.T - (n_spikes * smap.delta if n_spikes else 0.0)),
         single_branch=info is None,
     )
+
+
+# the right branch expands (s_R = 1.108), so Brent's detector runs: with
+# state_tol = 0.1 the return at distance 13 fails its verification, and the
+# 6-cycle verifies from the state where that verification ended
+FAILED_VERIFICATION = Forcing(A=10 / 3, T=0.1, d=0.5)
+
+
+def test_a_failed_verification_moves_the_anchor_to_the_current_state(lif, monkeypatch):
+    module = importlib.import_module("ifstrobe.strobe")
+    repeats, verified = module._repeats, []
+
+    def recording(states, counts, start, p, tol):
+        verified.append((start, p, repeats(states, counts, start, p, tol)))
+        return verified[-1][2]
+
+    monkeypatch.setattr(module, "_repeats", recording)
+    opts = OrbitOptions(transient=0, max_period=50, state_tol=0.1)
+    orbit = attractor(lif, FAILED_VERIFICATION, opts)
+    assert verified == [(0, 13, False), (26, 6, True)]
+    assert orbit.converged and orbit.word == "LLLLLR"
+    expected = _attractor_map_by_map(lif, FAILED_VERIFICATION, opts)
+    assert _summary_bits(lambda: orbit) == _summary_bits(lambda: expected)
 
 
 def _summary_bits(fn):
@@ -1303,6 +1353,26 @@ def _map_outcomes(smap, x0, stop):
     )
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda smap: pickle.loads(pickle.dumps(smap))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+def test_a_linear_map_round_trips_through_pickle_and_copy(lif, clone, used):
+    # both rebuild the map's own class through __new__, with no arguments
+    smap = StrobeMap(lif, Forcing(A=10 / 3, T=1.6, d=0.2))
+    if used:  # its boundary, branches and closure found
+        smap._is_closed()
+    twin = clone(smap)
+    assert type(twin) is type(smap) is _LinearMap
+    assert (twin.delta, twin.boundary(), twin._is_closed()) == (
+        smap.delta, smap.boundary(), smap._is_closed()
+    )
+    assert twin.apply(0.3) == smap.apply(0.3)
+    assert _attractor(twin, OrbitOptions()) == _attractor(smap, OrbitOptions())
+
+
 @st.composite
 def _closed_form_cases(draw):
     """A linear map with ``a < 0`` and its spike cap: a boundary case or a random forcing."""
@@ -1337,7 +1407,7 @@ def test_closed_form_equals_its_flows_twin(case, share, stop):
     except IntegrationError:  # a rest point that rounds onto theta: delta raises
         assume(False)
     twin = _flows_twin(smap)
-    assert (smap._generic, twin._generic) == (False, True)
+    assert (type(smap), type(twin)) == (_LinearMap, _GenericMap)
     x0 = share * model.theta
     found = _map_outcomes(smap, x0, stop)
     assert found == _map_outcomes(twin, x0, stop)
